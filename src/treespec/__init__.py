@@ -10,7 +10,6 @@ Submodules:
 """
 
 from . import limits, oracle, recurrence, signs, treediag
-from ._kernels import DISABLE_ENV, NUMBA_ENABLED
 
 __all__ = [
     "recurrence",
@@ -18,8 +17,6 @@ __all__ = [
     "oracle",
     "signs",
     "limits",
-    "DISABLE_ENV",
-    "NUMBA_ENABLED",
 ]
 
 __version__ = "0.1.0"

@@ -32,6 +32,9 @@ from .treediag import MatrixKind
 
 _RATIONAL_RE = re.compile(r"^[+-]?\d+(/\d+)?$")
 
+#: a negative number argparse would take for an option: "-4/19", "-1e-3"
+_NEGATIVE_VALUE_RE = re.compile(r"^-\.?\d")
+
 
 def _fmt(value) -> str:
     """Shortest round-trip decimal for floats; plain str otherwise."""
@@ -307,8 +310,6 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--format", choices=("json", "csv", "text"), default=None,
                         help="output format (default depends on the subcommand)")
-    parser.add_argument("--threads", type=int, default=1,
-                        help="worker cap for table commands (execution is sequential)")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("solve", help="closed form and orbit of x_{j+1} = a + g/x_j")
@@ -379,16 +380,31 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _bind_negative_values(argv: Sequence[str]) -> list:
+    """Write "--opt -4/19" as "--opt=-4/19".
+
+    argparse reads a token as a negative value only when it looks like
+    "-4" or "-0.5"; "-4/19" or "-1e-3" after an option would be taken for
+    an option of its own.
+    """
+    out: list = []
+    for token in argv:
+        prev = out[-1] if out else ""
+        if prev.startswith("--") and prev != "--" and "=" not in prev \
+                and _NEGATIVE_VALUE_RE.match(token):
+            out[-1] = f"{prev}={token}"
+        else:
+            out.append(token)
+    return out
+
+
 def run(argv: Optional[Sequence[str]] = None) -> int:
     """Parse argv and dispatch; returns the process exit code."""
     parser = _build_parser()
     try:
-        args = parser.parse_args(list(argv) if argv is not None else None)
+        args = parser.parse_args(_bind_negative_values(sys.argv[1:] if argv is None else argv))
     except SystemExit as exc:
         return int(exc.code or 0)
-    if args.threads is not None and args.threads < 1:
-        print("error: --threads must be >= 1", file=sys.stderr)
-        return 2
     try:
         return args.func(args)
     except _UsageError as exc:

@@ -1,8 +1,9 @@
 """Brute-force spectral reference and seeded random trees for property tests.
 
-The dense eigensolver is a cyclic Jacobi rotation scheme, fully independent
-of the congruence sweep it is used to check.  Random labeled trees are drawn
-uniformly by decoding a random Pruefer sequence.
+The dense eigensolver is a cyclic Jacobi rotation scheme written out in
+Python, fully independent of the congruence sweep it is used to check.
+Random labeled trees are drawn uniformly by decoding a random Pruefer
+sequence.
 """
 
 from __future__ import annotations
@@ -14,7 +15,6 @@ from typing import List, Tuple
 
 import numpy as np
 
-from . import _kernels
 from .errors import DomainError, SizeLimitError
 from .treediag import RootedTree, SymmetricTreeMatrix, build_tree
 
@@ -46,10 +46,61 @@ def dense_spectrum(m: SymmetricTreeMatrix, tol: float = DEFAULT_TOL) -> DenseSpe
     if tol <= 0:
         raise DomainError("tol must be positive")
     work = np.ascontiguousarray(m.dense())
-    values, converged = _kernels.jacobi_eigenvalues(work, 0.5 * tol, _MAX_SWEEPS)
+    values, converged = jacobi_eigenvalues(work, 0.5 * tol, _MAX_SWEEPS)
     if not converged:  # pragma: no cover - quadratic convergence, n <= 64
         raise RuntimeError("Jacobi iteration failed to converge")
     return DenseSpectrum(eigenvalues=tuple(float(v) for v in values), tolerance=tol)
+
+
+def jacobi_eigenvalues(mat: np.ndarray, off_tol: float, max_sweeps: int) -> Tuple[np.ndarray, bool]:
+    """Eigenvalues of a symmetric matrix by cyclic Jacobi rotations.
+
+    ``mat`` is destroyed.  Sweeps run until the off-diagonal Frobenius norm
+    drops to ``off_tol`` (which bounds every eigenvalue error) or
+    ``max_sweeps`` is exhausted.  Returns (eigenvalues ascending, converged).
+    """
+    n = mat.shape[0]
+    converged = False
+    for _ in range(max_sweeps):
+        off = 0.0
+        for i in range(n):
+            for j in range(i + 1, n):
+                off += 2.0 * mat[i, j] * mat[i, j]
+        if np.sqrt(off) <= off_tol:
+            converged = True
+            break
+        for p in range(n - 1):
+            for q in range(p + 1, n):
+                apq = mat[p, q]
+                if apq == 0.0:
+                    continue
+                tau = (mat[q, q] - mat[p, p]) / (2.0 * apq)
+                if tau >= 0.0:
+                    t = 1.0 / (tau + np.sqrt(1.0 + tau * tau))
+                else:
+                    t = -1.0 / (-tau + np.sqrt(1.0 + tau * tau))
+                c = 1.0 / np.sqrt(1.0 + t * t)
+                s = t * c
+                app = mat[p, p]
+                aqq = mat[q, q]
+                mat[p, p] = app - t * apq
+                mat[q, q] = aqq + t * apq
+                mat[p, q] = 0.0
+                mat[q, p] = 0.0
+                for k in range(n):
+                    if k != p and k != q:
+                        akp = mat[k, p]
+                        akq = mat[k, q]
+                        mat[k, p] = c * akp - s * akq
+                        mat[p, k] = mat[k, p]
+                        mat[k, q] = s * akp + c * akq
+                        mat[q, k] = mat[k, q]
+    if n <= 1:
+        converged = True
+    out = np.empty(n, dtype=np.float64)
+    for i in range(n):
+        out[i] = mat[i, i]
+    return np.sort(out), converged
 
 
 def random_tree(n: int, seed: int) -> RootedTree:

@@ -29,9 +29,6 @@ from enum import Enum
 from fractions import Fraction
 from typing import List, Optional, Tuple, Union
 
-import numpy as np
-
-from . import _kernels
 from .errors import (
     DomainError,
     NoContinuousExtensionError,
@@ -227,21 +224,20 @@ def iterate(params: RecurrenceParams, x1: Real, count: int) -> OrbitResult:
         raise DomainError("initial value x1 must be nonzero")
     if _is_exact(params.alpha, params.gamma, x1):
         values: List[Real] = [Fraction(x1)]
-        alpha = Fraction(params.alpha)
-        gamma = Fraction(params.gamma)
-        for j in range(1, count):
-            prev = values[-1]
-            if prev == 0:
-                return OrbitResult(tuple(values), hit_zero_step=j)
-            values.append(alpha + gamma / prev)
-        if values[-1] == 0:
-            return OrbitResult(tuple(values), hit_zero_step=count)
-        return OrbitResult(tuple(values))
-    buf = np.empty(count, dtype=np.float64)
-    buf[0] = float(x1)
-    filled, hit = _kernels.orbit_fill(buf, float(params.alpha), float(params.gamma), ZERO_TOL)
-    vals = tuple(float(v) for v in buf[:filled])
-    return OrbitResult(vals, hit_zero_step=hit if hit else None)
+        alpha: Real = Fraction(params.alpha)
+        gamma: Real = Fraction(params.gamma)
+    else:
+        values = [float(x1)]
+        alpha = float(params.alpha)
+        gamma = float(params.gamma)
+    for j in range(1, count):
+        prev = values[-1]
+        if _is_zero(prev):
+            return OrbitResult(tuple(values), hit_zero_step=j)
+        values.append(alpha + gamma / prev)
+    if _is_zero(values[-1]):
+        return OrbitResult(tuple(values), hit_zero_step=count)
+    return OrbitResult(tuple(values))
 
 
 def reverse_initial(params: RecurrenceParams, x_r: Real, r: int) -> Real:
@@ -475,11 +471,6 @@ def solve(params: RecurrenceParams, x1: Real) -> ClosedFormSolution:
         math.cos(phi) / math.sin(phi) - (xf / rho) / math.sin(phi)
     )
     return Type3Solution(rho=rho, phi_angle=phi, omega=_normalize_half_pi(omega))
-
-
-def evaluate(sol: ClosedFormSolution, j: float) -> Union[float, Pole]:
-    """Module-level alias for ``sol.eval(j)``."""
-    return sol.eval(j)
 
 
 def period(sol: ClosedFormSolution) -> float:

@@ -8,9 +8,10 @@ eigenvalues of M - alpha*I below, at, and above zero, i.e. the eigenvalues
 of M relative to the shift alpha.  Bisection over that count yields the
 spectral radius or any individual eigenvalue.
 
-Float sweeps run through the JIT kernel in ``_kernels``; matrices with
-integer/rational entries also support an exact-rational sweep whose zero
-test is exact (``exact=True``).
+One sweep function, ``_sweep``, runs over plain Python lists for both
+arithmetics: float sweeps count values within a relative threshold as zero,
+and matrices with integer/rational entries also support an exact-rational
+sweep (``exact=True``) whose zero test is exact.
 """
 
 from __future__ import annotations
@@ -20,7 +21,6 @@ from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple, 
 
 import numpy as np
 
-from . import _kernels
 from .errors import BadIndexError, BadVertexError, DomainError, NotATreeError
 
 Real = Union[int, float, Fraction]
@@ -36,11 +36,11 @@ class RootedTree:
     """A tree on vertices 1..n with parent links toward the root.
 
     ``postorder`` lists every child before its parent, root last.  Instances
-    are immutable; the 0-based ``parent0``/``order0`` arrays feed the sweep
-    kernel.
+    are immutable.  ``_postorder_parent`` holds the parent of each vertex of
+    ``postorder``, 0 for the root; the sweep walks the two side by side.
     """
 
-    __slots__ = ("n", "root", "_parent", "_postorder", "_children", "parent0", "order0")
+    __slots__ = ("n", "root", "_parent", "_postorder", "_children", "_postorder_parent")
 
     def __init__(self, parent: Dict[int, Optional[int]], postorder: Sequence[int]):
         n = len(postorder)
@@ -64,12 +64,7 @@ class RootedTree:
                 if c not in seen:
                     raise NotATreeError("postorder must place children before parents")
             seen.add(v)
-        self.parent0 = np.array(
-            [(self._parent[v] - 1) if self._parent[v] is not None else -1
-             for v in range(1, n + 1)],
-            dtype=np.int64,
-        )
-        self.order0 = np.array([v - 1 for v in self._postorder], dtype=np.int64)
+        self._postorder_parent = tuple(self._parent[v] or 0 for v in self._postorder)
 
     @property
     def postorder(self) -> Tuple[int, ...]:
@@ -157,10 +152,16 @@ class SymmetricTreeMatrix:
 
     ``diag[v]`` is the diagonal entry of vertex v; ``edge_weight[v]`` is the
     off-diagonal entry on the edge from v to its parent (every entry off the
-    tree is zero).  All edge weights must be nonzero.
+    tree is zero).  All edge weights must be nonzero.  The sweep reads the
+    lists built here, indexed by vertex with a spare slot 0: the diagonal
+    and the squared edge weights (0 at the root), as given for exact sweeps
+    and as floats.
     """
 
-    __slots__ = ("tree", "diag", "edge_weight", "kind", "is_rational", "_diag_f", "_w2_f")
+    __slots__ = (
+        "tree", "diag", "edge_weight", "kind", "is_rational",
+        "_diag", "_diag_float", "_dmin", "_dmax", "_w2", "_w2_float",
+    )
 
     def __init__(
         self,
@@ -184,11 +185,15 @@ class SymmetricTreeMatrix:
         self.is_rational = all(
             isinstance(x, (int, Fraction)) for x in list(diag.values()) + list(edge_weight.values())
         )
-        self._diag_f = np.array([float(diag[v]) for v in range(1, tree.n + 1)])
-        w2 = np.zeros(tree.n)
+        self._diag = [0] + [diag[v] for v in range(1, tree.n + 1)]
+        self._diag_float = [float(d) for d in self._diag]
+        self._dmin = min(self._diag_float[1:])
+        self._dmax = max(self._diag_float[1:])
+        self._w2 = [0] * (tree.n + 1)
+        self._w2_float = [0.0] * (tree.n + 1)
         for v, w in edge_weight.items():
-            w2[v - 1] = float(w) * float(w)
-        self._w2_f = w2
+            self._w2[v] = w * w
+            self._w2_float[v] = float(w) * float(w)
 
     @property
     def n(self) -> int:
@@ -207,13 +212,14 @@ class SymmetricTreeMatrix:
 
     def gershgorin(self) -> Tuple[float, float]:
         """Closed interval containing every eigenvalue."""
-        radius = np.zeros(self.n)
+        radius = [0.0] * (self.n + 1)
         for v, w in self.edge_weight.items():
             p = self.tree.parent(v)
-            radius[v - 1] += abs(float(w))
-            radius[p - 1] += abs(float(w))
-        lo = float(np.min(self._diag_f - radius))
-        hi = float(np.max(self._diag_f + radius))
+            radius[v] += abs(float(w))
+            radius[p] += abs(float(w))
+        diag = self._diag_float
+        lo = min(diag[v] - radius[v] for v in range(1, self.n + 1))
+        hi = max(diag[v] + radius[v] for v in range(1, self.n + 1))
         return lo, hi
 
 
@@ -249,35 +255,38 @@ def build_matrix(tree: RootedTree, kind: str) -> SymmetricTreeMatrix:
     return SymmetricTreeMatrix(tree, diag, weight, kind=kind)
 
 
-def _float_sweep(m: SymmetricTreeMatrix, alpha: float) -> Tuple[np.ndarray, float]:
-    a = m._diag_f - alpha
-    scale = float(np.max(np.abs(a))) if m.n else 0.0
-    tol = SWEEP_ZERO_TOL * max(1.0, scale)
-    _kernels.jt_sweep(a, m.tree.order0, m.tree.parent0, m._w2_f, tol)
-    return a, tol
+def _sweep(a: List[Real], tree: RootedTree, w2: List[Real], tol: Real, two: Real) -> List[Real]:
+    """One congruence sweep over ``tree``, bottom-up, in place on ``a``.
 
+    a    : on entry the shifted diagonal m_vv - alpha at index v, on exit the
+           final vertex values; index 0 is a spare slot.
+    w2   : squared weight of the edge from vertex v to its parent, at index v.
+    tol  : values with -tol <= a <= tol count as zero; 0 makes the test exact.
+    two  : the constant 2 in the arithmetic of ``a``: 2.0 for a float sweep,
+           Fraction(2) for an exact one.
 
-def _exact_sweep(m: SymmetricTreeMatrix, alpha: Fraction) -> Dict[int, Fraction]:
-    tree = m.tree
-    a: Dict[int, Fraction] = {v: Fraction(m.diag[v]) - alpha for v in range(1, m.n + 1)}
-    acc: Dict[int, Fraction] = {}
+    Vertices are processed in postorder.  A vertex subtracts the sum of
+    w_c^2/a_c over its children, added up in postorder.  A vertex with a
+    zero child instead takes the value -w^2/2 while the zero child becomes 2
+    and the vertex's own parent edge is cut (it contributes nothing upward).
+    Ties between several zero children go to the smallest vertex index.
+    The root's parent is the spare slot 0, which takes its unused term.
+    """
+    acc = [two - two] * len(a)
     zero_child: Dict[int, int] = {}
-    for v in tree.postorder:
-        zc = zero_child.get(v)
-        if zc is not None:
-            w = Fraction(m.edge_weight[zc])
-            a[v] = -(w * w) / 2
-            a[zc] = Fraction(2)
+    lo = -tol
+    for v, p in zip(tree._postorder, tree._postorder_parent):
+        if v in zero_child:
+            zc = zero_child[v]
+            a[v] = -w2[zc] / two
+            a[zc] = two
             continue
-        a[v] -= acc.get(v, Fraction(0))
-        p = tree.parent(v)
-        if p is not None:
-            if a[v] == 0:
-                if p not in zero_child or v < zero_child[p]:
-                    zero_child[p] = v
-            else:
-                w = Fraction(m.edge_weight[v])
-                acc[p] = acc.get(p, Fraction(0)) + (w * w) / a[v]
+        x = a[v] = a[v] - acc[v]
+        if lo <= x <= tol:
+            if p not in zero_child or v < zero_child[p]:
+                zero_child[p] = v
+        else:
+            acc[p] += w2[v] / x
     return a
 
 
@@ -289,6 +298,24 @@ def _require_exact(m: SymmetricTreeMatrix, alpha: Real) -> Fraction:
     return Fraction(alpha)
 
 
+def _shifted_sweep(m: SymmetricTreeMatrix, alpha: Real, exact: bool) -> Tuple[List[Real], Real]:
+    """Final vertex values of the sweep of M - alpha*I, and their zero threshold.
+
+    The float threshold is SWEEP_ZERO_TOL times max(1, max_v |m_vv - alpha|);
+    the largest |m_vv - alpha| sits at the smallest or the largest diagonal
+    entry.
+    """
+    if exact:
+        alpha = _require_exact(m, alpha)
+        shifted, w2, tol, two = [d - alpha for d in m._diag], m._w2, 0, Fraction(2)
+    else:
+        alpha = float(alpha)
+        scale = max(abs(m._dmax - alpha), abs(m._dmin - alpha))
+        tol = SWEEP_ZERO_TOL * max(1.0, scale)
+        shifted, w2, two = [d - alpha for d in m._diag_float], m._w2_float, 2.0
+    return _sweep(shifted, m.tree, w2, tol, two)[1:], tol
+
+
 def diagonalize(m: SymmetricTreeMatrix, alpha: Real, exact: bool = False) -> Dict[int, Real]:
     """Final vertex values of the congruence sweep of M - alpha*I.
 
@@ -297,23 +324,22 @@ def diagonalize(m: SymmetricTreeMatrix, alpha: Real, exact: bool = False) -> Dic
     postorder: a vertex with all (remaining) children nonzero subtracts
     sum(w_c^2 / a_c); a vertex with a zero child v_j instead becomes
     -w_j^2/2 while a(v_j) becomes 2 and the vertex's own parent edge is cut.
+    Exact sweeps return Fraction values, float sweeps floats.
     """
-    if exact:
-        return {int(k): v for k, v in _exact_sweep(m, _require_exact(m, alpha)).items()}
-    values, _ = _float_sweep(m, float(alpha))
-    return {v: float(values[v - 1]) for v in range(1, m.n + 1)}
+    values, _ = _shifted_sweep(m, alpha, exact)
+    return dict(enumerate(values, start=1))
 
 
 def locate(m: SymmetricTreeMatrix, alpha: Real, exact: bool = False) -> InertiaTriple:
     """Counts of eigenvalues of M below / equal to / above alpha."""
-    if exact:
-        values = _exact_sweep(m, _require_exact(m, alpha))
-        below = sum(1 for x in values.values() if x < 0)
-        equal = sum(1 for x in values.values() if x == 0)
-        return InertiaTriple(below, equal, m.n - below - equal)
-    arr, tol = _float_sweep(m, float(alpha))
-    below = int(np.sum(arr < -tol))
-    equal = int(np.sum(np.abs(arr) <= tol))
+    values, tol = _shifted_sweep(m, alpha, exact)
+    lo = -tol
+    below = equal = 0
+    for x in values:
+        if x < lo:
+            below += 1
+        elif x <= tol:
+            equal += 1
     return InertiaTriple(below, equal, m.n - below - equal)
 
 

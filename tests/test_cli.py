@@ -81,6 +81,25 @@ def test_locate_exact(capsys, p3_file):
     assert payload["alpha"] == "1"
 
 
+def test_locate_exact_negative_shift_as_separate_token(capsys, p3_file):
+    argv = ["locate", "--tree", p3_file, "--matrix", "adjacency"]
+    code, joined, _ = invoke(capsys, *argv, "--alpha=-4/19", "--exact")
+    assert code == 0
+    code, spaced, err = invoke(capsys, *argv, "--alpha", "-4/19", "--exact")
+    assert code == 0 and err == ""
+    assert spaced == joined
+    assert json.loads(spaced)["alpha"] == "-4/19"
+    code, _, _ = invoke(capsys, *argv, "--alpha", "-1e-3")
+    assert code == 0
+
+
+def test_threads_flag_removed(capsys):
+    code, out, _ = invoke(capsys, "--help")
+    assert code == 0 and "--threads" not in out
+    code, _, _ = invoke(capsys, "--threads", "2", "mlas", "--n", "19")
+    assert code == 2
+
+
 def test_locate_exact_rejects_decimal(capsys, p3_file):
     code, _, err = invoke(
         capsys, "locate", "--tree", p3_file, "--matrix", "laplacian",

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from treespec.errors import SizeLimitError
-from treespec.oracle import dense_spectrum, random_tree
+from treespec.oracle import dense_spectrum, jacobi_eigenvalues, random_tree
 from treespec.treediag import MatrixKind, build_matrix, build_tree
 
 
@@ -67,6 +67,16 @@ def test_matches_numpy_eigvalsh():
             mine = dense_spectrum(m, 1e-12).eigenvalues
             ref = np.linalg.eigvalsh(m.dense())
             assert np.max(np.abs(np.array(mine) - ref)) <= 1e-10
+
+
+def test_jacobi_matches_eigvalsh_on_random_dense():
+    rng = np.random.default_rng(3)
+    for n in (2, 5, 12, 20):
+        sym = rng.normal(size=(n, n))
+        sym = sym + sym.T
+        values, converged = jacobi_eigenvalues(sym.copy(), 1e-12, 100)
+        assert converged
+        assert np.max(np.abs(values - np.linalg.eigvalsh(sym))) < 1e-10
 
 
 def test_size_limit():

@@ -167,6 +167,19 @@ def test_iterate_fixed_point_and_zero_hit():
     assert len(float_orbit.values) == 4
 
 
+def test_float_orbit_matches_reference_rule():
+    # x_{j+1} = alpha + gamma / x_j in IEEE doubles, stopping at |x| <= 1e-12
+    for alpha, gamma, x1 in ((2.0, -1.0, 0.75), (0.2, -1.0, -0.9), (1.3, 0.7, 2.0)):
+        want = [x1]
+        while len(want) < 200 and abs(want[-1]) > 1e-12:
+            want.append(alpha + gamma / want[-1])
+        orbit = iterate(RecurrenceParams(alpha, gamma), x1, 200)
+        assert [x.hex() for x in orbit.values] == [x.hex() for x in want]
+        assert all(type(x) is float for x in orbit.values)
+        hit = len(want) if abs(want[-1]) <= 1e-12 else None
+        assert orbit.hit_zero_step == hit
+
+
 def test_iterate_rejects_zero_start():
     with pytest.raises(DomainError):
         iterate(RecurrenceParams(2.0, -1.0), 0.0, 5)
