@@ -19,21 +19,25 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import re
 import sys
 from fractions import Fraction
 from typing import Optional, Sequence
 
 from . import limits, oracle, recurrence, signs, treediag
-from .errors import TreespecError
+from .errors import DomainError, TreespecError
 from .recurrence import Pole, RecurrenceParams
 from .signs import DoubleBroom, PendantConfig
 from .treediag import MatrixKind
 
 _RATIONAL_RE = re.compile(r"^[+-]?\d+(/\d+)?$")
 
-#: a negative number argparse would take for an option: "-4/19", "-1e-3"
-_NEGATIVE_VALUE_RE = re.compile(r"^-\.?\d")
+#: a negative number argparse would take for an option: "-4/19", "-1e-3", "-inf"
+_NEGATIVE_VALUE_RE = re.compile(r"^-(\.?\d|inf$|infinity$|nan$)", re.IGNORECASE)
+
+#: argparse dests whose option is spelled differently
+_OPTION_OF = {"eval_j": "--eval", "j_from": "--from", "j_to": "--to"}
 
 
 def _fmt(value) -> str:
@@ -47,20 +51,31 @@ def _json(obj) -> str:
     return json.dumps(obj, default=str)
 
 
-def _parse_rational(text: str) -> Fraction:
-    if not _RATIONAL_RE.match(text.strip()):
-        raise TreespecError(
-            f"--exact requires a rational shift written as 'p/q' or an integer, got {text!r}"
-        )
-    return Fraction(text)
+def _parse_shift(text: str, exact: bool):
+    """--alpha as a Fraction with --exact, else a float ('p/q' rounded once)."""
+    try:
+        if _RATIONAL_RE.match(text.strip()):
+            value = Fraction(text)
+            return value if exact else float(value)
+        if not exact:
+            return float(text)
+    except ZeroDivisionError:
+        raise DomainError(f"--alpha {text!r} divides by zero") from None
+    except OverflowError:
+        raise DomainError(f"--alpha {text!r} is too large for a float") from None
+    except ValueError:
+        raise _UsageError(f"--alpha must be a number, got {text!r}") from None
+    raise TreespecError(
+        f"--exact requires a rational shift written as 'p/q' or an integer, got {text!r}"
+    )
 
 
-def _matrix_kind(name: str) -> str:
-    return {
-        "adjacency": MatrixKind.ADJACENCY,
-        "laplacian": MatrixKind.LAPLACIAN,
-        "normalized": MatrixKind.NORMALIZED_LAPLACIAN,
-    }[name]
+def _require_finite(args) -> None:
+    """Reject inf and nan in every float option."""
+    for dest, value in vars(args).items():
+        if isinstance(value, float) and not math.isfinite(value):
+            option = _OPTION_OF.get(dest, "--" + dest.replace("_", "-"))
+            raise DomainError(f"{option} must be finite, got {value!r}")
 
 
 def _load_matrix(args) -> treediag.SymmetricTreeMatrix:
@@ -69,7 +84,7 @@ def _load_matrix(args) -> treediag.SymmetricTreeMatrix:
     except OSError as exc:
         raise _UsageError(f"cannot read tree file {args.tree!r}: {exc}") from exc
     tree = treediag.parse_tree_file(text, root=getattr(args, "root", None))
-    return treediag.build_matrix(tree, _matrix_kind(args.matrix))
+    return treediag.build_matrix(tree, args.matrix)
 
 
 class _UsageError(Exception):
@@ -160,19 +175,13 @@ def _cmd_plot_data(args) -> int:
 
 def _cmd_locate(args) -> int:
     matrix = _load_matrix(args)
-    if args.exact:
-        alpha = _parse_rational(args.alpha)
-        triple = treediag.locate(matrix, alpha, exact=True)
-        alpha_out: object = str(alpha)
-    else:
-        alpha = float(Fraction(args.alpha)) if _RATIONAL_RE.match(args.alpha) else float(args.alpha)
-        triple = treediag.locate(matrix, alpha)
-        alpha_out = alpha
+    alpha = _parse_shift(args.alpha, args.exact)
+    triple = treediag.locate(matrix, alpha, exact=args.exact)
     _emit(
         {
             "n": matrix.n,
             "matrix": args.matrix,
-            "alpha": alpha_out,
+            "alpha": str(alpha) if args.exact else alpha,
             "exact": bool(args.exact),
             "below": triple.below,
             "equal": triple.equal,
@@ -336,8 +345,7 @@ def _build_parser() -> argparse.ArgumentParser:
     ):
         p = sub.add_parser(name, help=f"{name} on a tree matrix")
         p.add_argument("--tree", required=True, help="edge-list file, one 'u v' per line")
-        p.add_argument("--matrix", choices=("adjacency", "laplacian", "normalized"),
-                       required=True)
+        p.add_argument("--matrix", choices=MatrixKind.ALL, required=True)
         p.add_argument("--root", type=int, default=None,
                        help="override the root vertex (default: file root line or n)")
         if extra == "alpha":
@@ -384,8 +392,8 @@ def _bind_negative_values(argv: Sequence[str]) -> list:
     """Write "--opt -4/19" as "--opt=-4/19".
 
     argparse reads a token as a negative value only when it looks like
-    "-4" or "-0.5"; "-4/19" or "-1e-3" after an option would be taken for
-    an option of its own.
+    "-4" or "-0.5"; "-4/19", "-1e-3" or "-inf" after an option would be
+    taken for an option of its own.
     """
     out: list = []
     for token in argv:
@@ -406,6 +414,7 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
+        _require_finite(args)
         return args.func(args)
     except _UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)

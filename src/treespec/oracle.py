@@ -2,6 +2,7 @@
 
 The dense eigensolver is a cyclic Jacobi rotation scheme written out in
 Python, fully independent of the congruence sweep it is used to check.
+It imports NumPy when called, so importing this module does not.
 Random labeled trees are drawn uniformly by decoding a random Pruefer
 sequence.
 """
@@ -11,12 +12,13 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from heapq import heappop, heappush, heapify
-from typing import List, Tuple
-
-import numpy as np
+from typing import TYPE_CHECKING, List, Tuple
 
 from .errors import DomainError, SizeLimitError
 from .treediag import RootedTree, SymmetricTreeMatrix, build_tree
+
+if TYPE_CHECKING:
+    import numpy as np
 
 #: dense_spectrum refuses larger instances (misuse guard)
 SIZE_LIMIT = 64
@@ -45,8 +47,7 @@ def dense_spectrum(m: SymmetricTreeMatrix, tol: float = DEFAULT_TOL) -> DenseSpe
         raise SizeLimitError(f"dense oracle limited to n <= {SIZE_LIMIT}, got {m.n}")
     if tol <= 0:
         raise DomainError("tol must be positive")
-    work = np.ascontiguousarray(m.dense())
-    values, converged = jacobi_eigenvalues(work, 0.5 * tol, _MAX_SWEEPS)
+    values, converged = jacobi_eigenvalues(m.dense(), 0.5 * tol, _MAX_SWEEPS)
     if not converged:  # pragma: no cover - quadratic convergence, n <= 64
         raise RuntimeError("Jacobi iteration failed to converge")
     return DenseSpectrum(eigenvalues=tuple(float(v) for v in values), tolerance=tol)
@@ -59,6 +60,8 @@ def jacobi_eigenvalues(mat: np.ndarray, off_tol: float, max_sweeps: int) -> Tupl
     drops to ``off_tol`` (which bounds every eigenvalue error) or
     ``max_sweeps`` is exhausted.  Returns (eigenvalues ascending, converged).
     """
+    import numpy as np
+
     n = mat.shape[0]
     converged = False
     for _ in range(max_sweeps):

@@ -17,9 +17,9 @@ sweep (``exact=True``) whose zero test is exact.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple, Union
-
-import numpy as np
+from math import inf, isfinite, sqrt
+from types import MappingProxyType
+from typing import Dict, Iterable, List, Mapping, NamedTuple, Optional, Tuple, Union
 
 from .errors import BadIndexError, BadVertexError, DomainError, NotATreeError
 
@@ -35,53 +35,44 @@ MAX_BISECT = 200
 class RootedTree:
     """A tree on vertices 1..n with parent links toward the root.
 
-    ``postorder`` lists every child before its parent, root last.  Instances
-    are immutable.  ``_postorder_parent`` holds the parent of each vertex of
-    ``postorder``, 0 for the root; the sweep walks the two side by side.
+    Every list is indexed by vertex, with slot 0 spare: ``_parent[v]`` is
+    the parent of v (0 at the root), ``_children[v]`` its children in
+    ascending order and ``_degree[v]`` its degree.  ``postorder`` lists
+    every child before its parent, children in ascending order, root last;
+    ``_postorder_parent`` holds the parent of each vertex of ``postorder``,
+    and the sweep walks the two side by side.  Build instances with
+    ``build_tree``; they are immutable.
     """
 
-    __slots__ = ("n", "root", "_parent", "_postorder", "_children", "_postorder_parent")
+    __slots__ = ("n", "root", "_parent", "_children", "_degree", "_postorder", "_postorder_parent")
 
-    def __init__(self, parent: Dict[int, Optional[int]], postorder: Sequence[int]):
-        n = len(postorder)
-        if sorted(postorder) != list(range(1, n + 1)):
-            raise NotATreeError("postorder must be a permutation of 1..n")
-        roots = [v for v, p in parent.items() if p is None]
-        if len(parent) != n or len(roots) != 1:
-            raise NotATreeError("parent map must cover 1..n with a single root")
-        self.n = n
-        self.root = roots[0]
-        self._parent = dict(parent)
+    def __init__(self, root: int, parent: List[int], children: List[List[int]], postorder: List[int]):
+        self.n = len(postorder)
+        self.root = root
+        self._parent = parent
+        self._children = children
+        self._degree = [len(c) + 1 for c in children]
+        self._degree[0] = 0
+        self._degree[root] -= 1
         self._postorder = tuple(postorder)
-        children: Dict[int, List[int]] = {v: [] for v in range(1, n + 1)}
-        for v, p in parent.items():
-            if p is not None:
-                children[p].append(v)
-        self._children = {v: tuple(sorted(c)) for v, c in children.items()}
-        seen = set()
-        for v in self._postorder:
-            for c in self._children[v]:
-                if c not in seen:
-                    raise NotATreeError("postorder must place children before parents")
-            seen.add(v)
-        self._postorder_parent = tuple(self._parent[v] or 0 for v in self._postorder)
+        self._postorder_parent = [parent[v] for v in postorder]
 
     @property
     def postorder(self) -> Tuple[int, ...]:
         return self._postorder
 
     def parent(self, v: int) -> Optional[int]:
-        return self._parent[v]
+        return self._parent[v] or None
 
     def children(self, v: int) -> Tuple[int, ...]:
-        return self._children[v]
+        return tuple(self._children[v])
 
     def degree(self, v: int) -> int:
-        return len(self._children[v]) + (0 if self._parent[v] is None else 1)
+        return self._degree[v]
 
     def edges(self) -> List[Tuple[int, int]]:
         """(child, parent) pairs, sorted by child."""
-        return [(v, p) for v, p in sorted(self._parent.items()) if p is not None]
+        return [(v, p) for v, p in enumerate(self._parent) if p]
 
     def __repr__(self) -> str:
         return f"RootedTree(n={self.n}, root={self.root})"
@@ -94,49 +85,51 @@ def build_tree(edges: Iterable[Tuple[int, int]], root: int) -> RootedTree:
     children are visited in ascending order, which fixes the postorder.
     """
     edge_list = list(edges)
-    vertices = set()
     for e in edge_list:
         if len(e) != 2:
             raise NotATreeError(f"malformed edge {e!r}")
         u, v = e
-        for w in (u, v):
-            if not isinstance(w, int) or isinstance(w, bool) or w < 1:
-                raise BadVertexError(f"vertex id must be a positive integer, got {w!r}")
+        if type(u) is not int or type(v) is not int or u < 1 or v < 1:
+            for w in (u, v):
+                if not isinstance(w, int) or isinstance(w, bool) or w < 1:
+                    raise BadVertexError(f"vertex id must be a positive integer, got {w!r}")
         if u == v:
             raise NotATreeError(f"self-loop at vertex {u}")
-        vertices.add(u)
-        vertices.add(v)
-    n = max(vertices) if vertices else 1
+    n = max(map(max, edge_list), default=1)
     if not isinstance(root, int) or isinstance(root, bool) or not (1 <= root <= n):
         raise BadVertexError(f"root {root!r} outside 1..{n}")
     if len(edge_list) != n - 1:
         raise NotATreeError(f"a tree on {n} vertices needs {n - 1} edges, got {len(edge_list)}")
-    adj: Dict[int, set] = {v: set() for v in range(1, n + 1)}
+    children: List[List[int]] = [[] for _ in range(n + 1)]
     for u, v in edge_list:
-        if v in adj[u]:
-            raise NotATreeError(f"duplicate edge ({u}, {v})")
-        adj[u].add(v)
-        adj[v].add(u)
-    parent: Dict[int, Optional[int]] = {root: None}
-    postorder: List[int] = []
-    stack: List[Tuple[int, Iterable[int]]] = [(root, iter(sorted(adj[root])))]
-    seen = {root}
+        children[u].append(v)
+        children[v].append(u)
+    # preorder by a stack that pops the largest child first; its reverse is
+    # the postorder with children visited in ascending order.  Each
+    # neighbour list loses the parent and is sorted in place as it is popped.
+    parent = [-1] * (n + 1)
+    parent[root] = 0
+    order: List[int] = []
+    stack = [root]
     while stack:
-        v, it = stack[-1]
-        advanced = False
-        for w in it:
-            if w not in seen:
-                seen.add(w)
-                parent[w] = v
-                stack.append((w, iter(sorted(adj[w]))))
-                advanced = True
-                break
-        if not advanced:
-            postorder.append(v)
-            stack.pop()
-    if len(seen) != n:
+        v = stack.pop()
+        order.append(v)
+        kids = children[v]
+        if parent[v]:
+            kids.remove(parent[v])
+        kids.sort()
+        for w in kids:
+            if parent[w] >= 0:  # n - 1 edges with a cycle: a repeat, or a part unreached
+                raise NotATreeError(
+                    f"duplicate edge ({v}, {w})" if parent[w] == v else "edge list is disconnected"
+                )
+            parent[w] = v
+        stack += kids
+    if len(order) != n:
         raise NotATreeError("edge list is disconnected")
-    return RootedTree(parent, postorder)
+    parent[0] = 0
+    order.reverse()
+    return RootedTree(root, parent, children, order)
 
 
 class MatrixKind:
@@ -152,22 +145,20 @@ class SymmetricTreeMatrix:
 
     ``diag[v]`` is the diagonal entry of vertex v; ``edge_weight[v]`` is the
     off-diagonal entry on the edge from v to its parent (every entry off the
-    tree is zero).  All edge weights must be nonzero.  The sweep reads the
-    lists built here, indexed by vertex with a spare slot 0: the diagonal
-    and the squared edge weights (0 at the root), as given for exact sweeps
-    and as floats.
+    tree is zero).  All edge weights must be nonzero.  The matrix keeps only
+    the lists the sweep reads, indexed by vertex with a spare slot 0: the
+    diagonal, the edge weights and their squares (0 at the root), entries
+    as given.  ``diag`` and ``edge_weight`` are read-only dict views built
+    from those lists on each access.
     """
 
-    __slots__ = (
-        "tree", "diag", "edge_weight", "kind", "is_rational",
-        "_diag", "_diag_float", "_dmin", "_dmax", "_w2", "_w2_float",
-    )
+    __slots__ = ("tree", "kind", "is_rational", "_diag", "_w", "_w2", "_dmin", "_dmax")
 
     def __init__(
         self,
         tree: RootedTree,
-        diag: Dict[int, Real],
-        edge_weight: Dict[int, Real],
+        diag: Mapping[int, Real],
+        edge_weight: Mapping[int, Real],
         kind: Optional[str] = None,
     ):
         if set(diag) != set(range(1, tree.n + 1)):
@@ -175,49 +166,59 @@ class SymmetricTreeMatrix:
         non_root = {v for v in range(1, tree.n + 1) if v != tree.root}
         if set(edge_weight) != non_root:
             raise BadVertexError("edge_weight must cover exactly the non-root vertices")
+        weight: List[Real] = [0] * (tree.n + 1)
         for v, w in edge_weight.items():
             if w == 0:
                 raise DomainError(f"edge weight at vertex {v} must be nonzero")
+            weight[v] = w
+        diag_list = [0] + [diag[v] for v in range(1, tree.n + 1)]
+        rational = all(isinstance(x, (int, Fraction)) for x in diag_list + weight)
+        self._fill(tree, diag_list, weight, kind, rational)
+
+    def _fill(self, tree: RootedTree, diag: List[Real], weight: List[Real],
+              kind: Optional[str], rational: bool) -> None:
         self.tree = tree
-        self.diag = dict(diag)
-        self.edge_weight = dict(edge_weight)
         self.kind = kind
-        self.is_rational = all(
-            isinstance(x, (int, Fraction)) for x in list(diag.values()) + list(edge_weight.values())
-        )
-        self._diag = [0] + [diag[v] for v in range(1, tree.n + 1)]
-        self._diag_float = [float(d) for d in self._diag]
-        self._dmin = min(self._diag_float[1:])
-        self._dmax = max(self._diag_float[1:])
-        self._w2 = [0] * (tree.n + 1)
-        self._w2_float = [0.0] * (tree.n + 1)
-        for v, w in edge_weight.items():
-            self._w2[v] = w * w
-            self._w2_float[v] = float(w) * float(w)
+        self.is_rational = rational
+        self._diag = diag
+        self._w = weight
+        self._w2 = [w * w for w in weight]
+        entries = diag[1:]
+        self._dmin = min(entries)
+        self._dmax = max(entries)
 
     @property
     def n(self) -> int:
         return self.tree.n
 
-    def dense(self) -> np.ndarray:
-        """Dense float copy (for the brute-force oracle)."""
+    @property
+    def diag(self) -> Mapping[int, Real]:
+        return MappingProxyType(dict(enumerate(self._diag[1:], start=1)))
+
+    @property
+    def edge_weight(self) -> Mapping[int, Real]:
+        w = self._w
+        return MappingProxyType({v: w[v] for v in range(1, self.n + 1) if v != self.tree.root})
+
+    def dense(self):
+        """Dense float NumPy copy (for the brute-force oracle)."""
+        import numpy as np
+
         m = np.zeros((self.n, self.n))
         for v in range(1, self.n + 1):
-            m[v - 1, v - 1] = float(self.diag[v])
-        for v, w in self.edge_weight.items():
-            p = self.tree.parent(v)
-            m[v - 1, p - 1] = float(w)
-            m[p - 1, v - 1] = float(w)
+            m[v - 1, v - 1] = float(self._diag[v])
+        for v, p in self.tree.edges():
+            m[v - 1, p - 1] = m[p - 1, v - 1] = float(self._w[v])
         return m
 
     def gershgorin(self) -> Tuple[float, float]:
         """Closed interval containing every eigenvalue."""
         radius = [0.0] * (self.n + 1)
-        for v, w in self.edge_weight.items():
-            p = self.tree.parent(v)
-            radius[v] += abs(float(w))
-            radius[p] += abs(float(w))
-        diag = self._diag_float
+        for v, p in self.tree.edges():
+            w = abs(float(self._w[v]))
+            radius[v] += w
+            radius[p] += w
+        diag = self._diag
         lo = min(diag[v] - radius[v] for v in range(1, self.n + 1))
         hi = max(diag[v] + radius[v] for v in range(1, self.n + 1))
         return lo, hi
@@ -238,21 +239,25 @@ def build_matrix(tree: RootedTree, kind: str) -> SymmetricTreeMatrix:
     laplacian  : diag degree(v), edge weights -1
     normalized : diag 1, edge weight -1/sqrt(deg(u)*deg(v))  (float-only)
     """
-    n = tree.n
+    size = tree.n + 1
+    parent = tree._parent
     if kind == MatrixKind.ADJACENCY:
-        diag: Dict[int, Real] = {v: 0 for v in range(1, n + 1)}
-        weight: Dict[int, Real] = {v: 1 for v, _ in tree.edges()}
+        diag: List[Real] = [0] * size
+        weight: List[Real] = [1 if p else 0 for p in parent]
     elif kind == MatrixKind.LAPLACIAN:
-        diag = {v: tree.degree(v) for v in range(1, n + 1)}
-        weight = {v: -1 for v, _ in tree.edges()}
+        diag = tree._degree  # shared with the tree; neither changes it
+        weight = [-1 if p else 0 for p in parent]
     elif kind == MatrixKind.NORMALIZED_LAPLACIAN:
-        diag = {v: 1 for v in range(1, n + 1)}
-        weight = {
-            v: -1.0 / np.sqrt(tree.degree(v) * tree.degree(p)) for v, p in tree.edges()
-        }
+        deg = tree._degree
+        diag = [1] * size
+        weight = [-1.0 / sqrt(deg[v] * deg[p]) if p else 0 for v, p in enumerate(parent)]
     else:
         raise DomainError(f"unknown matrix kind {kind!r}")
-    return SymmetricTreeMatrix(tree, diag, weight, kind=kind)
+    # a single vertex has no float edge weight, so every kind is rational
+    rational = kind != MatrixKind.NORMALIZED_LAPLACIAN or tree.n == 1
+    m = SymmetricTreeMatrix.__new__(SymmetricTreeMatrix)
+    m._fill(tree, diag, weight, kind, rational)
+    return m
 
 
 def _sweep(a: List[Real], tree: RootedTree, w2: List[Real], tol: Real, two: Real) -> List[Real]:
@@ -303,17 +308,19 @@ def _shifted_sweep(m: SymmetricTreeMatrix, alpha: Real, exact: bool) -> Tuple[Li
 
     The float threshold is SWEEP_ZERO_TOL times max(1, max_v |m_vv - alpha|);
     the largest |m_vv - alpha| sits at the smallest or the largest diagonal
-    entry.
+    entry.  Both sweeps read the same lists: in a float sweep each entry is
+    rounded to float where it first meets a float operand.
     """
     if exact:
         alpha = _require_exact(m, alpha)
-        shifted, w2, tol, two = [d - alpha for d in m._diag], m._w2, 0, Fraction(2)
+        tol, two = 0, Fraction(2)
     else:
         alpha = float(alpha)
+        if not isfinite(alpha):
+            raise DomainError(f"shift alpha must be finite, got {alpha!r}")
         scale = max(abs(m._dmax - alpha), abs(m._dmin - alpha))
-        tol = SWEEP_ZERO_TOL * max(1.0, scale)
-        shifted, w2, two = [d - alpha for d in m._diag_float], m._w2_float, 2.0
-    return _sweep(shifted, m.tree, w2, tol, two)[1:], tol
+        tol, two = SWEEP_ZERO_TOL * max(1.0, scale), 2.0
+    return _sweep([d - alpha for d in m._diag], m.tree, m._w2, tol, two)[1:], tol
 
 
 def diagonalize(m: SymmetricTreeMatrix, alpha: Real, exact: bool = False) -> Dict[int, Real]:
@@ -344,8 +351,8 @@ def locate(m: SymmetricTreeMatrix, alpha: Real, exact: bool = False) -> InertiaT
 
 
 def _bisect(m: SymmetricTreeMatrix, tol: float, predicate) -> float:
-    if tol <= 0:
-        raise DomainError("tol must be positive")
+    if not tol > 0 or tol == inf:
+        raise DomainError(f"tol must be positive and finite, got {tol!r}")
     lo, hi = m.gershgorin()
     for _ in range(MAX_BISECT):
         if hi - lo <= tol:
@@ -380,23 +387,28 @@ def parse_tree_file(text: str, root: Optional[int] = None) -> RootedTree:
     edges: List[Tuple[int, int]] = []
     file_root: Optional[int] = None
     for ln, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
+        parts = raw.split("#", 1)[0].split()
+        if not parts:
             continue
-        parts = line.split()
-        if parts[0].lower() == "root":
+        try:
+            u, v = map(int, parts)
+        except ValueError:  # not two integers: a root line or an error
+            u = v = 0
+        if u < 1 or v < 1:
+            if parts[0].lower() == "root":
+                if len(parts) != 2:
+                    raise NotATreeError(f"line {ln}: expected 'root k'")
+                file_root = _parse_vertex(parts[1], ln)
+                continue
             if len(parts) != 2:
-                raise NotATreeError(f"line {ln}: expected 'root k'")
-            file_root = _parse_vertex(parts[1], ln)
-            continue
-        if len(parts) != 2:
-            raise NotATreeError(f"line {ln}: expected 'u v', got {raw!r}")
-        edges.append((_parse_vertex(parts[0], ln), _parse_vertex(parts[1], ln)))
+                raise NotATreeError(f"line {ln}: expected 'u v', got {raw!r}")
+            u, v = _parse_vertex(parts[0], ln), _parse_vertex(parts[1], ln)
+        edges.append((u, v))
     if not edges and file_root is None and root is None:
         raise NotATreeError("empty tree file")
-    n = max(max(e) for e in edges) if edges else 1
-    chosen = root if root is not None else (file_root if file_root is not None else n)
-    return build_tree(edges, chosen)
+    if root is None:
+        root = file_root if file_root is not None else max(map(max, edges), default=1)
+    return build_tree(edges, root)
 
 
 def _parse_vertex(token: str, ln: int) -> int:

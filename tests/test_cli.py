@@ -206,3 +206,67 @@ def test_console_entry_point():
     )
     assert out.returncode == 0
     assert json.loads(out.stdout)["mlas"] == 10
+
+
+def test_non_finite_shift_is_domain_error(capsys, p3_file):
+    argv = ["locate", "--tree", p3_file, "--matrix", "adjacency"]
+    for shift in ("--alpha=nan", "--alpha=inf", "--alpha=-inf", "--alpha=1e400"):
+        code, out, err = invoke(capsys, *argv, shift)
+        assert (code, out) == (3, ""), shift
+        assert "finite" in err
+    for token in ("-inf", "-Infinity", "-INF", "-nan", "-NaN"):
+        code, out, err = invoke(capsys, *argv, "--alpha", token)
+        assert (code, out) == (3, ""), token
+        assert "finite" in err
+
+
+def test_unreadable_shift_gives_clean_exit(capsys, p3_file):
+    argv = ["locate", "--tree", p3_file, "--matrix", "adjacency"]
+    code, out, err = invoke(capsys, *argv, "--alpha", "abc")
+    assert (code, out) == (2, "") and "number" in err
+    for extra in ([], ["--exact"]):
+        code, out, err = invoke(capsys, *argv, "--alpha", "1/0", *extra)
+        assert (code, out) == (3, "") and "zero" in err
+    huge = "1" * 400
+    code, out, _ = invoke(capsys, *argv, "--alpha", huge)
+    assert (code, out) == (3, "")
+    code, out, _ = invoke(capsys, *argv, "--alpha", huge, "--exact")
+    assert code == 0 and json.loads(out)["below"] == 3
+
+
+def test_non_finite_float_options_are_domain_errors(capsys, p3_file):
+    tree = ["--tree", p3_file, "--matrix", "laplacian"]
+    orbit = ["--alpha", "1", "--gamma", "-0.25", "--x1", "0.36"]
+    cases = [
+        (["radius", *tree, "--tol", "nan"], "--tol"),
+        (["radius", *tree, "--tol", "inf"], "--tol"),
+        (["eigen", *tree, "--k", "1", "--tol", "nan"], "--tol"),
+        (["limit", "--family", "adjacency", "--n-max", "2", "--tol", "nan"], "--tol"),
+        (["solve", "--alpha", "nan", "--gamma", "1", "--x1", "1"], "--alpha"),
+        (["solve", "--alpha", "1", "--gamma", "inf", "--x1", "1", "--count", "3"], "--gamma"),
+        (["solve", *orbit, "--eval", "-inf"], "--eval"),
+        (["plot-data", *orbit, "--from", "0", "--to", "inf", "--step", "1"], "--to"),
+        (["plot-data", *orbit, "--from", "-inf", "--to", "1", "--step", "1"], "--from"),
+    ]
+    for argv, option in cases:
+        code, out, err = invoke(capsys, *argv)
+        assert (code, out) == (3, ""), argv
+        assert f"{option} must be finite" in err, argv
+
+
+def test_cli_start_up_does_not_import_numpy(tmp_path):
+    tree = tmp_path / "p4.txt"
+    tree.write_text("1 2\n2 3\n3 4\n")
+    script = "\n".join([
+        "import sys",
+        "import treespec.cli",
+        "from treespec.cli import run",
+        f"assert run(['locate', '--tree', {str(tree)!r}, '--matrix', 'normalized',"
+        " '--alpha', '0.5']) == 0",
+        f"assert run(['radius', '--tree', {str(tree)!r}, '--matrix', 'laplacian']) == 0",
+        "assert run(['random-tree', '--n', '50', '--seed', '1']) == 0",
+        "print('numpy loaded:', 'numpy' in sys.modules)",
+    ])
+    out = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.splitlines()[-1] == "numpy loaded: False"

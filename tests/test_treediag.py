@@ -58,6 +58,99 @@ def test_build_tree_errors():
         build_tree([(1, 2)], root=9)
 
 
+def test_build_tree_error_classes():
+    cases = [
+        ([(1, 2), (2, 1), (3, 4)], 1, NotATreeError, "duplicate edge (1, 2)"),
+        ([(1, 2), (2, 1), (3, 4)], 4, NotATreeError, "disconnected"),
+        ([(1, True)], 1, BadVertexError, "True"),
+        ([(0, 1)], 1, BadVertexError, "0"),
+        ([(1, 2), (2.0, 3)], 1, BadVertexError, "2.0"),
+        ([(1, 2), (3, 3)], 1, NotATreeError, "self-loop at vertex 3"),
+        ([(1, 2), (2, 3), (1, 3)], 1, NotATreeError, "needs 2 edges, got 3"),
+        ([(1, 2), (3, 4), (4, 5), (5, 3)], 1, NotATreeError, "disconnected"),
+        ([(1, 2), (2, 3)], 4, BadVertexError, "root 4 outside 1..3"),
+        ([(1, 2), (2, 3)], 0, BadVertexError, "root 0"),
+        ([(1, 2)], True, BadVertexError, "root True"),
+        ([(1, 2, 3)], 1, NotATreeError, "malformed edge"),
+    ]
+    for edges, root, exc, text in cases:
+        with pytest.raises(exc) as info:
+            build_tree(edges, root=root)
+        assert text in str(info.value), (edges, root)
+    with pytest.raises(NotATreeError, match="duplicate edge"):
+        build_tree([(4, 3), (3, 5), (2, 3), (3, 2)], root=5)
+
+
+def _shape_edges(shape, n, rng):
+    """Edge lists of the five benchmark shapes on 1..n."""
+    if shape == "path":
+        return [(v, v + 1) for v in range(1, n)]
+    if shape == "star":
+        return [(1, v) for v in range(2, n + 1)]
+    if shape == "caterpillar":
+        s = n // 2
+        return [(v, v + 1) for v in range(1, s)] + [((i - 1) % s + 1, s + i) for i in range(1, n - s + 1)]
+    if shape == "prufer":
+        return [(c, p) for c, p in random_tree(n, seed=rng.randrange(1000)).edges()]
+    spine = n // 2  # double broom: two stars of pendant 2-paths joined by a path
+    edges = [(v, v + 1) for v in range(1, spine)]
+    ends = (1, spine)
+    nxt = spine + 1
+    while nxt < n:
+        edges += [(ends[(nxt - spine) // 2 % 2], nxt), (nxt, nxt + 1)]
+        nxt += 2
+    if nxt == n:
+        edges.append((spine, n))
+    return edges
+
+
+def _reference_rooting(edges, root):
+    """Sorted recursive-order DFS over neighbour sets: parent, children, postorder."""
+    n = len(edges) + 1
+    adj = {v: set() for v in range(1, n + 1)}
+    for u, v in edges:
+        adj[u].add(v)
+        adj[v].add(u)
+    parent = {root: None}
+    children = {}
+    postorder = []
+    stack = [(root, iter(sorted(adj[root])))]
+    while stack:
+        v, it = stack[-1]
+        for w in it:
+            if w != parent[v]:
+                parent[w] = v
+                stack.append((w, iter(sorted(adj[w]))))
+                break
+        else:
+            stack.pop()
+            children[v] = tuple(sorted(adj[v] - {parent[v]}))
+            postorder.append(v)
+    return parent, children, postorder, {v: len(a) for v, a in adj.items()}
+
+
+@pytest.mark.parametrize("shape", ["path", "star", "caterpillar", "prufer", "broom"])
+def test_build_tree_matches_reference_dfs(shape):
+    rng = random.Random(shape)
+    for n in (2, 3, 17, 300):
+        edges = _shape_edges(shape, n, rng)
+        assert len(edges) == n - 1
+        perm = list(range(1, n + 1))
+        rng.shuffle(perm)
+        relabelled = [(perm[u - 1], perm[v - 1]) if rng.random() < 0.5 else (perm[v - 1], perm[u - 1])
+                      for u, v in edges]
+        rng.shuffle(relabelled)
+        for root in {1, n, rng.randrange(1, n + 1)}:
+            t = build_tree(relabelled, root=root)
+            parent, children, postorder, degree = _reference_rooting(relabelled, root)
+            assert t.n == n and t.root == root
+            assert t.postorder == tuple(postorder)
+            assert [t.parent(v) for v in range(1, n + 1)] == [parent[v] for v in range(1, n + 1)]
+            assert [t.children(v) for v in range(1, n + 1)] == [children[v] for v in range(1, n + 1)]
+            assert [t.degree(v) for v in range(1, n + 1)] == [degree[v] for v in range(1, n + 1)]
+            assert t.edges() == sorted((v, p) for v, p in parent.items() if p is not None)
+
+
 # ---------------------------------------------------------------------------
 # matrices
 
@@ -75,6 +168,11 @@ def test_build_matrix_kinds():
     assert norm.diag == {1: 1, 2: 1, 3: 1}
     assert norm.edge_weight[1] == pytest.approx(-1.0 / math.sqrt(2.0))
     assert not norm.is_rational and adj.is_rational and lap.is_rational
+    assert build_matrix(build_tree([], root=1), MatrixKind.NORMALIZED_LAPLACIAN).is_rational
+    with pytest.raises(TypeError):
+        lap.diag[1] = 5  # read-only views
+    with pytest.raises(TypeError):
+        lap.edge_weight[1] = 5
 
 
 def test_dense_round_trip():
@@ -194,6 +292,20 @@ def test_below_count_monotone_in_alpha():
 # bisection
 
 
+def test_non_finite_shift_and_tol_are_domain_errors():
+    m = build_matrix(path_tree(4), MatrixKind.LAPLACIAN)
+    for alpha in (math.nan, math.inf, -math.inf):
+        with pytest.raises(DomainError):
+            locate(m, alpha)
+        with pytest.raises(DomainError):
+            diagonalize(m, alpha)
+    for tol in (math.nan, math.inf, 0.0, -1.0):
+        with pytest.raises(DomainError):
+            spectral_radius(m, tol)
+        with pytest.raises(DomainError):
+            kth_eigenvalue(m, 1, tol)
+
+
 def test_spectral_radius_p2():
     m = build_matrix(path_tree(2), MatrixKind.ADJACENCY)
     assert spectral_radius(m, 1e-10) == pytest.approx(1.0, abs=1e-10)
@@ -250,3 +362,26 @@ def test_parse_tree_file_errors():
         parse_tree_file("1 x\n")
     with pytest.raises(NotATreeError):
         parse_tree_file("")
+
+
+def test_parse_tree_file_line_errors():
+    cases = [
+        ("1 2\n0 3\n", BadVertexError, "line 2: vertex ids are 1-based, got 0"),
+        ("1 2\n2 x\n", BadVertexError, "line 2: bad vertex id 'x'"),
+        ("root 2 3\n1 2\n", NotATreeError, "line 1: expected 'root k'"),
+        ("ROOT x\n1 2\n", BadVertexError, "line 1: bad vertex id 'x'"),
+        ("root 0\n1 2\n", BadVertexError, "line 1: vertex ids are 1-based, got 0"),
+        ("1 2\n3 # c\n", NotATreeError, "line 2: expected 'u v', got '3 # c'"),
+        ("1 2\n2 3 4\n", NotATreeError, "line 2: expected 'u v', got '2 3 4'"),
+        ("# nothing\n\n", NotATreeError, "empty tree file"),
+    ]
+    for text, exc, message in cases:
+        with pytest.raises(exc) as info:
+            parse_tree_file(text)
+        assert str(info.value) == message, text
+
+
+def test_parse_tree_file_root_line_and_comments():
+    t = parse_tree_file("  ROOT 2 # the middle\n1 2#a\n\n# only a comment\n\t3   2 \n")
+    assert (t.n, t.root, t.postorder) == (3, 2, (1, 3, 2))
+    assert parse_tree_file("", root=1).n == 1
