@@ -47,7 +47,21 @@ def _fmt(value) -> str:
     return str(value)
 
 
+def _require_finite_output(obj, field: str = "") -> None:
+    """Reject inf and nan anywhere in a payload; the message names the field."""
+    if isinstance(obj, float):
+        if not math.isfinite(obj):
+            raise DomainError(f"computed {field} is not finite ({obj!r}): a float overflowed")
+    elif isinstance(obj, dict):
+        for key, value in obj.items():
+            _require_finite_output(value, f"{field}.{key}" if field else key)
+    elif isinstance(obj, (list, tuple)):
+        for i, value in enumerate(obj):
+            _require_finite_output(value, f"{field}[{i}]")
+
+
 def _json(obj) -> str:
+    _require_finite_output(obj)
     return json.dumps(obj, default=str)
 
 
@@ -117,6 +131,7 @@ def _emit(payload: dict, fmt: str) -> None:
     if fmt == "json":
         print(_json(payload))
     else:
+        _require_finite_output(payload)
         for key, value in payload.items():
             print(f"{key}: {_fmt(value) if not isinstance(value, dict) else _json(value)}")
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from heapq import heappop, heappush, heapify
+from math import inf
 from typing import TYPE_CHECKING, List, Tuple
 
 from .errors import DomainError, SizeLimitError
@@ -45,8 +46,8 @@ def dense_spectrum(m: SymmetricTreeMatrix, tol: float = DEFAULT_TOL) -> DenseSpe
     """
     if m.n > SIZE_LIMIT:
         raise SizeLimitError(f"dense oracle limited to n <= {SIZE_LIMIT}, got {m.n}")
-    if tol <= 0:
-        raise DomainError("tol must be positive")
+    if not tol > 0 or tol == inf:
+        raise DomainError(f"tol must be positive and finite, got {tol!r}")
     values, converged = jacobi_eigenvalues(m.dense(), 0.5 * tol, _MAX_SWEEPS)
     if not converged:  # pragma: no cover - quadratic convergence, n <= 64
         raise RuntimeError("Jacobi iteration failed to converge")

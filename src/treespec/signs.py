@@ -25,11 +25,12 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import List, Optional, Tuple
+from itertools import islice
+from typing import Iterator, List, Optional, Tuple
 
-from .errors import OutOfDomainError, PatternNotFoundError, PreconditionViolatedError
+from .errors import DomainError, OutOfDomainError, PatternNotFoundError, PreconditionViolatedError
 from .recurrence import OrbitResult, RecurrenceParams, iterate
-from .treediag import InertiaTriple, MatrixKind, RootedTree, build_matrix, build_tree, diagonalize, locate
+from .treediag import InertiaTriple, MatrixKind, RootedTree, build_matrix, build_tree, diagonalize
 
 
 @dataclass(frozen=True)
@@ -83,12 +84,30 @@ def b_sequence(cfg: PendantConfig, count: int, exact: bool = False) -> OrbitResu
     return iterate(cfg.params(exact=False), float(cfg.b1), count)
 
 
+def _b_pairs(cfg: PendantConfig) -> Iterator[Tuple[int, int]]:
+    """b_1, b_2, ... as unreduced integer pairs (P, Q), b_j = P/Q, Q > 0.
+
+    One step, 2/n - Q/P = (2P - nQ)/(nP), takes no gcd.  Stops after a zero term.
+    """
+    n = cfg.n
+    p, q = cfg.b1.numerator, cfg.b1.denominator
+    while True:
+        yield p, q
+        if p == 0:
+            return
+        p, q = 2 * p - n * q, n * p
+        if q < 0:
+            p, q = -p, -q
+
+
 def b_at(cfg: PendantConfig, j: int) -> Fraction:
     """Exact value of b_j (1-based)."""
-    orbit = b_sequence(cfg, j, exact=True)
-    if len(orbit.values) < j:
+    if j < 1:
+        raise DomainError("count must be positive")
+    pair = next(islice(_b_pairs(cfg), j - 1, None), None)
+    if pair is None:
         raise PatternNotFoundError(f"b sequence hit zero before index {j}")
-    return orbit.values[j - 1]
+    return Fraction(*pair)
 
 
 def r0(n: int) -> Fraction:
@@ -171,20 +190,17 @@ def mlas_direct(cfg: PendantConfig, j_max: Optional[int] = None) -> int:
     ``j_max`` (default 4n), or when the orbit hits zero.
     """
     limit = 4 * cfg.n if j_max is None else j_max
-    alpha = Fraction(2, cfg.n)
-    x = cfg.b1
-    if x > 0:
+    if cfg.b1 > 0:
         raise PatternNotFoundError(
-            f"b_1(n={cfg.n}, r={cfg.r}) = {x} > 0: no alternating prefix"
+            f"b_1(n={cfg.n}, r={cfg.r}) = {cfg.b1} > 0: no alternating prefix"
         )
-    j = 1
-    while j <= limit:
-        if x == 0:
+    for j, (p, _) in enumerate(_b_pairs(cfg), 1):
+        if j > limit:
+            break
+        if p == 0:
             raise PatternNotFoundError(f"b_{j}(n={cfg.n}, r={cfg.r}) = 0: orbit terminates")
-        if j % 2 == 1 and x > 0:
+        if j % 2 == 1 and p > 0:
             return j - 1
-        x = alpha - 1 / x
-        j += 1
     raise PatternNotFoundError(
         f"no positive odd-index term within j <= {limit} for (n={cfg.n}, r={cfg.r})"
     )
@@ -338,8 +354,11 @@ def double_broom_sigma(b: DoubleBroom) -> BroomSigma:
     n = b.n
     d = 2 - Fraction(2, n)
     lap = build_matrix(layout.tree, MatrixKind.LAPLACIAN)
-    inertia = locate(lap, d, exact=True)
-    root_value = diagonalize(lap, d, exact=True)[layout.root]
+    values = diagonalize(lap, d, exact=True)
+    below = sum(1 for x in values.values() if x < 0)
+    equal = sum(1 for x in values.values() if x == 0)
+    inertia = InertiaTriple(below, equal, n - below - equal)
+    root_value = values[layout.root]
     if root_value > 0:
         sign = RootSign.POSITIVE
     elif root_value < 0:

@@ -1,5 +1,6 @@
 """End-to-end tests of the command-line interface."""
 
+import hashlib
 import json
 import math
 import subprocess
@@ -152,6 +153,21 @@ def test_mlas_table(capsys):
     assert [row["r"] for row in rows] == [1, 2, 3, 4]
 
 
+def test_mlas_table_direct_golden_output(capsys):
+    # sha256 of stdout before the b orbit moved from Fraction to integer
+    # pairs; the float columns go through the platform's libm (x86-64 glibc)
+    golden = {
+        "json": "b76f61505d8317c8658bdc11c6f1ff4f71ff407965f1d625985d27d29a5c6de2",
+        "csv": "8bd335001aafff196a6836a3d48e689eabd7cd2ba0ada3016c0dabb301a23209",
+    }
+    for fmt, digest in golden.items():
+        code, out, err = invoke(
+            capsys, "--format", fmt, "mlas", "--n", "183", "--table", "45", "--direct"
+        )
+        assert (code, err) == (0, "")
+        assert hashlib.sha256(out.encode()).hexdigest() == digest, fmt
+
+
 def test_mlas_table_bounds(capsys):
     code, _, err = invoke(capsys, "mlas", "--n", "19", "--table", "9")
     assert code == 2 and "floor(n/4)" in err
@@ -252,6 +268,15 @@ def test_non_finite_float_options_are_domain_errors(capsys, p3_file):
         code, out, err = invoke(capsys, *argv)
         assert (code, out) == (3, ""), argv
         assert f"{option} must be finite" in err, argv
+
+
+def test_solve_overflow_is_domain_error(capsys):
+    # finite input whose closed forms overflow: no bare Infinity or NaN in the output
+    argv = ["solve", "--alpha", "1e308", "--gamma", "1e308", "--x1", "1e308", "--count", "3"]
+    for fmt in ("json", "text"):
+        code, out, err = invoke(capsys, "--format", fmt, *argv)
+        assert (code, out) == (3, ""), fmt
+        assert err == "error: computed delta is not finite (inf): a float overflowed\n"
 
 
 def test_cli_start_up_does_not_import_numpy(tmp_path):

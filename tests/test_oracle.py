@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from treespec.errors import SizeLimitError
+from treespec.errors import DomainError, SizeLimitError
 from treespec.oracle import dense_spectrum, jacobi_eigenvalues, random_tree
 from treespec.treediag import MatrixKind, build_matrix, build_tree
 
@@ -83,6 +83,13 @@ def test_size_limit():
     t = path_tree(65)
     with pytest.raises(SizeLimitError):
         dense_spectrum(build_matrix(t, MatrixKind.ADJACENCY))
+
+
+def test_tol_must_be_positive_and_finite():
+    m = build_matrix(random_tree(6, 1), MatrixKind.LAPLACIAN)
+    for tol in (math.nan, math.inf, 0.0, -1e-10):
+        with pytest.raises(DomainError, match="tol must be positive and finite"):
+            dense_spectrum(m, tol)
 
 
 def test_random_tree_small_cases():

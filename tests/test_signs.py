@@ -1,16 +1,19 @@
 """Tests for the alternating-sign analytics of the pendant-path orbit."""
 
 import math
+import random
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 
-from treespec.errors import OutOfDomainError, PatternNotFoundError, PreconditionViolatedError
-from treespec.recurrence import solve, zeros_and_poles
+from treespec.errors import DomainError, OutOfDomainError, PatternNotFoundError, PreconditionViolatedError
+from treespec.recurrence import RecurrenceParams, iterate, solve, zeros_and_poles
 from treespec.signs import (
     DoubleBroom,
     PendantConfig,
     RootSign,
+    _b_pairs,
     b_at,
     b_sequence,
     build_report,
@@ -60,6 +63,41 @@ def test_b_far_value_large_n():
     # first positive odd-index element for n=183, r=1 sits at index 143
     value = float(b_at(PendantConfig(183, 1), 143))
     assert value == pytest.approx(0.0096876957, rel=1e-6)
+
+
+def test_b_at_matches_fraction_orbit():
+    # the integer-pair scan against the independent Fraction route
+    rng = random.Random(20200501)
+    cases = [(n, 0) for n in (8, 9, 300)] + [(n, n // 4) for n in (8, 300)]
+    for _ in range(25):
+        n = rng.randrange(8, 301)
+        cases.append((n, rng.randrange(0, n // 4 + 1)))
+    for n, r in cases:
+        cfg = PendantConfig(n, r)
+        js = [1, 2, 3 * n] + [rng.randrange(1, 3 * n + 1) for _ in range(4)]
+        values = b_sequence(cfg, max(js), exact=True).values
+        for j in js:
+            assert b_at(cfg, j) == values[j - 1], (n, r, j)
+    for j in (0, -1):
+        with pytest.raises(DomainError, match="count must be positive"):
+            b_at(PendantConfig(19, 2), j)
+
+
+def test_b_orbit_zero_is_reported():
+    # a PendantConfig orbit that reaches zero is not known, so start at b = n/2,
+    # whose next term is 0
+    n = 40
+    start = SimpleNamespace(n=n, r=0, b1=Fraction(n, 2))
+    assert list(_b_pairs(start)) == [(20, 1), (0, 800)]
+    assert iterate(RecurrenceParams(Fraction(2, n), Fraction(-1)), start.b1, 5).hit_zero_step == 2
+    assert b_at(start, 2) == 0
+    with pytest.raises(PatternNotFoundError, match="^b sequence hit zero before index 3$"):
+        b_at(start, 3)
+    # b_1 = 2n/(4 - n^2) < 0 gives b_2 = n/2 and b_3 = 0
+    before = SimpleNamespace(n=n, r=0, b1=Fraction(2 * n, 4 - n * n))
+    with pytest.raises(PatternNotFoundError) as exc:
+        mlas_direct(before)
+    assert str(exc.value) == "b_3(n=40, r=0) = 0: orbit terminates"
 
 
 def test_r0_exact_and_bounds():
@@ -177,10 +215,12 @@ def test_mlas_direct_worked_values():
 def test_mlas_direct_pattern_not_found():
     # r beyond the sign threshold starts positive: no alternating prefix
     assert PendantConfig(19, 5).b1 > 0
-    with pytest.raises(PatternNotFoundError):
+    with pytest.raises(PatternNotFoundError) as exc:
         mlas_direct(PendantConfig(19, 5))
-    with pytest.raises(PatternNotFoundError):
+    assert str(exc.value) == "b_1(n=19, r=5) = 25/1501 > 0: no alternating prefix"
+    with pytest.raises(PatternNotFoundError) as exc:
         mlas_direct(PendantConfig(183, 1), j_max=10)  # window too short
+    assert str(exc.value) == "no positive odd-index term within j <= 10 for (n=183, r=1)"
 
 
 def test_formula_matches_scan_on_sample():
