@@ -174,6 +174,7 @@ def _cmd_plot_data(args) -> int:
         raise _UsageError("--step must be positive")
     params = RecurrenceParams(args.alpha, args.gamma)
     sol = recurrence.solve(params, args.x1)
+    _require_finite_output(_solution_payload(sol))
     print("j,value,is_pole")
     count = int((args.j_to - args.j_from) / args.step + 1e-9)
     for i in range(count + 1):

@@ -1,10 +1,10 @@
-"""Brute-force spectral reference and seeded random trees for property tests.
+"""Dense spectral reference and seeded random trees for property tests.
 
-The dense eigensolver is a cyclic Jacobi rotation scheme written out in
-Python, fully independent of the congruence sweep it is used to check.
-It imports NumPy when called, so importing this module does not.
-Random labeled trees are drawn uniformly by decoding a random Pruefer
-sequence.
+The dense spectra come from LAPACK's symmetric eigensolver
+(``numpy.linalg.eigvalsh``), which shares nothing with the congruence
+sweep it is used to check.  NumPy is imported when a spectrum is asked
+for, so importing this module does not import it.  Random labeled trees
+are drawn uniformly by decoding a random Pruefer sequence.
 """
 
 from __future__ import annotations
@@ -13,21 +13,16 @@ import random
 from dataclasses import dataclass
 from heapq import heappop, heappush, heapify
 from math import inf
-from typing import TYPE_CHECKING, List, Tuple
+from typing import List, Tuple
 
 from .errors import DomainError, SizeLimitError
 from .treediag import RootedTree, SymmetricTreeMatrix, build_tree
 
-if TYPE_CHECKING:
-    import numpy as np
-
 #: dense_spectrum refuses larger instances (misuse guard)
-SIZE_LIMIT = 64
+SIZE_LIMIT = 512
 
 #: default eigenvalue tolerance of the oracle
 DEFAULT_TOL = 1e-10
-
-_MAX_SWEEPS = 100
 
 
 @dataclass(frozen=True)
@@ -41,70 +36,23 @@ class DenseSpectrum:
 def dense_spectrum(m: SymmetricTreeMatrix, tol: float = DEFAULT_TOL) -> DenseSpectrum:
     """Every eigenvalue of the dense matrix within tol, ascending.
 
-    Cyclic Jacobi sweeps stop once the off-diagonal Frobenius norm is at
-    most tol/2, which bounds each eigenvalue error by tol/2.
+    ``numpy.linalg.eigvalsh`` computes each eigenvalue to within
+    n*u*||M||_2 with u = 2**-53 (LAPACK Users' Guide, section 4.7, taking
+    p(n) = n).  The bound uses g = max(|lo|, |hi|) of ``m.gershgorin()``,
+    which is at least ||M||_2, and a tol below n*u*g is refused.
     """
     if m.n > SIZE_LIMIT:
         raise SizeLimitError(f"dense oracle limited to n <= {SIZE_LIMIT}, got {m.n}")
     if not tol > 0 or tol == inf:
         raise DomainError(f"tol must be positive and finite, got {tol!r}")
-    values, converged = jacobi_eigenvalues(m.dense(), 0.5 * tol, _MAX_SWEEPS)
-    if not converged:  # pragma: no cover - quadratic convergence, n <= 64
-        raise RuntimeError("Jacobi iteration failed to converge")
-    return DenseSpectrum(eigenvalues=tuple(float(v) for v in values), tolerance=tol)
-
-
-def jacobi_eigenvalues(mat: np.ndarray, off_tol: float, max_sweeps: int) -> Tuple[np.ndarray, bool]:
-    """Eigenvalues of a symmetric matrix by cyclic Jacobi rotations.
-
-    ``mat`` is destroyed.  Sweeps run until the off-diagonal Frobenius norm
-    drops to ``off_tol`` (which bounds every eigenvalue error) or
-    ``max_sweeps`` is exhausted.  Returns (eigenvalues ascending, converged).
-    """
+    lo, hi = m.gershgorin()
+    bound = m.n * 2.0**-53 * max(abs(lo), abs(hi))
+    if tol < bound:
+        raise DomainError(f"tol {tol!r} is below the LAPACK error bound n*u*||M|| = {bound!r}")
     import numpy as np
 
-    n = mat.shape[0]
-    converged = False
-    for _ in range(max_sweeps):
-        off = 0.0
-        for i in range(n):
-            for j in range(i + 1, n):
-                off += 2.0 * mat[i, j] * mat[i, j]
-        if np.sqrt(off) <= off_tol:
-            converged = True
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = mat[p, q]
-                if apq == 0.0:
-                    continue
-                tau = (mat[q, q] - mat[p, p]) / (2.0 * apq)
-                if tau >= 0.0:
-                    t = 1.0 / (tau + np.sqrt(1.0 + tau * tau))
-                else:
-                    t = -1.0 / (-tau + np.sqrt(1.0 + tau * tau))
-                c = 1.0 / np.sqrt(1.0 + t * t)
-                s = t * c
-                app = mat[p, p]
-                aqq = mat[q, q]
-                mat[p, p] = app - t * apq
-                mat[q, q] = aqq + t * apq
-                mat[p, q] = 0.0
-                mat[q, p] = 0.0
-                for k in range(n):
-                    if k != p and k != q:
-                        akp = mat[k, p]
-                        akq = mat[k, q]
-                        mat[k, p] = c * akp - s * akq
-                        mat[p, k] = mat[k, p]
-                        mat[k, q] = s * akp + c * akq
-                        mat[q, k] = mat[k, q]
-    if n <= 1:
-        converged = True
-    out = np.empty(n, dtype=np.float64)
-    for i in range(n):
-        out[i] = mat[i, i]
-    return np.sort(out), converged
+    values = np.linalg.eigvalsh(m.dense())
+    return DenseSpectrum(eigenvalues=tuple(float(v) for v in values), tolerance=tol)
 
 
 def random_tree(n: int, seed: int) -> RootedTree:

@@ -157,20 +157,13 @@ def classify(params: RecurrenceParams, delta_tol: float = DELTA_TOL) -> DeltaCla
     |delta| <= delta_tol land in the double-root family.
     """
     delta = params.alpha * params.alpha + 4 * params.gamma
-    if params.exact:
-        if delta == 0:
-            kind = SolutionKind.TYPE1
-        elif delta > 0:
-            kind = SolutionKind.TYPE2
-        else:
-            kind = SolutionKind.TYPE3
+    zero = delta == 0 if params.exact else abs(delta) <= delta_tol
+    if zero:
+        kind = SolutionKind.TYPE1
+    elif delta > 0:
+        kind = SolutionKind.TYPE2
     else:
-        if abs(delta) <= delta_tol:
-            kind = SolutionKind.TYPE1
-        elif delta > 0:
-            kind = SolutionKind.TYPE2
-        else:
-            kind = SolutionKind.TYPE3
+        kind = SolutionKind.TYPE3
     return DeltaClass(delta=delta, kind=kind)
 
 
@@ -354,7 +347,9 @@ class Type2Solution(ClosedFormSolution):
             if abs(j - pole_j) <= POLE_TOL:
                 return POLE
         den = self._den(j)
-        if den == 0.0 or math.isnan(den):
+        if math.isnan(den):  # only an overflowed theta, theta' or beta gives nan
+            raise DomainError(f"closed form is not finite at j = {j!r}: a float overflowed")
+        if den == 0.0:
             return POLE
         if math.isinf(den):
             return self.theta
@@ -417,7 +412,10 @@ def _orbit_matches(params: RecurrenceParams, x1: float, sol: ClosedFormSolution)
     orbit = iterate(params, x1, 3)
     worst = 0.0
     for j, ref in enumerate(orbit.values, start=1):
-        got = sol.eval(float(j))
+        try:
+            got = sol.eval(float(j))
+        except DomainError:  # the closed form overflowed: it fits nothing
+            return math.inf
         if isinstance(got, Pole):
             worst = math.inf
             break

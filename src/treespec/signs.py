@@ -30,7 +30,9 @@ from typing import Iterator, List, Optional, Tuple
 
 from .errors import DomainError, OutOfDomainError, PatternNotFoundError, PreconditionViolatedError
 from .recurrence import OrbitResult, RecurrenceParams, iterate
-from .treediag import InertiaTriple, MatrixKind, RootedTree, build_matrix, build_tree, diagonalize
+from .treediag import (
+    InertiaTriple, MatrixKind, RootedTree, _inertia, build_matrix, build_tree, diagonalize,
+)
 
 
 @dataclass(frozen=True)
@@ -355,9 +357,7 @@ def double_broom_sigma(b: DoubleBroom) -> BroomSigma:
     d = 2 - Fraction(2, n)
     lap = build_matrix(layout.tree, MatrixKind.LAPLACIAN)
     values = diagonalize(lap, d, exact=True)
-    below = sum(1 for x in values.values() if x < 0)
-    equal = sum(1 for x in values.values() if x == 0)
-    inertia = InertiaTriple(below, equal, n - below - equal)
+    inertia = _inertia(list(values.values()), 0)
     root_value = values[layout.root]
     if root_value > 0:
         sign = RootSign.POSITIVE

@@ -201,7 +201,7 @@ class SymmetricTreeMatrix:
         return MappingProxyType({v: w[v] for v in range(1, self.n + 1) if v != self.tree.root})
 
     def dense(self):
-        """Dense float NumPy copy (for the brute-force oracle)."""
+        """Dense float NumPy copy (for the dense oracle)."""
         import numpy as np
 
         m = np.zeros((self.n, self.n))
@@ -337,9 +337,8 @@ def diagonalize(m: SymmetricTreeMatrix, alpha: Real, exact: bool = False) -> Dic
     return dict(enumerate(values, start=1))
 
 
-def locate(m: SymmetricTreeMatrix, alpha: Real, exact: bool = False) -> InertiaTriple:
-    """Counts of eigenvalues of M below / equal to / above alpha."""
-    values, tol = _shifted_sweep(m, alpha, exact)
+def _inertia(values: List[Real], tol: Real) -> InertiaTriple:
+    """Counts of final sweep values below -tol, within [-tol, tol] and above tol."""
     lo = -tol
     below = equal = 0
     for x in values:
@@ -347,7 +346,12 @@ def locate(m: SymmetricTreeMatrix, alpha: Real, exact: bool = False) -> InertiaT
             below += 1
         elif x <= tol:
             equal += 1
-    return InertiaTriple(below, equal, m.n - below - equal)
+    return InertiaTriple(below, equal, len(values) - below - equal)
+
+
+def locate(m: SymmetricTreeMatrix, alpha: Real, exact: bool = False) -> InertiaTriple:
+    """Counts of eigenvalues of M below / equal to / above alpha."""
+    return _inertia(*_shifted_sweep(m, alpha, exact))
 
 
 def _bisect(m: SymmetricTreeMatrix, tol: float, predicate) -> float:

@@ -279,6 +279,15 @@ def test_solve_overflow_is_domain_error(capsys):
         assert err == "error: computed delta is not finite (inf): a float overflowed\n"
 
 
+def test_plot_data_overflow_is_domain_error(capsys):
+    # the closed form overflows (theta inf, beta nan): not a pole at every j
+    argv = ["plot-data", "--alpha", "1e308", "--gamma", "1e308", "--x1", "1e308",
+            "--from", "1", "--to", "3", "--step", "1"]
+    code, out, err = invoke(capsys, *argv)
+    assert (code, out) == (3, "")
+    assert err == "error: computed theta is not finite (inf): a float overflowed\n"
+
+
 def test_cli_start_up_does_not_import_numpy(tmp_path):
     tree = tmp_path / "p4.txt"
     tree.write_text("1 2\n2 3\n3 4\n")

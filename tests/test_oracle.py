@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 
 from treespec.errors import DomainError, SizeLimitError
-from treespec.oracle import dense_spectrum, jacobi_eigenvalues, random_tree
-from treespec.treediag import MatrixKind, build_matrix, build_tree
+from treespec.oracle import SIZE_LIMIT, dense_spectrum, random_tree
+from treespec.treediag import MatrixKind, SymmetricTreeMatrix, build_matrix, build_tree
 
 
 def path_tree(n):
@@ -69,18 +69,30 @@ def test_matches_numpy_eigvalsh():
             assert np.max(np.abs(np.array(mine) - ref)) <= 1e-10
 
 
-def test_jacobi_matches_eigvalsh_on_random_dense():
-    rng = np.random.default_rng(3)
-    for n in (2, 5, 12, 20):
-        sym = rng.normal(size=(n, n))
-        sym = sym + sym.T
-        values, converged = jacobi_eigenvalues(sym.copy(), 1e-12, 100)
-        assert converged
-        assert np.max(np.abs(values - np.linalg.eigvalsh(sym))) < 1e-10
+def test_closed_form_spectra_at_size_limit():
+    n = SIZE_LIMIT
+    path = dense_spectrum(build_matrix(path_tree(n), MatrixKind.LAPLACIAN)).eigenvalues
+    want = sorted(2.0 - 2.0 * math.cos(k * math.pi / n) for k in range(n))
+    assert max(abs(a - b) for a, b in zip(path, want)) <= 1e-10
+    star_tree = build_tree([(v, n) for v in range(1, n)], root=n)
+    star = dense_spectrum(build_matrix(star_tree, MatrixKind.LAPLACIAN)).eigenvalues
+    want = [0.0] + [1.0] * (n - 2) + [float(n)]
+    assert max(abs(a - b) for a, b in zip(star, want)) <= 1e-10
+
+
+def test_tol_below_lapack_bound_is_domain_error():
+    # P3 with weights 1e8: Gershgorin gives g = 2e8, so n*u*g is about 6.7e-8
+    m = SymmetricTreeMatrix(path_tree(3), {1: 0, 2: 0, 3: 0}, {1: 1e8, 2: 1e8})
+    bound = 3 * 2.0**-53 * 2e8
+    for tol in (1e-10, 0.99 * bound):
+        with pytest.raises(DomainError, match="below the LAPACK error bound"):
+            dense_spectrum(m, tol)
+    spec = dense_spectrum(m, bound).eigenvalues
+    assert spec == pytest.approx((-math.sqrt(2) * 1e8, 0.0, math.sqrt(2) * 1e8), abs=1e-6)
 
 
 def test_size_limit():
-    t = path_tree(65)
+    t = path_tree(SIZE_LIMIT + 1)
     with pytest.raises(SizeLimitError):
         dense_spectrum(build_matrix(t, MatrixKind.ADJACENCY))
 

@@ -114,6 +114,13 @@ def test_classify_exact_vs_tolerance():
     assert classify(RecurrenceParams(1.0, -0.25 + 1e-14)).kind is SolutionKind.TYPE1
 
 
+def test_classify_exact_ignores_tolerance_band():
+    # an exact discriminant of +-4e-14 is not zero, though |delta| <= DELTA_TOL
+    tiny = Fraction(1, 10**14)
+    assert classify(RecurrenceParams(Fraction(1), Fraction(-1, 4) + tiny)).kind is SolutionKind.TYPE2
+    assert classify(RecurrenceParams(Fraction(1), Fraction(-1, 4) - tiny)).kind is SolutionKind.TYPE3
+
+
 def test_fixed_points():
     assert fixed_points(RecurrenceParams(2.0, -1.0)) == [1.0]
     roots = fixed_points(RecurrenceParams(-LAMBDA_STAR, -1.0))
@@ -205,6 +212,16 @@ def test_solve_type2_worked_example():
     assert sol.beta == pytest.approx(-1.0, abs=1e-12)
     assert sol.theta * sol.theta_prime == pytest.approx(1.0, abs=1e-12)
     assert sol.theta + sol.theta_prime == pytest.approx(-LAMBDA_STAR, abs=1e-12)
+
+
+def test_type2_eval_overflow_is_domain_error():
+    # finite input whose fixed points overflow: theta inf and beta nan
+    sol = solve(RecurrenceParams(1e308, 1e308), 1e308)
+    assert isinstance(sol, Type2Solution) and math.isnan(sol.beta)
+    with pytest.raises(DomainError, match="a float overflowed"):
+        sol.eval(2.0)
+    # a zero denominator is still a pole (q = -2, integer j only)
+    assert Type2Solution(theta=2.0, theta_prime=-1.0, beta=-1.0).eval(0.0) is POLE
 
 
 def test_solve_alternating():

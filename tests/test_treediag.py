@@ -6,11 +6,13 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from scipy.linalg import eigh_tridiagonal
 
 from treespec.errors import BadIndexError, BadVertexError, DomainError, NotATreeError
 from treespec.oracle import dense_spectrum, random_tree
 from treespec.treediag import (
     MatrixKind,
+    SymmetricTreeMatrix,
     build_matrix,
     build_tree,
     diagonalize,
@@ -318,6 +320,33 @@ def test_spectral_radius_matches_oracle():
             m = build_matrix(t, kind)
             want = max(dense_spectrum(m, 1e-10).eigenvalues)
             assert spectral_radius(m, 1e-9) == pytest.approx(want, abs=2e-9)
+
+
+def test_sweep_matches_tridiagonal_reference_at_1e5():
+    # a random path matrix, rooted near the middle so that the sweep
+    # eliminates from both ends inward while LAPACK's Sturm count runs 1..n
+    n = 100_000
+    rng = random.Random(2011)
+    d = [rng.uniform(-1.0, 1.0) for _ in range(n)]
+    e = [rng.choice((-1.0, 1.0)) * rng.uniform(0.5, 1.5) for _ in range(n - 1)]
+    root = n // 2 + 7
+    tree = build_tree([(i, i + 1) for i in range(1, n)], root=root)
+    # edge (i, i + 1) belongs to its child, the end farther from the root
+    weight = {i if i < root else i + 1: w for i, w in enumerate(e, start=1)}
+    m = SymmetricTreeMatrix(tree, dict(enumerate(d, start=1)), weight)
+    d, e = np.array(d), np.array(e)
+    checks = 0
+    for k in (1, 17, n // 3, n // 2, 3 * n // 4, n - 1):
+        # lam[0], lam[1] are the k-th and (k+1)-th smallest eigenvalues
+        lam = eigh_tridiagonal(d, e, eigvals_only=True, select="i", select_range=(k - 1, k),
+                               lapack_driver="stebz")
+        if k == n // 3:
+            assert abs(kth_eigenvalue(m, k) - lam[0]) <= 1e-10
+        if lam[1] - lam[0] < 1e-8:
+            continue
+        assert locate(m, 0.5 * (lam[0] + lam[1])).below == k
+        checks += 1
+    assert checks >= 5
 
 
 def test_kth_eigenvalue():
