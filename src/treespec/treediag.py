@@ -11,7 +11,9 @@ spectral radius or any individual eigenvalue.
 One sweep function, ``_sweep``, runs over plain Python lists for both
 arithmetics: float sweeps count values within a relative threshold as zero,
 and matrices with integer/rational entries also support an exact-rational
-sweep (``exact=True``) whose zero test is exact.
+sweep (``exact=True``) whose zero test is exact.  ``locate(exact=True)``
+first runs a float sweep with a certified error bound per vertex and falls
+back to the exact sweep only when that bound leaves a sign in doubt.
 """
 
 from __future__ import annotations
@@ -303,6 +305,45 @@ def _require_exact(m: SymmetricTreeMatrix, alpha: Real) -> Fraction:
     return Fraction(alpha)
 
 
+def _certified_sweep(m: SymmetricTreeMatrix, alpha: Fraction) -> Optional[Tuple[List[float], List[float]]]:
+    """Float sweep values x_v of M - alpha*I and bounds e_v, or None if a sign is in doubt.
+
+    a_v is the exact value, hats mark inputs rounded to float, s = w^2,
+    u = 2^-53 and |fl(y) - y| <= u|fl(y)| per operation (Higham, 2nd ed.,
+    section 3.3).  While |x_c| > e_c >= |x_c - a_c|, |a_c| >= |x_c| - e_c > 0 and
+        |s^/x_c - s/a_c| <= (s^ e_c + |s^ - s| |x_c|) / (|x_c| (|x_c| - e_c)).
+    So e_v sums |alpha^ - alpha|, |d^_v - d_v|, u(|d^_v - alpha^| + |x_v|) and,
+    per child, that error, u|fl(s^/x_c)| and u|partial sum|.  The terms are
+    nonnegative, so rounding them loses at most a factor (1 - u)^k >= 1/F for
+    k <= n + 9 operations; e_v is multiplied by F = 1 + 4(n + 10)u.  If every
+    |x_v| > e_v, each a_v is nonzero with the sign of x_v, the exact sweep
+    takes no zero-child branch, and the signs are its inertia.  Sizes capped
+    at 2^200 keep every operation finite; 2^-200 added to each e_v covers
+    underflow, which loses at most 2^-1075 per operation, times 2^453 where
+    it is divided by |x_c| (|x_c| - e_c) >= 2^-200 * 2^-253.
+    """
+    if max(-m._dmin, m._dmax, abs(alpha), max(m._w2)) > 2.0**200:
+        return None
+    d, s, fa = list(map(float, m._diag)), list(map(float, m._w2)), float(alpha)
+    base = float(abs(Fraction(fa) - alpha)) + 2.0**-200
+    ebound = [base] * len(d) if d == m._diag else [
+        base + float(abs(Fraction(f) - x)) for f, x in zip(d, m._diag)]
+    ds = [0.0] * len(s) if s == m._w2 else [float(abs(Fraction(f) - x)) for f, x in zip(s, m._w2)]
+    u, grow = 2.0**-53, 1.0 + (m.n + 10) * 2.0**-51
+    acc, x = [0.0] * len(d), [f - fa for f in d]
+    for v, p in zip(m.tree._postorder, m.tree._postorder_parent):
+        y = x[v]
+        xv = x[v] = y - acc[v]
+        ax = abs(xv)
+        e = ebound[v] = (ebound[v] + u * (abs(y) + ax)) * grow
+        if not ax > e:
+            return None
+        q = s[v] / xv
+        acc[p] += q
+        ebound[p] += (s[v] * e + ds[v] * ax) / (ax * (ax - e)) + u * (abs(q) + abs(acc[p]))
+    return x[1:], ebound[1:]
+
+
 def _shifted_sweep(m: SymmetricTreeMatrix, alpha: Real, exact: bool) -> Tuple[List[Real], Real]:
     """Final vertex values of the sweep of M - alpha*I, and their zero threshold.
 
@@ -351,6 +392,9 @@ def _inertia(values: List[Real], tol: Real) -> InertiaTriple:
 
 def locate(m: SymmetricTreeMatrix, alpha: Real, exact: bool = False) -> InertiaTriple:
     """Counts of eigenvalues of M below / equal to / above alpha."""
+    certified = exact and _certified_sweep(m, _require_exact(m, alpha))
+    if certified:
+        return _inertia(certified[0], 0)
     return _inertia(*_shifted_sweep(m, alpha, exact))
 
 

@@ -2,12 +2,11 @@
 
 import math
 
-import numpy as np
 import pytest
 
 from treespec.errors import DomainError, SizeLimitError
 from treespec.oracle import SIZE_LIMIT, dense_spectrum, random_tree
-from treespec.treediag import MatrixKind, SymmetricTreeMatrix, build_matrix, build_tree
+from treespec.treediag import MatrixKind, SymmetricTreeMatrix, build_matrix, build_tree, locate
 
 
 def path_tree(n):
@@ -59,14 +58,20 @@ def test_adjacency_spectrum_symmetric():
             assert lo == pytest.approx(-hi, abs=1e-9)
 
 
-def test_matches_numpy_eigvalsh():
+def test_gaps_match_sweep_counts():
+    # an independent check of the dense spectrum: the congruence sweep's
+    # count below the midpoint of every gap wider than 1e-8
+    gaps = 0
     for seed in range(15):
         t = random_tree(3 + seed, seed=300 + seed)
         for kind in MatrixKind.ALL:
             m = build_matrix(t, kind)
-            mine = dense_spectrum(m, 1e-12).eigenvalues
-            ref = np.linalg.eigvalsh(m.dense())
-            assert np.max(np.abs(np.array(mine) - ref)) <= 1e-10
+            evs = dense_spectrum(m, 1e-12).eigenvalues
+            for k in range(1, len(evs)):
+                if evs[k] - evs[k - 1] > 1e-8:
+                    assert locate(m, 0.5 * (evs[k - 1] + evs[k])).below == k, (seed, kind, k)
+                    gaps += 1
+    assert gaps >= 300
 
 
 def test_closed_form_spectra_at_size_limit():

@@ -2,8 +2,11 @@
 
 import random
 from fractions import Fraction
+from math import isqrt, nextafter
 
 import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from treespec.oracle import random_tree
 from treespec.treediag import (
@@ -11,6 +14,8 @@ from treespec.treediag import (
     SymmetricTreeMatrix,
     build_matrix,
     build_tree,
+    _certified_sweep,
+    _inertia,
     diagonalize,
     locate,
 )
@@ -152,6 +157,156 @@ def test_float_and_exact_inertia_agree_at_rational_shifts():
         for kind in (MatrixKind.ADJACENCY, MatrixKind.LAPLACIAN):
             m = build_matrix(tree, kind)
             for alpha in shifts + [Fraction(rng.randint(-40, 40), rng.randint(1, 9))]:
-                exact = locate(m, alpha, exact=True)
+                exact = fraction_inertia(m, alpha)
                 assert locate(m, float(alpha)) == exact, (tree, kind, alpha)
+                assert locate(m, alpha, exact=True) == exact, (tree, kind, alpha)
                 assert sum(exact) == m.n
+
+
+def fraction_inertia(m, alpha):
+    """Inertia of the pure Fraction sweep, the reference of the exact locate."""
+    return _inertia(list(diagonalize(m, alpha, exact=True).values()), 0)
+
+
+def documented_bounds(m, alpha, x, e):
+    """The bound of ``_certified_sweep``'s docstring, summed exactly.
+
+    The float values are recomputed here and must equal ``x``; the child
+    terms use the bounds ``e`` the pass returned for the children.
+    """
+    u, tree, fa = Fraction(1, 2**53), m.tree, float(alpha)
+    w2 = {v: w * w for v, w in m.edge_weight.items()}
+
+    def rounding(value):
+        return abs(Fraction(float(value)) - value)
+
+    acc, want = {}, {}
+    for v in tree.postorder:
+        y = float(m.diag[v]) - fa
+        assert x[v - 1] == y - acc.get(v, 0.0)
+        ax = abs(Fraction(x[v - 1]))
+        want[v] = (want.get(v, 0) + rounding(alpha) + rounding(m.diag[v])
+                   + u * (abs(Fraction(y)) + ax) + Fraction(2.0**-200))
+        p = tree.parent(v)
+        if p is not None:
+            s, ev = float(w2[v]), Fraction(e[v - 1])
+            q = s / x[v - 1]
+            acc[p] = acc.get(p, 0.0) + q
+            want[p] = (want.get(p, 0) + (s * ev + rounding(w2[v]) * ax) / (ax * (ax - ev))
+                       + u * (abs(Fraction(q)) + abs(Fraction(acc[p]))))
+    return [want[v] for v in range(1, m.n + 1)]
+
+
+def check_certified(m, alpha):
+    """Exact locate against the Fraction sweep; a certified pass also against its bound."""
+    want = fraction_inertia(m, alpha)
+    assert locate(m, alpha, exact=True) == want
+    certified = _certified_sweep(m, alpha)
+    if certified is None:
+        return False
+    x, e = certified
+    assert _inertia(x, 0) == want
+    exact = diagonalize(m, alpha, exact=True).values()
+    for xv, ev, av, bound in zip(x, e, exact, documented_bounds(m, alpha, x, e)):
+        assert abs(Fraction(xv) - av) <= Fraction(ev) < abs(Fraction(xv))
+        assert Fraction(ev) >= bound
+    return True
+
+
+shifts = st.fractions(-8, 40, max_denominator=10**6)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 60), st.integers(0, 10**6),
+       st.sampled_from((MatrixKind.ADJACENCY, MatrixKind.LAPLACIAN)), shifts)
+def test_exact_locate_equals_fraction_sweep(n, seed, kind, alpha):
+    check_certified(build_matrix(random_tree(n, seed=seed), kind), alpha)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 16), st.integers(0, 10**6), shifts)
+def test_exact_locate_on_rational_entries(n, seed, alpha):
+    rng = random.Random(seed)
+
+    def entry():
+        return Fraction(rng.choice((-1, 1)) * rng.randint(1, 600), rng.randint(1, 60))
+
+    tree = random_tree(n, seed=seed)
+    diag = {v: entry() for v in range(1, n + 1)}
+    weight = {v: entry() for v in range(1, n + 1) if v != tree.root}
+    check_certified(SymmetricTreeMatrix(tree, diag, weight), alpha)
+
+
+def test_certified_pass_covers_most_random_shifts():
+    rng, certified = random.Random(11), 0
+    for trial in range(40):
+        m = build_matrix(random_tree(rng.randint(2, 60), seed=trial), MatrixKind.LAPLACIAN)
+        certified += check_certified(m, Fraction(rng.randint(-100, 900), rng.randint(1, 97)))
+    assert certified >= 36
+
+
+def test_shift_at_an_eigenvalue_falls_back():
+    p3 = build_matrix(path(3), MatrixKind.ADJACENCY)
+    star_laplacian = build_matrix(star(8), MatrixKind.LAPLACIAN)
+    for m, alpha, want in ((p3, 0, (1, 1, 1)), (star_laplacian, 1, (1, 6, 1))):
+        assert _certified_sweep(m, Fraction(alpha)) is None
+        assert tuple(locate(m, alpha, exact=True)) == want == fraction_inertia(m, alpha)
+
+
+def test_shifts_that_round_to_one_float_keep_their_own_counts():
+    # sqrt(2) to 40 digits, +- 1e-30: both shifts round to float(sqrt(2)), and an
+    # eigenvalue sqrt(2) + K lies between them.  With K = 2^20 the float sweep at
+    # that float is accurate to ~1e-16, so only the shift's own rounding error,
+    # ~1e-10, leaves the middle sign in doubt.
+    r = Fraction(isqrt(2 * 10**80), 10**40)
+    for k in (0, 2**20):
+        m = SymmetricTreeMatrix(path(3), {1: k, 2: k, 3: k}, {2: 1, 3: 1})
+        low, high = k + r - Fraction(1, 10**30), k + r + Fraction(1, 10**30)
+        assert float(low) == float(high)
+        assert locate(m, low, exact=True) == fraction_inertia(m, low) == (2, 0, 1)
+        assert locate(m, high, exact=True) == fraction_inertia(m, high) == (3, 0, 0)
+
+
+def test_shifts_beyond_float_range():
+    m = build_matrix(path(3), MatrixKind.ADJACENCY)
+    assert _certified_sweep(m, Fraction(10**400)) is None
+    for alpha, want in ((10**400, (3, 0, 0)), (-(10**400), (0, 0, 3)), (Fraction(1, 10**400), (2, 0, 1))):
+        assert locate(m, alpha, exact=True) == fraction_inertia(m, alpha) == want
+
+
+def test_entries_that_are_not_floats():
+    # 1/3 rounds to a float 1.85e-17 below it: at the float just below that,
+    # the leaf's float value is 5.55e-17 where the exact one is 7.4e-17, and
+    # the root's float value has the wrong sign.  2**60 + 1 rounds to 2**60:
+    # a leaf value of 256 where the exact one is 257 flips the root's sign.
+    third = Fraction(1, 3)
+    tree = build_tree([(1, 2), (2, 3)], root=2)
+    m = SymmetricTreeMatrix(tree, {1: third, 2: 3 * 10**14, 3: 2**60 + 1}, {1: Fraction(1, 7), 3: 1})
+    alpha = Fraction(nextafter(float(third), 0.0))
+    assert locate(m, alpha, exact=True) == fraction_inertia(m, alpha) == (0, 0, 3)
+    top = 2**60 - 256
+    m = SymmetricTreeMatrix(build_tree([(1, 2)], root=2), {1: 2**60 + 1, 2: top + Fraction(2, 513)}, {1: 1})
+    assert locate(m, top, exact=True) == fraction_inertia(m, top) == (0, 0, 2)
+    for alpha in (third, Fraction(1, 7), top, Fraction(10**15, 3)):
+        check_certified(m, alpha)
+
+
+def test_entries_below_the_float_range():
+    # the leaf's 1.02 * 2^-1075 rounds to 2^-1074, and its rounding error to
+    # 0.0; with the weight 2^-500 the root's float value is 2^73 where the
+    # exact one is 2^73 * (3 - 4/1.02) < 0
+    tree = build_tree([(1, 2)], root=2)
+    m = SymmetricTreeMatrix(tree, {1: Fraction(51, 50 * 2**1075), 2: 3 * 2**73}, {1: Fraction(1, 2**500)})
+    assert locate(m, 0, exact=True) == fraction_inertia(m, 0) == (1, 0, 1)
+
+
+def test_a_value_equal_to_its_bound_stays_uncertain():
+    # one vertex: d = 1 + 2^-54 rounds to 1 and the shift to 1 - 2^-53, so the
+    # float value is x = 2^-53.  The bound grows with the shift's rounding error
+    # da; the last certified bound must be the float just below x.
+    m = SymmetricTreeMatrix(build_tree([], root=1), {1: 1 + Fraction(1, 2**54)}, {})
+    x, da, last = 2.0**-53, 2.0**-54 * (1 - 1e-13), None
+    while (certified := _certified_sweep(m, Fraction(1 - x) + Fraction(da))) is not None:
+        assert certified[0] == [x]
+        last, da = certified[1][0], nextafter(da, 1.0)
+    assert last is not None and last < x and nextafter(last, 1.0) == x
