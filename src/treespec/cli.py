@@ -11,8 +11,13 @@ Subcommands:
   limit        convergence table of starlike spectral radii toward the limit
   random-tree  edge list of a seeded uniform random labeled tree
 
-Exit codes: 0 success, 2 usage error, 3 domain error.  Diagnostics go to
-stderr, data to stdout.  Identical argv produces byte-identical output.
+Each subcommand takes only the --format values it prints, listed as its
+``formats`` in _build_parser; the first is its default.
+
+Exit codes: 0 success, 2 usage error (a --format the subcommand does not
+print is one), 3 domain error, 1 when stdout is closed before the output is
+written (a broken pipe; nothing goes to stderr).  Diagnostics go to stderr,
+data to stdout.  Identical argv produces byte-identical output.
 """
 
 from __future__ import annotations
@@ -20,10 +25,12 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import re
 import sys
+from dataclasses import asdict
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import List, Optional, Sequence
 
 from . import limits, oracle, recurrence, signs, treediag
 from .errors import DomainError, TreespecError
@@ -41,9 +48,16 @@ _OPTION_OF = {"eval_j": "--eval", "j_from": "--from", "j_to": "--to"}
 
 
 def _fmt(value) -> str:
-    """Shortest round-trip decimal for floats; plain str otherwise."""
+    """Shortest round-trip decimal for floats, "" for None, JSON for dicts and
+    lists, plain str otherwise; ValueError for inf or nan."""
     if isinstance(value, float):
+        if not math.isfinite(value):
+            raise ValueError(f"{value!r} is not finite")
         return repr(value)
+    if value is None:
+        return ""
+    if isinstance(value, (dict, list)):
+        return json.dumps(value, default=str, allow_nan=False)
     return str(value)
 
 
@@ -58,11 +72,6 @@ def _require_finite_output(obj, field: str = "") -> None:
     elif isinstance(obj, (list, tuple)):
         for i, value in enumerate(obj):
             _require_finite_output(value, f"{field}[{i}]")
-
-
-def _json(obj) -> str:
-    _require_finite_output(obj)
-    return json.dumps(obj, default=str)
 
 
 def _parse_shift(text: str, exact: bool):
@@ -105,35 +114,38 @@ class _UsageError(Exception):
     pass
 
 
-def _solution_payload(sol) -> dict:
-    if isinstance(sol, recurrence.ConstantSolution):
-        return {"variant": "constant", "theta": sol.theta}
-    if isinstance(sol, recurrence.Type1Solution):
-        return {"variant": "type1", "theta": sol.theta, "beta": sol.beta}
-    if isinstance(sol, recurrence.Type2Solution):
-        return {
-            "variant": "type2",
-            "theta": sol.theta,
-            "theta_prime": sol.theta_prime,
-            "beta": sol.beta,
-        }
-    if isinstance(sol, recurrence.Type3Solution):
-        return {
-            "variant": "type3",
-            "rho": sol.rho,
-            "phi": sol.phi_angle,
-            "omega": sol.omega,
-        }
-    return {"variant": "alternating", "x1": sol.x1, "gamma": sol.gamma}
+#: the one field renamed on output: a solution's or report's phi_angle prints as phi
+_RENAMED = {"phi_angle": "phi"}
 
 
-def _emit(payload: dict, fmt: str) -> None:
-    if fmt == "json":
-        print(_json(payload))
-    else:
-        _require_finite_output(payload)
-        for key, value in payload.items():
-            print(f"{key}: {_fmt(value) if not isinstance(value, dict) else _json(value)}")
+def _fields(obj) -> dict:
+    """A library dataclass as an output row, in field order."""
+    return {_RENAMED.get(key, key): value for key, value in asdict(obj).items()}
+
+
+def _print(args, rows: List[dict], header: Sequence[str] = ()) -> None:
+    """Print rows in the chosen format: JSON lines, CSV or ``key: value`` text.
+
+    CSV prints ``header`` (default: the keys of the first row), then one line
+    per row.  Every format renders all rows before it prints, and rendering
+    stops at the first inf or nan; only then are the rows walked to name its
+    field in the DomainError, since a walk of every row costs about as much
+    as rendering it.
+    """
+    fmt = args.format or args.formats[0]
+    try:
+        if fmt == "json":
+            lines = [json.dumps(row, default=str, allow_nan=False) for row in rows]
+        elif fmt == "csv":
+            lines = [",".join(header or rows[0])]
+            lines += [",".join(map(_fmt, row.values())) for row in rows]
+        else:
+            lines = [f"{key}: {_fmt(value)}" for row in rows for key, value in row.items()]
+    except ValueError:
+        for row in rows:
+            _require_finite_output(row)
+        raise
+    print("\n".join(lines))
 
 
 def _cmd_solve(args) -> int:
@@ -147,7 +159,7 @@ def _cmd_solve(args) -> int:
         "delta": float(cls.delta),
         "kind": cls.kind.value,
         "fixed_points": recurrence.fixed_points(params),
-        "solution": _solution_payload(sol),
+        "solution": {"variant": sol.variant, **_fields(sol)},
     }
     orbit = None
     if args.count is not None:
@@ -162,10 +174,10 @@ def _cmd_solve(args) -> int:
         }
     if orbit is not None and not orbit.completed:
         payload["hit_zero_step"] = orbit.hit_zero_step
-        _emit(payload, args.format or "json")
+        _print(args, [payload])
         print(f"error: orbit hit zero at step {orbit.hit_zero_step}", file=sys.stderr)
         return 3
-    _emit(payload, args.format or "json")
+    _print(args, [payload])
     return 0
 
 
@@ -174,18 +186,17 @@ def _cmd_plot_data(args) -> int:
         raise _UsageError("--step must be positive")
     params = RecurrenceParams(args.alpha, args.gamma)
     sol = recurrence.solve(params, args.x1)
-    _require_finite_output(_solution_payload(sol))
-    print("j,value,is_pole")
+    _require_finite_output(_fields(sol))
+    rows = []
     count = int((args.j_to - args.j_from) / args.step + 1e-9)
     for i in range(count + 1):
         j = args.j_from + i * args.step
         if j > args.j_to + 1e-12:
             break
         value = sol.eval(j)
-        if isinstance(value, Pole):
-            print(f"{_fmt(j)},,1")
-        else:
-            print(f"{_fmt(j)},{_fmt(value)},0")
+        pole = isinstance(value, Pole)
+        rows.append({"j": j, "value": None if pole else value, "is_pole": int(pole)})
+    _print(args, rows, header=("j", "value", "is_pole"))
     return 0
 
 
@@ -193,62 +204,35 @@ def _cmd_locate(args) -> int:
     matrix = _load_matrix(args)
     alpha = _parse_shift(args.alpha, args.exact)
     triple = treediag.locate(matrix, alpha, exact=args.exact)
-    _emit(
-        {
-            "n": matrix.n,
-            "matrix": args.matrix,
-            "alpha": str(alpha) if args.exact else alpha,
-            "exact": bool(args.exact),
-            "below": triple.below,
-            "equal": triple.equal,
-            "above": triple.above,
-        },
-        args.format or "json",
-    )
+    _print(args, [{
+        "n": matrix.n,
+        "matrix": args.matrix,
+        "alpha": str(alpha) if args.exact else alpha,
+        "exact": bool(args.exact),
+        **triple._asdict(),
+    }])
     return 0
 
 
 def _cmd_radius(args) -> int:
     matrix = _load_matrix(args)
     value = treediag.spectral_radius(matrix, args.tol)
-    _emit(
-        {"n": matrix.n, "matrix": args.matrix, "tol": args.tol, "radius": value},
-        args.format or "json",
-    )
+    _print(args, [{"n": matrix.n, "matrix": args.matrix, "tol": args.tol, "radius": value}])
     return 0
 
 
 def _cmd_eigen(args) -> int:
     matrix = _load_matrix(args)
     value = treediag.kth_eigenvalue(matrix, args.k, args.tol)
-    _emit(
-        {"n": matrix.n, "matrix": args.matrix, "k": args.k, "tol": args.tol, "eigenvalue": value},
-        args.format or "json",
-    )
+    _print(args, [{"n": matrix.n, "matrix": args.matrix, "k": args.k, "tol": args.tol,
+                   "eigenvalue": value}])
     return 0
 
 
-_MLAS_FIELDS = (
-    "n", "r", "period", "phi", "omega_r", "j_star", "k0", "mlas",
-    "lower_bound", "b_2k0_2", "b_2k0_3",
-)
-
-
 def _mlas_row(cfg: PendantConfig, direct: bool) -> dict:
-    report = signs.build_report(cfg)
-    row = {
-        "n": report.n,
-        "r": report.r,
-        "period": report.period,
-        "phi": report.phi_angle,
-        "omega_r": report.omega_r,
-        "j_star": report.j_star,
-        "k0": report.k0,
-        "mlas": report.mlas,
-        "lower_bound": report.lower_bound,
-        "b_2k0_2": float(signs.b_at(cfg, 2 * report.k0 + 2)),
-        "b_2k0_3": float(signs.b_at(cfg, 2 * report.k0 + 3)),
-    }
+    row = _fields(signs.build_report(cfg))
+    row["b_2k0_2"] = float(signs.b_at(cfg, 2 * row["k0"] + 2))
+    row["b_2k0_3"] = float(signs.b_at(cfg, 2 * row["k0"] + 3))
     if direct:
         row["mlas_direct"] = signs.mlas_direct(cfg)
     return row
@@ -258,41 +242,25 @@ def _cmd_mlas(args) -> int:
     if args.table is not None:
         if args.table < 1 or args.table > args.n // 4:
             raise _UsageError(f"--table must lie in 1..floor(n/4) = {args.n // 4}")
-        rows = [_mlas_row(PendantConfig(args.n, r), args.direct) for r in range(1, args.table + 1)]
+        rs = range(1, args.table + 1)
     else:
-        rows = [_mlas_row(PendantConfig(args.n, args.r), args.direct)]
-    fmt = args.format or "json"
-    if fmt == "csv":
-        fields = list(_MLAS_FIELDS) + (["mlas_direct"] if args.direct else [])
-        print(",".join(fields))
-        for row in rows:
-            print(",".join(_fmt(row[f]) for f in fields))
-    else:
-        for row in rows:
-            print(_json(row))
+        rs = [args.r]
+    _print(args, [_mlas_row(PendantConfig(args.n, r), args.direct) for r in rs])
     return 0
 
 
 def _cmd_broom(args) -> int:
     broom = DoubleBroom(r=args.r, q=args.q, p=args.p, R=args.rr)
     result = signs.double_broom_sigma(broom)
-    _emit(
-        {
-            "r": broom.r,
-            "q": broom.q,
-            "p": broom.p,
-            "R": broom.R,
-            "n": broom.n,
-            "sigma": result.sigma,
-            "root_sign": result.root_sign.value,
-            "hypotheses_met": result.hypotheses_met,
-            "cross_check": "ok" if result.hypotheses_met else "fallback-locate",
-            "below": result.inertia.below,
-            "equal": result.inertia.equal,
-            "above": result.inertia.above,
-        },
-        args.format or "json",
-    )
+    _print(args, [{
+        **_fields(broom),
+        "n": broom.n,
+        "sigma": result.sigma,
+        "root_sign": result.root_sign.value,
+        "hypotheses_met": result.hypotheses_met,
+        "cross_check": "ok" if result.hypotheses_met else "fallback-locate",
+        **result.inertia._asdict(),
+    }])
     return 0
 
 
@@ -300,24 +268,15 @@ def _cmd_limit(args) -> int:
     if args.n_max < 1:
         raise _UsageError("--n-max must be >= 1")
     if args.family == "adjacency":
-        target = limits.shearer_constant()
-        tol = args.tol if args.tol is not None else 1e-10
-        gap = limits.adjacency_limit_gap
+        target, gap = limits.shearer_constant(), limits.adjacency_limit_gap
     else:
-        target = limits.guo_constant()
-        tol = args.tol if args.tol is not None else 1e-9
-        gap = limits.laplacian_limit_gap
+        target, gap = limits.guo_constant(), limits.laplacian_limit_gap
+    tol = {} if args.tol is None else {"tol": args.tol}
     rows = []
     for n_arm in range(1, args.n_max + 1):
-        g = gap(n_arm, tol)
-        rows.append((n_arm, target - g, g))
-    if (args.format or "csv") == "json":
-        for n_arm, radius, g in rows:
-            print(_json({"n_arm": n_arm, "radius": radius, "gap": g}))
-    else:
-        print("n_arm,radius,gap")
-        for n_arm, radius, g in rows:
-            print(f"{n_arm},{_fmt(radius)},{_fmt(g)}")
+        g = gap(n_arm, **tol)
+        rows.append({"n_arm": n_arm, "radius": target - g, "gap": g})
+    _print(args, rows)
     return 0
 
 
@@ -343,7 +302,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--x1", type=float, required=True)
     p.add_argument("--count", type=int, default=None)
     p.add_argument("--eval", dest="eval_j", type=float, default=None)
-    p.set_defaults(func=_cmd_solve)
+    p.set_defaults(func=_cmd_solve, formats=("json", "text"))
 
     p = sub.add_parser("plot-data", help="sample the continuous extension")
     p.add_argument("--alpha", type=float, required=True)
@@ -352,27 +311,22 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--from", dest="j_from", type=float, required=True)
     p.add_argument("--to", dest="j_to", type=float, required=True)
     p.add_argument("--step", type=float, required=True)
-    p.set_defaults(func=_cmd_plot_data)
+    p.set_defaults(func=_cmd_plot_data, formats=("csv",))
 
-    for name, fn, extra in (
-        ("locate", _cmd_locate, "alpha"),
-        ("radius", _cmd_radius, "tol"),
-        ("eigen", _cmd_eigen, "k"),
-    ):
-        p = sub.add_parser(name, help=f"{name} on a tree matrix")
+    locate, radius, eigen = (sub.add_parser(name, help=f"{name} on a tree matrix")
+                             for name in ("locate", "radius", "eigen"))
+    for p, fn in ((locate, _cmd_locate), (radius, _cmd_radius), (eigen, _cmd_eigen)):
         p.add_argument("--tree", required=True, help="edge-list file, one 'u v' per line")
         p.add_argument("--matrix", choices=MatrixKind.ALL, required=True)
         p.add_argument("--root", type=int, default=None,
                        help="override the root vertex (default: file root line or n)")
-        if extra == "alpha":
-            p.add_argument("--alpha", required=True, help="shift; 'p/q' allowed with --exact")
-            p.add_argument("--exact", action="store_true",
-                           help="exact rational sweep (rational matrices only)")
-        if extra in ("tol", "k"):
-            p.add_argument("--tol", type=float, default=1e-10)
-        if extra == "k":
-            p.add_argument("--k", type=int, required=True)
-        p.set_defaults(func=fn)
+        p.set_defaults(func=fn, formats=("json", "text"))
+    locate.add_argument("--alpha", required=True, help="shift; 'p/q' allowed with --exact")
+    locate.add_argument("--exact", action="store_true",
+                        help="exact rational sweep (rational matrices only)")
+    for p in (radius, eigen):
+        p.add_argument("--tol", type=float, default=1e-10)
+    eigen.add_argument("--k", type=int, required=True)
 
     p = sub.add_parser("mlas", help="alternating-sign report for (n, r)")
     p.add_argument("--n", type=int, required=True)
@@ -381,25 +335,25 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="also run the exact sign-scan certificate")
     p.add_argument("--table", type=int, default=None, metavar="RMAX",
                    help="emit rows for r = 1..RMAX")
-    p.set_defaults(func=_cmd_mlas)
+    p.set_defaults(func=_cmd_mlas, formats=("json", "csv"))
 
     p = sub.add_parser("broom", help="double-broom eigenvalue split")
     p.add_argument("--r", type=int, required=True)
     p.add_argument("--q", type=int, required=True)
     p.add_argument("--p", type=int, required=True)
     p.add_argument("--rr", type=int, required=True, help="pendant count R of the right star")
-    p.set_defaults(func=_cmd_broom)
+    p.set_defaults(func=_cmd_broom, formats=("json", "text"))
 
     p = sub.add_parser("limit", help="starlike spectral radius convergence table")
     p.add_argument("--family", choices=("adjacency", "laplacian"), required=True)
     p.add_argument("--n-max", dest="n_max", type=int, required=True)
     p.add_argument("--tol", type=float, default=None)
-    p.set_defaults(func=_cmd_limit)
+    p.set_defaults(func=_cmd_limit, formats=("csv", "json"))
 
     p = sub.add_parser("random-tree", help="seeded uniform random labeled tree")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--seed", type=int, required=True)
-    p.set_defaults(func=_cmd_random_tree)
+    p.set_defaults(func=_cmd_random_tree, formats=())
 
     return parser
 
@@ -427,6 +381,9 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(_bind_negative_values(sys.argv[1:] if argv is None else argv))
+        if args.format not in (None, *args.formats):
+            parser.error(f"{args.command} prints {' or '.join(args.formats) or 'an edge list'},"
+                         f" not --format {args.format}")
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
@@ -441,7 +398,16 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
 
 
 def console_main() -> None:
-    sys.exit(run())
+    """Run with sys.argv; a reader that closes stdout early ends the run with exit 1."""
+    try:
+        code = run()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the recipe of the signal module's docs: no traceback, and no second
+        # error when Python flushes stdout at exit
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 1
+    sys.exit(code)
 
 
 if __name__ == "__main__":

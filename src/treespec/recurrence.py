@@ -23,11 +23,12 @@ family is float-only.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import List, Optional, Tuple, Union
+from typing import ClassVar, Iterator, List, Optional, Tuple, Union
 
 from .errors import (
     DomainError,
@@ -150,14 +151,14 @@ def psi_apply(params: RecurrenceParams, t: Real) -> Real:
     return params.gamma / (t - params.alpha)
 
 
-def classify(params: RecurrenceParams, delta_tol: float = DELTA_TOL) -> DeltaClass:
+def classify(params: RecurrenceParams) -> DeltaClass:
     """Discriminant class of the recurrence.
 
     With exact parameters the sign test is exact; in float mode values with
-    |delta| <= delta_tol land in the double-root family.
+    |delta| <= DELTA_TOL land in the double-root family.
     """
     delta = params.alpha * params.alpha + 4 * params.gamma
-    zero = delta == 0 if params.exact else abs(delta) <= delta_tol
+    zero = delta == 0 if params.exact else abs(delta) <= DELTA_TOL
     if zero:
         kind = SolutionKind.TYPE1
     elif delta > 0:
@@ -192,17 +193,17 @@ def forbidden_initials(params: RecurrenceParams, count: int) -> List[Real]:
     if count < 1:
         raise DomainError("count must be positive")
     zero: Real = Fraction(0) if params.exact else 0.0
-    out: List[Real] = []
-    t = zero
-    for k in range(count):
+    return list(itertools.islice(_backward_orbit(params, zero, "of 0"), count))
+
+
+def _backward_orbit(params: RecurrenceParams, t: Real, start: str) -> Iterator[Real]:
+    """psi(t), psi^2(t), ...; ``start`` names t in the DomainError raised at t = alpha."""
+    for k in itertools.count():
         try:
             t = psi_apply(params, t)
         except DomainError as exc:
-            raise DomainError(
-                f"backward orbit of 0 hits t = alpha after {k} steps"
-            ) from exc
-        out.append(t)
-    return out
+            raise DomainError(f"backward orbit {start} hits t = alpha after {k} steps") from exc
+        yield t
 
 
 def iterate(params: RecurrenceParams, x1: Real, count: int) -> OrbitResult:
@@ -242,13 +243,8 @@ def reverse_initial(params: RecurrenceParams, x_r: Real, r: int) -> Real:
     if r < 1:
         raise DomainError("r must be a positive integer")
     t = x_r
-    for k in range(r - 1):
-        try:
-            t = psi_apply(params, t)
-        except DomainError as exc:
-            raise DomainError(
-                f"backward orbit from x_r hits t = alpha after {k} steps"
-            ) from exc
+    for t in itertools.islice(_backward_orbit(params, x_r, "from x_r"), r - 1):
+        pass
     return t
 
 
@@ -258,12 +254,12 @@ class LocalBehavior(Enum):
     NEUTRAL = "neutral"
 
 
-def local_behavior(params: RecurrenceParams, t: Real, tol: float = ZERO_TOL) -> LocalBehavior:
-    """Character of a point under phi: |phi'(t)| = |gamma|/t^2 against 1."""
+def local_behavior(params: RecurrenceParams, t: Real) -> LocalBehavior:
+    """Character of a point under phi: |phi'(t)| = |gamma|/t^2 against 1, within ZERO_TOL."""
     if _is_zero(t):
         raise DomainError("phi' is undefined at t = 0")
     ratio = abs(float(params.gamma)) / float(t) ** 2
-    if abs(ratio - 1.0) <= tol:
+    if abs(ratio - 1.0) <= ZERO_TOL:
         return LocalBehavior.NEUTRAL
     if ratio < 1.0:
         return LocalBehavior.ATTRACTING
@@ -279,7 +275,10 @@ class ClosedFormSolution:
 
     ``eval(j)`` evaluates the continuous extension at real j (integer j >= 1
     reproduces the orbit); it returns POLE within POLE_TOL of an asymptote.
+    ``variant`` names the family.
     """
+
+    variant: ClassVar[str]
 
     def eval(self, j: float) -> Union[float, Pole]:
         raise NotImplementedError
@@ -289,6 +288,7 @@ class ClosedFormSolution:
 class ConstantSolution(ClosedFormSolution):
     """x_j = theta for all j (x_1 was a fixed point)."""
 
+    variant: ClassVar[str] = "constant"
     theta: float
 
     def eval(self, j: float) -> Union[float, Pole]:
@@ -299,6 +299,7 @@ class ConstantSolution(ClosedFormSolution):
 class Type1Solution(ClosedFormSolution):
     """Double-root family: x_j = theta * (1 + 1/(beta + j)), theta = alpha/2."""
 
+    variant: ClassVar[str] = "type1"
     theta: float
     beta: float
 
@@ -318,6 +319,7 @@ class Type2Solution(ClosedFormSolution):
     for q < 0 only integer j are meaningful.
     """
 
+    variant: ClassVar[str] = "type2"
     theta: float
     theta_prime: float
     beta: float
@@ -364,6 +366,7 @@ class Type3Solution(ClosedFormSolution):
     (-pi/2, pi/2] (tan is pi-periodic, so the representative is free).
     """
 
+    variant: ClassVar[str] = "type3"
     rho: float
     phi_angle: float
     omega: float
@@ -385,6 +388,7 @@ class AlternatingSolution(ClosedFormSolution):
     No continuous extension; only integer j are meaningful.
     """
 
+    variant: ClassVar[str] = "alternating"
     x1: float
     gamma: float
 

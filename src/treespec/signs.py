@@ -73,7 +73,7 @@ def in_domain(n: int, r: int) -> bool:
 
 def _check_domain(cfg: PendantConfig, allow_r0: bool = False) -> None:
     lo = 0 if allow_r0 else 1
-    if cfg.n < 8 or not (lo <= cfg.r <= cfg.n // 4):
+    if not in_domain(cfg.n, max(cfg.r, 1) if allow_r0 else cfg.r):
         raise OutOfDomainError(
             f"(n={cfg.n}, r={cfg.r}) outside n >= 8, {lo} <= r <= floor(n/4)"
         )
@@ -405,53 +405,32 @@ def star_up(tree: RootedTree, star: int) -> RootedTree:
     n = tree.n
     if not (1 <= star <= n):
         raise PreconditionViolatedError(f"star vertex {star} outside 1..{n}")
-    neighbors = _neighbors(tree, star)
-    pendant_inner = []
-    others = []
-    for w in neighbors:
-        wn = _neighbors(tree, w)
-        if len(wn) == 2:
-            far = wn[0] if wn[1] == star else wn[1]
-            if len(_neighbors(tree, far)) == 1:
-                pendant_inner.append(w)
-                continue
-        others.append(w)
+    kids, parent, deg = tree._children, tree._parent, tree._degree
+
+    def across(v: int, u: int) -> int:
+        """The neighbor other than u of a degree-2 vertex v (the root's parent is 0)."""
+        return parent[v] + sum(kids[v]) - u
+
+    around = kids[star] + [parent[star]] if parent[star] else kids[star]
+    others = [w for w in around if deg[w] != 2 or deg[across(w, star)] != 1]
     if len(others) != 1:
         raise PreconditionViolatedError(
             f"star {star} must have exactly one non-pendant neighbor, found {len(others)}"
         )
-    r = len(pendant_inner)
+    r = len(around) - 1
     if r > n // 4 - 1:
         raise PreconditionViolatedError(
             f"star {star} already carries r = {r} > floor(n/4) - 1 pendant 2-paths"
         )
     a = others[0]
-    a_nb = _neighbors(tree, a)
-    if len(a_nb) != 2:
+    if deg[a] != 2:
         raise PreconditionViolatedError(f"path vertex {a} must have degree 2")
-    bv = a_nb[0] if a_nb[1] == star else a_nb[1]
-    b_nb = _neighbors(tree, bv)
-    if len(b_nb) != 2:
+    bv = across(a, star)
+    if deg[bv] != 2:
         raise PreconditionViolatedError(f"path vertex {bv} must have degree 2")
-    c = b_nb[0] if b_nb[1] == a else b_nb[1]
-    if len(_neighbors(tree, c)) < 2:
+    c = across(bv, a)
+    if deg[c] < 2:
         raise PreconditionViolatedError(f"path anchor {c} must not be a leaf")
-    new_edges = [e for e in _undirected_edges(tree) if e != _key(bv, c)]
-    new_edges.append(_key(star, c))
-    return build_tree(new_edges, root=tree.root)
-
-
-def _neighbors(tree: RootedTree, v: int) -> List[int]:
-    out = list(tree.children(v))
-    p = tree.parent(v)
-    if p is not None:
-        out.append(p)
-    return out
-
-
-def _key(u: int, v: int) -> Tuple[int, int]:
-    return (u, v) if u < v else (v, u)
-
-
-def _undirected_edges(tree: RootedTree) -> List[Tuple[int, int]]:
-    return [_key(c, p) for c, p in tree.edges()]
+    edges = tree.edges()
+    edges.remove((bv, c) if parent[bv] == c else (c, bv))
+    return build_tree(edges + [(star, c)], root=tree.root)

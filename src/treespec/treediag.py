@@ -403,9 +403,9 @@ def _bisect(m: SymmetricTreeMatrix, tol: float, predicate) -> float:
         raise DomainError(f"tol must be positive and finite, got {tol!r}")
     lo, hi = m.gershgorin()
     for _ in range(MAX_BISECT):
-        if hi - lo <= tol:
-            break
         mid = 0.5 * (lo + hi)
+        if hi - lo <= tol or mid == lo or mid == hi:  # mid == lo or hi: no float in between
+            break
         if predicate(mid):
             hi = mid
         else:

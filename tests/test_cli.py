@@ -3,6 +3,7 @@
 import hashlib
 import json
 import math
+import os
 import subprocess
 import sys
 
@@ -304,3 +305,167 @@ def test_cli_start_up_does_not_import_numpy(tmp_path):
     out = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
     assert out.returncode == 0, out.stderr
     assert out.stdout.splitlines()[-1] == "numpy loaded: False"
+
+
+#: nine-vertex caterpillar rooted at an inner vertex
+CATERPILLAR = "# caterpillar\n1 2\n2 3\n3 4\n4 5\n2 6\n3 7\n4 8\n8 9\nroot 3\n"
+
+#: per subcommand: the formats it renders (None = no --format) and its argv set
+GOLDEN_ARGV = {
+    "solve": ((None, "json", "text"), [
+        ["--alpha", "1", "--gamma", "-0.25", "--x1", "0.36", "--count", "6", "--eval", "4"],
+        ["--alpha", "1", "--gamma", "2", "--x1", "0.7", "--count", "5", "--eval", "3"],
+        ["--alpha", "3", "--gamma", "-2", "--x1", "0.7", "--count", "5", "--eval", "2.5"],
+        ["--alpha", "4291.73", "--gamma", "2926.51", "--x1", "2.1e-7", "--count", "3"],
+        ["--alpha", "1", "--gamma", "-1", "--x1", "0.3", "--count", "5", "--eval", "2.5"],
+        ["--alpha", "0", "--gamma", "-1", "--x1", "2", "--count", "4", "--eval", "3"],
+        ["--alpha", "2", "--gamma", "-1", "--x1", "1", "--eval", "7"],
+        ["--alpha", "2", "--gamma", "-1", "--x1", "0.75", "--count", "10"],
+    ]),
+    "plot-data": ((None, "csv"), [
+        ["--alpha", "1", "--gamma", "-1", "--x1", "0.3", "--from", "0", "--to", "6",
+         "--step", "0.25"],
+        ["--alpha", "1", "--gamma", "-0.25", "--x1", "0.36", "--from", "-3", "--to", "3",
+         "--step", "0.5"],
+        ["--alpha", "1", "--gamma", "-1", "--x1", "0.3", "--from", "3", "--to", "1",
+         "--step", "1"],
+    ]),
+    "locate": ((None, "json", "text"), [
+        ["--tree", "{tree}", "--matrix", "adjacency", "--alpha", "0.5"],
+        ["--tree", "{tree}", "--matrix", "normalized", "--alpha", "1", "--root", "1"],
+        ["--tree", "{tree}", "--matrix", "laplacian", "--alpha", "36/19", "--exact"],
+        ["--tree", "{tree}", "--matrix", "adjacency", "--alpha", "-4/19", "--exact"],
+    ]),
+    "radius": ((None, "json", "text"), [
+        ["--tree", "{tree}", "--matrix", "adjacency"],
+        ["--tree", "{tree}", "--matrix", "laplacian", "--tol", "1e-6"],
+    ]),
+    "eigen": ((None, "json", "text"), [
+        ["--tree", "{tree}", "--matrix", "adjacency", "--k", "2"],
+        ["--tree", "{tree}", "--matrix", "normalized", "--k", "9", "--tol", "1e-8"],
+    ]),
+    "mlas": ((None, "json", "csv"), [
+        ["--n", "19", "--r", "2"],
+        ["--n", "19", "--r", "2", "--direct"],
+        ["--n", "40", "--table", "5"],
+        ["--n", "183", "--table", "45", "--direct"],
+    ]),
+    "broom": ((None, "json", "text"), [
+        ["--r", "3", "--q", "2", "--p", "2", "--rr", "2"],
+        ["--r", "4", "--q", "1", "--p", "1", "--rr", "1"],
+    ]),
+    "limit": ((None, "csv", "json"), [
+        ["--family", "adjacency", "--n-max", "6"],
+        ["--family", "laplacian", "--n-max", "6"],
+        ["--family", "adjacency", "--n-max", "3", "--tol", "1e-6"],
+    ]),
+    "random-tree": ((None,), [
+        ["--n", "30", "--seed", "5"],
+        ["--n", "2", "--seed", "0"],
+    ]),
+}
+
+
+@pytest.mark.parametrize("command", sorted(GOLDEN_ARGV))
+def test_golden_output(capsys, tmp_path, command):
+    # sha256 over (exit code, stdout) of every argv and format of the
+    # subcommand, recorded before the printers were merged into one; the
+    # float columns go through the platform's libm (x86-64 glibc)
+    golden = {
+        "broom": "6ba2ffb175c89fea4e33a9ceb96c0f9f68e363d62b50a1dd41adb1183c8b2233",
+        "eigen": "8e3cc12f3c3fc74d803092c195a7ad7839375126effec22a7b55a48e8a167d54",
+        "limit": "bae736ed519b9aac0dfe75a0d3a95db070d01f30b13243cb6c5906992ef3c398",
+        "locate": "b5be19cf069255d6af2509158a902d375ce0a0fd8d2d2c7234590c97badadd96",
+        "mlas": "719658a752fe8040a9bc54cbefe2399f2615307114470836114e0d518e0bfb3f",
+        "plot-data": "a3e7c8c9eff3fa848b8bf6360ca61d54d392774899cc9708d409350a9ae6d1bc",
+        "radius": "7dbdf354801a0d1739e7f5c89507655f438c82921c95529dbf596b85cd16f903",
+        "random-tree": "344fe67b8c577d8e15245b1088621a0fffe4d9c57ed384a54b420d5cf20fed6d",
+        "solve": "11f1f148ee2623d179ba6fe1bd1a1703c56def7c81dec19ff7a424ca6c958f29",
+    }
+    tree = tmp_path / "caterpillar.txt"
+    tree.write_text(CATERPILLAR)
+    formats, argv_set = GOLDEN_ARGV[command]
+    digest = hashlib.sha256()
+    for argv in argv_set:
+        argv = [token.replace("{tree}", str(tree)) for token in argv]
+        for fmt in formats:
+            flag = [] if fmt is None else ["--format", fmt]
+            code, out, _ = invoke(capsys, *flag, command, *argv)
+            digest.update(f"{code}\n{out}".encode())
+    assert digest.hexdigest() == golden[command]
+
+
+#: (subcommand argv, format) pairs that printed the same as another pair
+DEAD_FORMATS = [
+    (["solve", "--alpha", "1", "--gamma", "-0.25", "--x1", "0.36"], "csv"),
+    (["locate", "--tree", "{tree}", "--matrix", "adjacency", "--alpha", "0.5"], "csv"),
+    (["radius", "--tree", "{tree}", "--matrix", "adjacency"], "csv"),
+    (["eigen", "--tree", "{tree}", "--matrix", "adjacency", "--k", "1"], "csv"),
+    (["broom", "--r", "3", "--q", "2", "--p", "2", "--rr", "2"], "csv"),
+    (["mlas", "--n", "19", "--r", "2"], "text"),
+    (["limit", "--family", "adjacency", "--n-max", "2"], "text"),
+    (["plot-data", "--alpha", "1", "--gamma", "-1", "--x1", "0.3", "--from", "0", "--to", "1",
+      "--step", "0.5"], "json"),
+    (["plot-data", "--alpha", "1", "--gamma", "-1", "--x1", "0.3", "--from", "0", "--to", "1",
+      "--step", "0.5"], "text"),
+    (["random-tree", "--n", "5", "--seed", "1"], "json"),
+    (["random-tree", "--n", "5", "--seed", "1"], "csv"),
+    (["random-tree", "--n", "5", "--seed", "1"], "text"),
+]
+
+
+@pytest.mark.parametrize("argv, fmt", DEAD_FORMATS, ids=lambda x: x if isinstance(x, str) else x[0])
+def test_format_a_subcommand_does_not_print_is_usage_error(capsys, tmp_path, argv, fmt):
+    tree = tmp_path / "caterpillar.txt"
+    tree.write_text(CATERPILLAR)
+    argv = [token.replace("{tree}", str(tree)) for token in argv]
+    code, out, err = invoke(capsys, "--format", fmt, *argv)
+    assert (code, out) == (2, "")
+    assert f"not --format {fmt}" in err
+    code, out, _ = invoke(capsys, *argv)
+    assert code == 0 and out
+
+
+def test_closed_stdout_exits_1_without_traceback():
+    cli = [sys.executable, "-m", "treespec.cli"]
+    # stdout closed before the run starts: the write fails at the final flush
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        out = subprocess.run(cli + ["mlas", "--n", "19"], stdout=write_end, stderr=subprocess.PIPE)
+    finally:
+        os.close(write_end)
+    assert (out.returncode, out.stderr) == (1, b"")
+    # stdout closed after the first line, mid-way through ~0.5 MB of edges
+    proc = subprocess.Popen(cli + ["random-tree", "--n", "50000", "--seed", "1"],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    first = proc.stdout.readline()
+    proc.stdout.close()
+    err = proc.stderr.read()
+    assert (proc.wait(), err) == (1, b"")
+    assert first.split() and len(first.split()) == 2
+
+
+def test_printer_rejects_non_finite_values_in_every_format(capsys):
+    from types import SimpleNamespace
+
+    from treespec.cli import _print
+    from treespec.errors import DomainError
+
+    rows = [{"n": 1, "x": 0.5, "y": {"z": [1.0, 2.0]}}, {"n": 2, "x": 0.5, "y": {"z": [1.0, math.nan]}}]
+    for fmt in ("json", "csv", "text"):
+        with pytest.raises(DomainError, match=r"computed y\.z\[1\] is not finite \(nan\)"):
+            _print(SimpleNamespace(format=fmt, formats=(fmt,)), rows)
+        flat = [{"n": 1, "x": 0.5}, {"n": 2, "x": -math.inf}]
+        with pytest.raises(DomainError, match=r"computed x is not finite \(-inf\)"):
+            _print(SimpleNamespace(format=fmt, formats=(fmt,)), flat)
+    assert capsys.readouterr().out == ""
+
+
+def test_plot_data_failure_prints_no_partial_table(capsys):
+    # theta/theta' < 0: j = 0 evaluates, j = 0.5 has no continuous extension
+    argv = ["plot-data", "--alpha", "1", "--gamma", "2", "--x1", "0.7",
+            "--from", "0", "--to", "2", "--step", "0.5"]
+    code, out, err = invoke(capsys, *argv)
+    assert (code, out) == (3, "")
+    assert err == "error: theta/theta' < 0: solution defined only at integer j\n"

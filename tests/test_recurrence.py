@@ -1,5 +1,6 @@
 """Tests for the map x_{j+1} = alpha + gamma/x_j and its closed forms."""
 
+import inspect
 import math
 import random
 from fractions import Fraction
@@ -12,7 +13,9 @@ from treespec.errors import (
     UnsupportedOperationError,
 )
 from treespec.recurrence import (
+    DELTA_TOL,
     POLE,
+    ZERO_TOL,
     AlternatingSolution,
     ConstantSolution,
     LocalBehavior,
@@ -151,6 +154,20 @@ def test_forbidden_initials_hit_alpha():
     # psi(0) = 1 = alpha, so the second backward step is undefined
     with pytest.raises(DomainError):
         forbidden_initials(RecurrenceParams(Fraction(1), Fraction(-1)), 2)
+
+
+def test_backward_orbit_errors_name_their_start():
+    p = RecurrenceParams(Fraction(1), Fraction(-1))  # psi(0) = 1 = alpha
+    cases = [
+        (lambda: forbidden_initials(p, 2), "backward orbit of 0 hits t = alpha after 1 steps"),
+        (lambda: reverse_initial(p, 0, 3), "backward orbit from x_r hits t = alpha after 1 steps"),
+        (lambda: reverse_initial(p, 1, 2), "backward orbit from x_r hits t = alpha after 0 steps"),
+    ]
+    for call, message in cases:
+        with pytest.raises(DomainError) as exc:
+            call()
+        assert str(exc.value) == message
+    assert reverse_initial(p, 0, 2) == 1 and forbidden_initials(p, 1) == [1]
 
 
 def test_forbidden_initial_orbit_dies_at_predicted_step():
@@ -392,6 +409,20 @@ def test_local_behavior():
     assert local_behavior(p, 0.5) is LocalBehavior.REPELLING
     with pytest.raises(DomainError):
         local_behavior(p, 0.0)
+
+
+def test_classify_and_local_behavior_use_the_module_tolerances():
+    assert list(inspect.signature(classify).parameters) == ["params"]
+    assert list(inspect.signature(local_behavior).parameters) == ["params", "t"]
+    # float delta = 1 + 4 gamma on both sides of the edge of DELTA_TOL
+    for delta, kind in ((DELTA_TOL / 2, SolutionKind.TYPE1), (-DELTA_TOL / 2, SolutionKind.TYPE1),
+                        (4 * DELTA_TOL, SolutionKind.TYPE2), (-4 * DELTA_TOL, SolutionKind.TYPE3)):
+        assert classify(RecurrenceParams(1.0, (delta - 1.0) / 4)).kind is kind, delta
+    # |phi'(1)| = |gamma| on both sides of the edge of ZERO_TOL
+    for gap, behavior in ((ZERO_TOL / 2, LocalBehavior.NEUTRAL), (-ZERO_TOL / 2, LocalBehavior.NEUTRAL),
+                          (4 * ZERO_TOL, LocalBehavior.REPELLING),
+                          (-4 * ZERO_TOL, LocalBehavior.ATTRACTING)):
+        assert local_behavior(RecurrenceParams(0.0, -(1.0 + gap)), 1.0) is behavior, gap
 
 
 def test_type2_monotone_attraction():

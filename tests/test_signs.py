@@ -346,6 +346,72 @@ def _undirected(tree):
     return [tuple(sorted(e)) for e in tree.edges()]
 
 
+def _adjacency(tree):
+    adj = {v: set() for v in range(1, tree.n + 1)}
+    for u, v in tree.edges():
+        adj[u].add(v)
+        adj[v].add(u)
+    return adj
+
+
+def _pendant_2paths(adj, v):
+    return sum(1 for w in adj[v] if len(adj[w]) == 2 and any(len(adj[x]) == 1 for x in adj[w]))
+
+
+def _distance(adj, source, target):
+    seen, frontier, steps = {source}, [source], 0
+    while target not in seen:
+        frontier = [w for v in frontier for w in adj[v] if w not in seen]
+        seen.update(frontier)
+        steps += 1
+    return steps
+
+
+def test_star_up_property_on_random_double_brooms():
+    rng = random.Random(8)
+    rewrites = 0
+    for _ in range(60):
+        b = DoubleBroom(r=rng.randint(1, 4), q=rng.randint(1, 6), p=rng.randint(1, 6),
+                        R=rng.randint(1, 4))
+        layout = double_broom_layout(b)
+        for star, other, r in ((layout.left_star, layout.right_star, b.r),
+                               (layout.right_star, layout.left_star, b.R)):
+            tree = layout.tree
+            while True:
+                before = _adjacency(tree)
+                try:
+                    after_tree = star_up(tree, star)
+                except PreconditionViolatedError:
+                    # a fresh broom's path is long enough: only the pendant budget stops it
+                    assert tree is not layout.tree or r > b.n // 4 - 1
+                    break
+                rewrites += 1
+                after = _adjacency(after_tree)
+                assert after_tree.n == b.n and len(after_tree.edges()) == b.n - 1
+                assert _pendant_2paths(after, star) == _pendant_2paths(before, star) + 1
+                assert _distance(after, star, other) == _distance(before, star, other) - 2
+                changed = {v: len(after[v]) - len(before[v]) for v in before
+                           if len(after[v]) != len(before[v])}
+                new_leaf = [v for v in changed if v != star]
+                assert changed[star] == 1 and len(new_leaf) == 1
+                assert (len(before[new_leaf[0]]), len(after[new_leaf[0]])) == (2, 1)
+                tree = after_tree
+    assert rewrites > 100
+
+
+def test_domain_checks():
+    # k0 and its kin need n >= 8 and 1 <= r <= n/4; omega_r also takes r = 0
+    for n in range(3, 41):
+        for r in range(0, n // 4 + 3):
+            cfg = PendantConfig(n, r)
+            for fn, lo in ((k0, 1), (mlas_lower_bound, 1), (omega_r, 0)):
+                if n >= 8 and lo <= r <= n // 4:
+                    fn(cfg)
+                else:
+                    with pytest.raises(OutOfDomainError, match="outside"):
+                        fn(cfg)
+
+
 def test_star_up_preconditions():
     from treespec.treediag import build_tree
 

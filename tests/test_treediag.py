@@ -313,6 +313,23 @@ def test_spectral_radius_p2():
     assert spectral_radius(m, 1e-10) == pytest.approx(1.0, abs=1e-10)
 
 
+def test_bisection_stops_when_the_midpoint_stops_moving(monkeypatch):
+    # tol below the float spacing at sqrt(2): hi - lo <= tol never holds, and
+    # the bracket stops shrinking after ~55 halvings of the Gershgorin interval
+    import treespec.treediag as td
+
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args[1])
+        return locate(*args, **kwargs)
+
+    monkeypatch.setattr(td, "locate", counted)
+    m = build_matrix(path_tree(3), MatrixKind.ADJACENCY)
+    assert spectral_radius(m, 1e-300) == 1.4142135623377396  # as with all 200 iterations
+    assert len(calls) <= 60 and len(set(calls)) == len(calls)
+
+
 def test_spectral_radius_matches_oracle():
     for seed in range(10):
         t = random_tree(2 + seed, seed=seed)
