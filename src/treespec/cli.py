@@ -33,7 +33,7 @@ from fractions import Fraction
 from typing import List, Optional, Sequence
 
 from . import limits, oracle, recurrence, signs, treediag
-from .errors import DomainError, TreespecError
+from .errors import DomainError, PatternNotFoundError, TreespecError
 from .recurrence import Pole, RecurrenceParams
 from .signs import DoubleBroom, PendantConfig
 from .treediag import MatrixKind
@@ -230,11 +230,22 @@ def _cmd_eigen(args) -> int:
 
 
 def _mlas_row(cfg: PendantConfig, direct: bool) -> dict:
+    """The report, b_{2k0+2} and b_{2k0+3}, and mlas_direct with --direct.
+
+    mlas_direct's scan shows b_1 .. b_{mlas_direct+1} nonzero, so it also
+    serves as the proof that b_{2k0+2} may be powered to.  P / Q of ints is
+    correctly rounded: the floats need no gcd.
+    """
     row = _fields(signs.build_report(cfg))
-    row["b_2k0_2"] = float(signs.b_at(cfg, 2 * row["k0"] + 2))
-    row["b_2k0_3"] = float(signs.b_at(cfg, 2 * row["k0"] + 3))
+    j, n = 2 * row["k0"] + 2, cfg.n
+    found = signs.mlas_direct(cfg) if direct else -1
+    p, q = signs._b_pair(cfg, j, found + 1)
+    if p == 0:
+        raise PatternNotFoundError(f"b sequence hit zero before index {j + 1}")
+    row["b_2k0_2"] = p / q
+    row["b_2k0_3"] = (2 * p - n * q) / (n * p)
     if direct:
-        row["mlas_direct"] = signs.mlas_direct(cfg)
+        row["mlas_direct"] = found
     return row
 
 

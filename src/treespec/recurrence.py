@@ -375,6 +375,8 @@ class Type3Solution(ClosedFormSolution):
         arg = j * self.phi_angle + self.omega
         # distance in j to the nearest solution of arg = pi/2 (mod pi)
         u = (arg - math.pi / 2.0) / math.pi
+        if not math.isfinite(u):  # an overflowed phi or omega, or a huge j
+            raise DomainError(f"closed form is not finite at j = {j!r}: a float overflowed")
         dist_j = abs(u - round(u)) * math.pi / self.phi_angle
         if dist_j <= POLE_TOL:
             return POLE
@@ -450,6 +452,10 @@ def solve(params: RecurrenceParams, x1: Real) -> ClosedFormSolution:
         sq = math.sqrt(float(cls.delta))
         theta = alpha / 2.0 + sq / 2.0
         theta_prime = alpha / 2.0 - sq / 2.0
+        if theta == 0.0 or theta_prime == 0.0:  # gamma != 0: both roots are nonzero
+            raise DomainError(
+                f"fixed points {theta!r} and {theta_prime!r}: one cancelled to 0.0 in floats"
+            )
         if xf == theta or xf == theta_prime:
             return ConstantSolution(xf)
 

@@ -14,9 +14,11 @@ with b_{2k+1} < 0 (k_0), the maximum length of the alternating -,+ pattern
 (mlas = 2*k_0 + 2) with its closed-form lower bound, and the eigenvalue
 split of double-broom trees, cross-checked against the congruence sweep.
 
-Sign-critical quantities (b values, r_0, broom root values) are computed in
-exact rational arithmetic; the trigonometric phase/period formulas are
-float.
+Sign-critical quantities (b values, r_0, broom root values) are exact or
+certified: the signs of b_j come from a float scan with a certified error
+bound, falling back to exact rational arithmetic where a sign is in doubt,
+and exact b_j from integer pairs.  The trigonometric phase/period formulas
+are float.
 """
 
 from __future__ import annotations
@@ -102,14 +104,76 @@ def _b_pairs(cfg: PendantConfig) -> Iterator[Tuple[int, int]]:
             p, q = -p, -q
 
 
+def _scan(cfg: PendantConfig) -> Iterator[Tuple[float, float]]:
+    """b_1, b_2, ... in floats with error bounds (x_j, e_j), |x_j - b_j| <= e_j < |x_j|.
+
+    Ends before the first term whose sign is in doubt (|x_j| <= e_j), so every
+    yielded x_j has the sign of b_j.  x_{j+1} = fl(fl(2/n) - fl(1/x_j)) is the
+    one-child case of treediag._certified_sweep, whose docstring derives the
+    bound: the weight square is 1, the partial sum 0 + q is exact, and the
+    vertex value fl(2/n) is rounded once.  So
+        e_1     = (|fl(b_1) - b_1| + 2^-200) F,
+        e_{j+1} = (|fl(2/n) - 2/n| + 2^-200 + e_j / (|x_j| (|x_j| - e_j))
+                   + u |fl(1/x_j)| + u |x_{j+1}|) F,
+    with u = 2^-53 and the sweep's F at one child, 1 + 44u (k <= 10
+    operations).  |b_1| <= 2^200 keeps the sweep's size cap.
+    """
+    b1, n = cfg.b1, cfg.n
+    if abs(b1) > 2**200:
+        return
+    a, x = 2 / n, float(b1)
+    base = float(abs(Fraction(a) - Fraction(2, n))) + 2.0**-200
+    u, grow = 2.0**-53, 1.0 + 11 * 2.0**-51
+    e = (float(abs(Fraction(x) - b1)) + 2.0**-200) * grow
+    while True:
+        ax = abs(x)
+        if not ax > e:
+            return
+        yield x, e
+        q = 1.0 / x
+        y = a - q
+        e = (base + e / (ax * (ax - e)) + u * (abs(q) + abs(y))) * grow
+        x = y
+
+
+def _b_power(cfg: PendantConfig, j: int) -> Tuple[int, int]:
+    """(P_j, Q_j) of _b_pairs, found as M^(j-1) (P_1, Q_1) with M = [[2, -n], [n, 0]].
+
+    Valid only when b_1 .. b_{j-1} are nonzero.  M^k = a M + c I, since
+    M^2 = 2M - n^2 I, so a square is (2a(a + c), (c - na)(c + na)), two big
+    products, and a step (2a + c, -n^2 a).  _b_pairs flips signs to keep
+    Q > 0; M is linear, so one flip at the end gives the same pair.
+    """
+    n = cfg.n
+    a, c = 0, 1
+    for bit in bin(j - 1)[2:]:
+        a, c = 2 * a * (a + c), (c - n * a) * (c + n * a)
+        if bit == "1":
+            a, c = 2 * a + c, -n * n * a
+    p1, q1 = cfg.b1.numerator, cfg.b1.denominator
+    p, q = a * (2 * p1 - n * q1) + c * p1, a * n * p1 + c * q1
+    return (p, q) if q > 0 else (-p, -q)
+
+
+def _b_pair(cfg: PendantConfig, j: int, nonzero: int = 0) -> Tuple[int, int]:
+    """(P_j, Q_j) of _b_pairs: powered once b_1 .. b_{j-1} are shown nonzero.
+
+    b_1 .. b_nonzero are known nonzero; the scan shows the rest, and when a
+    sign is in doubt the exact walk decides.
+    """
+    if nonzero >= j - 1 or sum(1 for _ in islice(_scan(cfg), j - 1)) == j - 1:
+        return _b_power(cfg, j)
+    pair = next(islice(_b_pairs(cfg), j - 1, None), None)
+    if pair is None:
+        raise PatternNotFoundError(f"b sequence hit zero before index {j}")
+    return pair
+
+
 def b_at(cfg: PendantConfig, j: int) -> Fraction:
     """Exact value of b_j (1-based)."""
     if j < 1:
         raise DomainError("count must be positive")
-    pair = next(islice(_b_pairs(cfg), j - 1, None), None)
-    if pair is None:
-        raise PatternNotFoundError(f"b sequence hit zero before index {j}")
-    return Fraction(*pair)
+    return Fraction(*_b_pair(cfg, j))
 
 
 def r0(n: int) -> Fraction:
@@ -185,24 +249,28 @@ def mlas(cfg: PendantConfig) -> int:
 
 
 def mlas_direct(cfg: PendantConfig, j_max: Optional[int] = None) -> int:
-    """mlas by scanning exact signs of b_j; the certificate for mlas().
+    """mlas by scanning the signs of b_j; the certificate for mlas().
 
-    Returns (first positive odd index) - 1.  Raises PatternNotFoundError
-    when b_1 > 0 (no alternating prefix exists), when the scan exhausts
-    ``j_max`` (default 4n), or when the orbit hits zero.
+    The signs come from the certified float scan; if one is in doubt before
+    the answer, the exact walk of integer pairs rescans from b_1.  Returns
+    (first positive odd index) - 1.  Raises PatternNotFoundError when
+    b_1 > 0 (no alternating prefix exists), when the scan exhausts ``j_max``
+    (default 4n), or when the orbit hits zero.
     """
     limit = 4 * cfg.n if j_max is None else j_max
     if cfg.b1 > 0:
         raise PatternNotFoundError(
             f"b_1(n={cfg.n}, r={cfg.r}) = {cfg.b1} > 0: no alternating prefix"
         )
-    for j, (p, _) in enumerate(_b_pairs(cfg), 1):
-        if j > limit:
+    for terms in ((x for x, _ in _scan(cfg)), (p for p, _ in _b_pairs(cfg))):
+        j = 0
+        for j, v in enumerate(islice(terms, max(limit, 0)), 1):
+            if v == 0:  # only an exact term is 0
+                raise PatternNotFoundError(f"b_{j}(n={cfg.n}, r={cfg.r}) = 0: orbit terminates")
+            if j % 2 == 1 and v > 0:
+                return j - 1
+        if j >= limit:
             break
-        if p == 0:
-            raise PatternNotFoundError(f"b_{j}(n={cfg.n}, r={cfg.r}) = 0: orbit terminates")
-        if j % 2 == 1 and p > 0:
-            return j - 1
     raise PatternNotFoundError(
         f"no positive odd-index term within j <= {limit} for (n={cfg.n}, r={cfg.r})"
     )

@@ -169,6 +169,24 @@ def test_mlas_table_direct_golden_output(capsys):
         assert hashlib.sha256(out.encode()).hexdigest() == digest, fmt
 
 
+#: stdout of "mlas --n 20000 --r 2 --direct" recorded before the sign scans moved
+#: to certified floats and b_j to transfer-matrix powering; b_{2k0+2} is a
+#: 200 kbit pair.  The float columns go through the platform's libm (x86-64 glibc)
+MLAS_20000 = (
+    '{"n": 20000, "r": 2, "period": 2.0000636640037515, '
+    '"phi": 1.5707463267948758, "omega_r": -0.7855731833965206, '
+    '"j_star": 0.5001591727415424, "k0": 7851, "mlas": 15704, '
+    '"lower_bound": 15702, "b_2k0_2": 43209.47685303619, '
+    '"b_2k0_3": 7.685692878436844e-05, "mlas_direct": 15704}\n'
+)
+
+
+def test_mlas_at_scale_keeps_its_output(capsys):
+    code, out, err = invoke(capsys, "mlas", "--n", "20000", "--r", "2", "--direct")
+    assert (code, err) == (0, "")
+    assert out == MLAS_20000
+
+
 def test_mlas_table_bounds(capsys):
     code, _, err = invoke(capsys, "mlas", "--n", "19", "--table", "9")
     assert code == 2 and "floor(n/4)" in err
@@ -287,6 +305,21 @@ def test_plot_data_overflow_is_domain_error(capsys):
     code, out, err = invoke(capsys, *argv)
     assert (code, out) == (3, "")
     assert err == "error: computed theta is not finite (inf): a float overflowed\n"
+
+
+def test_overflowed_closed_forms_exit_3_without_traceback():
+    # the type-3 closed form overflows to nan, and type 2's theta' cancels to 0.0
+    cases = [
+        (["--alpha", "1e308", "--gamma", "-1e308", "--x1", "1e+48", "--eval", "0.5"],
+         "error: closed form is not finite at j = 0.5: a float overflowed\n"),
+        (["--alpha", "1e+123", "--gamma", "3", "--x1", "1e308", "--eval", "-1e308"],
+         "error: fixed points 1e+123 and 0.0: one cancelled to 0.0 in floats\n"),
+    ]
+    for argv, message in cases:
+        out = subprocess.run([sys.executable, "-m", "treespec.cli", "solve", *argv],
+                             capture_output=True, text=True)
+        assert (out.returncode, out.stdout) == (3, ""), argv
+        assert "Traceback" not in out.stderr and out.stderr == message, argv
 
 
 def test_cli_start_up_does_not_import_numpy(tmp_path):

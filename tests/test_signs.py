@@ -3,9 +3,12 @@
 import math
 import random
 from fractions import Fraction
+from itertools import islice
 from types import SimpleNamespace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from treespec.errors import DomainError, OutOfDomainError, PatternNotFoundError, PreconditionViolatedError
 from treespec.recurrence import RecurrenceParams, iterate, solve, zeros_and_poles
@@ -14,6 +17,8 @@ from treespec.signs import (
     PendantConfig,
     RootSign,
     _b_pairs,
+    _b_power,
+    _scan,
     b_at,
     b_sequence,
     build_report,
@@ -91,13 +96,132 @@ def test_b_orbit_zero_is_reported():
     assert list(_b_pairs(start)) == [(20, 1), (0, 800)]
     assert iterate(RecurrenceParams(Fraction(2, n), Fraction(-1)), start.b1, 5).hit_zero_step == 2
     assert b_at(start, 2) == 0
+    # the scan cannot certify the zero b_2, so b_at(start, 3) takes the exact walk
+    assert [x for x, _ in islice(_scan(start), 5)] == [20.0]
     with pytest.raises(PatternNotFoundError, match="^b sequence hit zero before index 3$"):
         b_at(start, 3)
     # b_1 = 2n/(4 - n^2) < 0 gives b_2 = n/2 and b_3 = 0
     before = SimpleNamespace(n=n, r=0, b1=Fraction(2 * n, 4 - n * n))
+    assert len(list(islice(_scan(before), 5))) == 2
     with pytest.raises(PatternNotFoundError) as exc:
         mlas_direct(before)
     assert str(exc.value) == "b_3(n=40, r=0) = 0: orbit terminates"
+    with pytest.raises(PatternNotFoundError, match="^b sequence hit zero before index 4$"):
+        b_at(before, 4)
+
+
+# ---------------------------------------------------------------------------
+# the certified scan and the powered pairs
+
+
+def test_powered_pairs_equal_the_linear_walk():
+    rng = random.Random(20261018)
+    cases = [(8, 0), (8, 2), (9, 1), (64, 16), (300, 75)]
+    cases += [(n, rng.randrange(0, n // 4 + 1)) for n in (rng.randrange(8, 301) for _ in range(20))]
+    for n, r in cases:
+        cfg = PendantConfig(n, r)
+        walk = list(islice(_b_pairs(cfg), 3 * n))
+        values = b_sequence(cfg, 3 * n, exact=True).values
+        js = list(range(1, 18)) + [3 * n] + [rng.randrange(1, 3 * n + 1) for _ in range(6)]
+        for j in js:
+            assert _b_power(cfg, j) == walk[j - 1], (n, r, j)
+            assert b_at(cfg, j) == values[j - 1], (n, r, j)
+
+
+def within(x, e, p, q):
+    """|x - p/q| <= e < |x| for floats x, e and ints p, q > 0, without a gcd."""
+    fx, fe = Fraction(x), Fraction(e)
+    dx, de = fx.denominator, fe.denominator
+    gap = abs(fx.numerator * q - p * dx) * de
+    return gap <= fe.numerator * q * dx and fe < abs(fx)
+
+
+def documented_bound(cfg, x, e):
+    """The bound of ``_scan``'s docstring, summed exactly from the pass's own floats."""
+    u, tiny = Fraction(1, 2**53), Fraction(2.0**-200)
+    da = abs(Fraction(2 / cfg.n) - Fraction(2, cfg.n))
+    want = [abs(Fraction(x[0]) - cfg.b1) + tiny]
+    for xj, ej, xk in zip(x, e, x[1:]):
+        assert xk == 2 / cfg.n - 1.0 / xj
+        ax, fe = abs(Fraction(xj)), Fraction(ej)
+        want.append(da + tiny + fe / (ax * (ax - fe))
+                    + u * (abs(Fraction(1.0 / xj)) + abs(Fraction(xk))))
+    return want
+
+
+def check_scan(cfg, count):
+    """Every certified term of the first ``count`` has b_j's sign, lies within its
+    bound, and that bound covers the documented one; returns the certified count."""
+    scanned = list(islice(_scan(cfg), count))
+    x = [v for v, _ in scanned]
+    e = [b for _, b in scanned]
+    for (xj, ej), (p, q) in zip(scanned, _b_pairs(cfg)):
+        assert (xj > 0) == (p > 0) and p != 0
+        assert within(xj, ej, p, q)
+    for ej, want in zip(e, documented_bound(cfg, x, e)):
+        assert Fraction(ej) >= want
+    return len(scanned)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(3, 300), st.integers(0, 90))
+def test_certified_signs_are_exact_signs(n, r):
+    assert check_scan(PendantConfig(n, r), min(3 * n, 500)) > 0
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(3, 200), st.integers(-10**6, 10**6).filter(bool), st.integers(3, 40),
+       st.booleans())
+def test_starts_that_graze_zero(n, k, digits, early):
+    # b_1 = n/2 + k/10^digits makes b_2 graze 0; one step earlier, b_1 next to
+    # 2n/(4 - n^2) makes b_3 graze 0 with b_1 < 0, where mlas_direct scans
+    half = Fraction(n, 2) + Fraction(k, 10**digits)
+    b1 = 1 / (Fraction(2, n) - half) if early else half
+    cfg = SimpleNamespace(n=n, r=0, b1=b1)
+    certified = check_scan(cfg, 40)
+    walk = list(islice(_b_pairs(cfg), 40))
+    for j in (1, 2, 3, 4, 5, 17, 40):
+        assert b_at(cfg, j) == Fraction(*walk[j - 1])
+    if early and b1 < 0:
+        assert mlas_direct(cfg) == walk_mlas(cfg)
+    if digits > 30:
+        assert certified == (2 if early else 1)  # the fallback decided
+
+
+def walk_mlas(cfg):
+    """mlas_direct by the exact walk alone."""
+    for j, (p, _) in enumerate(islice(_b_pairs(cfg), 4 * cfg.n), 1):
+        if j % 2 == 1 and p > 0:
+            return j - 1
+    raise AssertionError("no positive odd-index term")
+
+
+def test_a_term_equal_to_its_bound_stays_uncertain():
+    # b_1 = x, a float: e_1 = 2^-200 F whatever x is.  Walk x up from 2^-200;
+    # the first certified x must be the float just above its bound.
+    x = 2.0**-200
+    for _ in range(100):  # F = 1 + 44u puts the bound 22 floats above 2^-200
+        if scanned := list(islice(_scan(SimpleNamespace(n=8, r=0, b1=Fraction(x))), 1)):
+            break
+        x = math.nextafter(x, 1.0)
+    assert scanned[0][0] == x and math.nextafter(scanned[0][1], 1.0) == x
+
+
+def test_orbits_at_the_bottom_of_the_float_range():
+    # with n = 2^200 and b_1 = 2^150 every term is near 2^-150 and the 2^-200
+    # floor outweighs the rounding terms; at n = 2^1100, 2/n underflows to 0.0
+    for n in (2**200, 2**1100):
+        for b1 in (Fraction(2**150), Fraction(-3, 2**190), Fraction(7, 5)):
+            assert check_scan(SimpleNamespace(n=n, r=0, b1=b1), 6) == 6
+
+
+def test_starts_beyond_the_float_range():
+    # r = 10^320: b_1 ~ 4r/n overflows a float; the exact walk takes over
+    cfg = PendantConfig(40, 10**320)
+    assert list(islice(_scan(cfg), 5)) == []
+    assert b_at(cfg, 3) == b_sequence(cfg, 3, exact=True).values[2]
+    with pytest.raises(PatternNotFoundError, match="> 0: no alternating prefix"):
+        mlas_direct(cfg)
 
 
 def test_r0_exact_and_bounds():
