@@ -27,6 +27,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from functools import cached_property
 from itertools import islice
 from typing import Iterator, List, Optional, Tuple
 
@@ -39,7 +40,10 @@ from .treediag import (
 
 @dataclass(frozen=True)
 class PendantConfig:
-    """Tree order n (>= 3) and pendant 2-path count r (>= 0)."""
+    """Tree order n (>= 3) and pendant 2-path count r (>= 0).
+
+    x1, x2 and b1 are computed once per instance.
+    """
 
     n: int
     r: int
@@ -50,15 +54,15 @@ class PendantConfig:
         if not isinstance(self.r, int) or self.r < 0:
             raise OutOfDomainError(f"r must be a nonnegative integer, got {self.r!r}")
 
-    @property
+    @cached_property
     def x1(self) -> Fraction:
         return Fraction(2, self.n) - 1
 
-    @property
+    @cached_property
     def x2(self) -> Fraction:
         return Fraction(2, self.n) - 1 / self.x1
 
-    @property
+    @cached_property
     def b1(self) -> Fraction:
         return self.x1 + self.r * (1 - 1 / self.x2)
 

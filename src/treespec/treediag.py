@@ -13,17 +13,24 @@ arithmetics: float sweeps count values within a relative threshold as zero,
 and matrices with integer/rational entries also support an exact-rational
 sweep (``exact=True``) whose zero test is exact.  ``locate(exact=True)``
 first runs a float sweep with a certified error bound per vertex and falls
-back to the exact sweep only when that bound leaves a sign in doubt.
+back to the exact sweep only when that bound leaves a sign in doubt.  The
+first bisection on a matrix records its chains (runs of one-child vertices
+with equal entries); from then on float sweeps take each chain in one step
+with the closed form of ``recurrence.chain_orbit``.
 """
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
+from itertools import groupby, islice, repeat
 from math import inf, isfinite, sqrt
+from operator import add, sub
 from types import MappingProxyType
-from typing import Dict, Iterable, List, Mapping, NamedTuple, Optional, Tuple, Union
+from typing import Dict, Iterable, List, Mapping, NamedTuple, Optional, Sequence, Tuple, Union
 
 from .errors import BadIndexError, BadVertexError, DomainError, NotATreeError
+from .recurrence import chain_orbit
 
 Real = Union[int, float, Fraction]
 
@@ -32,6 +39,9 @@ SWEEP_ZERO_TOL = 1e-10
 
 #: bisection iteration cap
 MAX_BISECT = 200
+
+#: shortest chain that bisection sweeps in closed form; shorter ones are stepped
+MIN_CHAIN = 16
 
 
 class RootedTree:
@@ -151,10 +161,11 @@ class SymmetricTreeMatrix:
     the lists the sweep reads, indexed by vertex with a spare slot 0: the
     diagonal, the edge weights and their squares (0 at the root), entries
     as given.  ``diag`` and ``edge_weight`` are read-only dict views built
-    from those lists on each access.
+    from those lists on each access.  ``_chains`` is the chain program of
+    the float sweeps, built by the first bisection (see ``_chain_program``).
     """
 
-    __slots__ = ("tree", "kind", "is_rational", "_diag", "_w", "_w2", "_dmin", "_dmax")
+    __slots__ = ("tree", "kind", "is_rational", "_diag", "_w", "_w2", "_dmin", "_dmax", "_chains")
 
     def __init__(
         self,
@@ -185,6 +196,7 @@ class SymmetricTreeMatrix:
         self._diag = diag
         self._w = weight
         self._w2 = [w * w for w in weight]
+        self._chains: Optional[List[Optional[tuple]]] = None
         entries = diag[1:]
         self._dmin = min(entries)
         self._dmax = max(entries)
@@ -216,14 +228,11 @@ class SymmetricTreeMatrix:
     def gershgorin(self) -> Tuple[float, float]:
         """Closed interval containing every eigenvalue."""
         radius = [0.0] * (self.n + 1)
-        for v, p in self.tree.edges():
-            w = abs(float(self._w[v]))
-            radius[v] += w
+        for v, (p, w) in enumerate(zip(self.tree._parent, map(abs, map(float, self._w)))):
+            radius[v] += w  # each edge at both ends, in the order of its child; the root adds 0.0
             radius[p] += w
-        diag = self._diag
-        lo = min(diag[v] - radius[v] for v in range(1, self.n + 1))
-        hi = max(diag[v] + radius[v] for v in range(1, self.n + 1))
-        return lo, hi
+        diag, radius = self._diag[1:], radius[1:]
+        return min(map(sub, diag, radius)), max(map(add, diag, radius))
 
 
 class InertiaTriple(NamedTuple):
@@ -262,15 +271,16 @@ def build_matrix(tree: RootedTree, kind: str) -> SymmetricTreeMatrix:
     return m
 
 
-def _sweep(a: List[Real], tree: RootedTree, w2: List[Real], tol: Real, two: Real) -> List[Real]:
-    """One congruence sweep over ``tree``, bottom-up, in place on ``a``.
+def _sweep(m: SymmetricTreeMatrix, alpha: Real, tol: Real, two: Real,
+           chains: Iterable[Optional[tuple]]) -> Tuple[List[Real], InertiaTriple]:
+    """One congruence sweep of M - alpha*I, bottom-up, and its inertia.
 
-    a    : on entry the shifted diagonal m_vv - alpha at index v, on exit the
-           final vertex values; index 0 is a spare slot.
-    w2   : squared weight of the edge from vertex v to its parent, at index v.
-    tol  : values with -tol <= a <= tol count as zero; 0 makes the test exact.
-    two  : the constant 2 in the arithmetic of ``a``: 2.0 for a float sweep,
-           Fraction(2) for an exact one.
+    alpha : the shift, float or Fraction; each vertex starts at m_vv - alpha.
+    tol   : values with -tol <= a <= tol count as zero; 0 makes the test exact.
+    two   : the constant 2 in the arithmetic of the sweep: 2.0 for a float
+            sweep, Fraction(2) for an exact one.
+    chains: per postorder position, None or the chain of ``_chain_program``
+            whose bottom sits there; ``repeat(None)`` steps every vertex.
 
     Vertices are processed in postorder.  A vertex subtracts the sum of
     w_c^2/a_c over its children, added up in postorder.  A vertex with a
@@ -278,23 +288,81 @@ def _sweep(a: List[Real], tree: RootedTree, w2: List[Real], tol: Real, two: Real
     and the vertex's own parent edge is cut (it contributes nothing upward).
     Ties between several zero children go to the smallest vertex index.
     The root's parent is the spare slot 0, which takes its unused term.
+    Above a nonzero chain bottom, ``recurrence.chain_orbit`` gives the
+    chain's top value and the signs below it at once; the other chain
+    vertices are skipped and keep no value, only their count.  When the
+    closed form is in doubt the chain is stepped like any other vertices.
+
+    Returns the values (index v, slot 0 spare) and the counts of final
+    values below -tol, within [-tol, tol] and above tol.
     """
-    acc = [two - two] * len(a)
+    d, w2 = m._diag, m._w2
+    a = [two - two] * len(d)  # the child sum of v, until v's value replaces it
     zero_child: Dict[int, int] = {}
     lo = -tol
-    for v, p in zip(tree._postorder, tree._postorder_parent):
+    below = zeros = 0
+    program = zip(m.tree._postorder, m.tree._postorder_parent, chains)
+    for v, p, chain in program:
         if v in zero_child:
             zc = zero_child[v]
-            a[v] = -w2[zc] / two
             a[zc] = two
+            x = a[v] = -w2[zc] / two
+            zeros -= two > tol
+            if x < lo:
+                below += 1
+            else:
+                zeros += 1
             continue
-        x = a[v] = a[v] - acc[v]
+        x = a[v] = d[v] - alpha - a[v]
         if lo <= x <= tol:
+            zeros += 1
             if p not in zero_child or v < zero_child[p]:
                 zero_child[p] = v
-        else:
-            acc[p] += w2[v] / x
-    return a
+            continue
+        if chain is not None:
+            length, cd, s, top, top_parent = chain
+            orbit = chain_orbit(cd - alpha, s, x, length, tol)
+            if orbit is not None:
+                next(islice(program, length, length), None)  # skip the chain's vertices
+                below += (x < lo) + orbit[1]
+                x = a[top] = orbit[0]
+                v, p = top, top_parent
+        if x < lo:
+            below += 1
+        a[p] += w2[v] / x
+    return a, InertiaTriple(below, zeros, len(d) - 1 - below - zeros)
+
+
+def _chain_program(m: SymmetricTreeMatrix) -> List[Optional[tuple]]:
+    """The chains of M, at the postorder positions of their bottoms.
+
+    A chain is a run of L >= MIN_CHAIN vertices u_1 .. u_L above a bottom
+    vertex b: u_1 has b as its only child and u_{i+1} has u_i, every u_i has
+    the same diagonal d and the edges b-u_1, ..., u_{L-1}-u_L the same
+    squared weight s.  Its sweep from b's value is the orbit of
+    x -> (d - alpha) - s/x, and its entry is (L, d, s, u_L, parent of u_L).
+    An only child directly precedes its parent in postorder, so a chain is
+    a stretch of one-child vertices with equal keys (d_v, w_c^2 of v's
+    child c).  A bottom is never a chain vertex: where the key changes
+    inside a stretch, the vertex there is stepped and becomes a bottom.
+    """
+    tree = m.tree
+    order, deg, d, w2 = tree._postorder, tree._degree, m._diag, m._w2
+    # one child: degree 2, or 1 at the root; the first vertex is a leaf
+    one_child = bytearray(deg[v] == 2 for v in order)
+    one_child[-1] = deg[tree.root] == 1
+    chains: List[Optional[tuple]] = [None] * len(order)
+    for stretch in re.finditer(b"\x01{%d,}" % MIN_CHAIN, one_child):
+        start, stop = stretch.span()
+        keys = [(d[v], w2[c]) for c, v in zip(order[start - 1:stop - 1], order[start:stop])]
+        end = start
+        for key, run in groupby(keys):
+            bottom = end - 1 if end == start else end
+            end += len(list(run))
+            if end - 1 - bottom >= MIN_CHAIN:
+                top = order[end - 1]
+                chains[bottom] = (end - 1 - bottom, key[0], key[1], top, tree._parent[top])
+    return chains
 
 
 def _require_exact(m: SymmetricTreeMatrix, alpha: Real) -> Fraction:
@@ -344,13 +412,15 @@ def _certified_sweep(m: SymmetricTreeMatrix, alpha: Fraction) -> Optional[Tuple[
     return x[1:], ebound[1:]
 
 
-def _shifted_sweep(m: SymmetricTreeMatrix, alpha: Real, exact: bool) -> Tuple[List[Real], Real]:
-    """Final vertex values of the sweep of M - alpha*I, and their zero threshold.
+def _shifted_sweep(m: SymmetricTreeMatrix, alpha: Real, exact: bool,
+                   chains: Optional[Sequence[Optional[tuple]]] = None) -> Tuple[List[Real], InertiaTriple]:
+    """``_sweep`` of M - alpha*I with the zero threshold of its arithmetic.
 
     The float threshold is SWEEP_ZERO_TOL times max(1, max_v |m_vv - alpha|);
     the largest |m_vv - alpha| sits at the smallest or the largest diagonal
     entry.  Both sweeps read the same lists: in a float sweep each entry is
-    rounded to float where it first meets a float operand.
+    rounded to float where it first meets a float operand.  ``chains`` is
+    read by float sweeps only.
     """
     if exact:
         alpha = _require_exact(m, alpha)
@@ -361,7 +431,7 @@ def _shifted_sweep(m: SymmetricTreeMatrix, alpha: Real, exact: bool) -> Tuple[Li
             raise DomainError(f"shift alpha must be finite, got {alpha!r}")
         scale = max(abs(m._dmax - alpha), abs(m._dmin - alpha))
         tol, two = SWEEP_ZERO_TOL * max(1.0, scale), 2.0
-    return _sweep([d - alpha for d in m._diag], m.tree, m._w2, tol, two)[1:], tol
+    return _sweep(m, alpha, tol, two, repeat(None) if exact or chains is None else chains)
 
 
 def diagonalize(m: SymmetricTreeMatrix, alpha: Real, exact: bool = False) -> Dict[int, Real]:
@@ -375,7 +445,7 @@ def diagonalize(m: SymmetricTreeMatrix, alpha: Real, exact: bool = False) -> Dic
     Exact sweeps return Fraction values, float sweeps floats.
     """
     values, _ = _shifted_sweep(m, alpha, exact)
-    return dict(enumerate(values, start=1))
+    return dict(zip(range(1, len(values)), values[1:]))
 
 
 def _inertia(values: List[Real], tol: Real) -> InertiaTriple:
@@ -391,16 +461,21 @@ def _inertia(values: List[Real], tol: Real) -> InertiaTriple:
 
 
 def locate(m: SymmetricTreeMatrix, alpha: Real, exact: bool = False) -> InertiaTriple:
-    """Counts of eigenvalues of M below / equal to / above alpha."""
+    """Counts of eigenvalues of M below / equal to / above alpha.
+
+    After a bisection on M, float shifts sweep its chains in closed form.
+    """
     certified = exact and _certified_sweep(m, _require_exact(m, alpha))
     if certified:
         return _inertia(certified[0], 0)
-    return _inertia(*_shifted_sweep(m, alpha, exact))
+    return _shifted_sweep(m, alpha, exact, m._chains)[1]
 
 
 def _bisect(m: SymmetricTreeMatrix, tol: float, predicate) -> float:
     if not tol > 0 or tol == inf:
         raise DomainError(f"tol must be positive and finite, got {tol!r}")
+    if m._chains is None:
+        m._chains = _chain_program(m)
     lo, hi = m.gershgorin()
     for _ in range(MAX_BISECT):
         mid = 0.5 * (lo + hi)

@@ -322,6 +322,23 @@ def test_overflowed_closed_forms_exit_3_without_traceback():
         assert "Traceback" not in out.stderr and out.stderr == message, argv
 
 
+def test_phases_below_float_resolution_exit_3(capsys):
+    # at these j the rounding of j*phi exceeds the pole tolerance, so the
+    # pole test would be decided by rounding; |j| up to 1e6 still answers
+    orbit = ["--alpha", "1", "--gamma", "-1", "--x1", "0.3"]
+    code, out, err = invoke(capsys, "solve", *orbit, "--eval", "1e308")
+    assert (code, out) == (3, "")
+    assert err == "error: phase j*phi + omega at j = 1e+308 is below float resolution\n"
+    code, out, err = invoke(capsys, "plot-data", *orbit, "--from", "1e16", "--to", "1.0000000000000002e16",
+                            "--step", "1")
+    assert (code, out) == (3, "")
+    assert err == "error: phase j*phi + omega at j = 1e+16 is below float resolution\n"
+    code, out, _ = invoke(capsys, "solve", *orbit, "--eval", "1000000")
+    assert code == 0 and json.loads(out)["eval"]["j"] == 1e6
+    code, out, _ = invoke(capsys, "plot-data", *orbit, "--from", "999998", "--to", "1e6", "--step", "1")
+    assert code == 0 and len(out.splitlines()) == 4
+
+
 def test_cli_start_up_does_not_import_numpy(tmp_path):
     tree = tmp_path / "p4.txt"
     tree.write_text("1 2\n2 3\n3 4\n")

@@ -6,6 +6,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from treespec.errors import (
     DomainError,
@@ -24,6 +26,8 @@ from treespec.recurrence import (
     SolutionKind,
     Type1Solution,
     Type2Solution,
+    Type3Solution,
+    chain_orbit,
     classify,
     fixed_points,
     forbidden_initials,
@@ -373,6 +377,97 @@ def test_type3_periodicity():
         assert not isinstance(a, Pole) and not isinstance(b, Pole)
         assert abs(a - b) <= 1e-9
         kept += 1
+
+
+def test_type3_eval_refuses_phases_below_float_resolution():
+    sol = solve(RecurrenceParams(1.0, -1.0), 0.3)
+    assert isinstance(sol, Type3Solution)
+    for j in (1e6, -1e6, 123456.5):
+        assert sol.eval(j) is POLE or math.isfinite(sol.eval(j))
+    for j in (1e17, -1e17, 1e308):
+        with pytest.raises(DomainError, match="below float resolution"):
+            sol.eval(j)
+
+
+# ---------------------------------------------------------------------------
+# chains: the orbit of x -> a - s/x in closed form
+
+
+def exact_chain(a, s, x0, length):
+    """x_1 .. x_L of the sweep along a chain from x0, in exact arithmetic.
+
+    A zero x_j takes the sweep's zero-child branch: x_j becomes 2, x_{j+1}
+    is -s/2 and x_{j+2} starts afresh at a.
+    """
+    a, s, x = Fraction(a), Fraction(s), Fraction(x0)
+    values, cut = [], False
+    for _ in range(length):
+        if cut:
+            x, cut = a, False
+        elif x == 0:
+            values[-1] = Fraction(2)
+            x, cut = -s / 2, True
+        else:
+            x = a - s / x
+        values.append(x)
+    return values
+
+
+def check_chain(a, s, x0, length, tol=1e-10):
+    """chain_orbit against exact_chain; True when the closed form was trusted."""
+    orbit = chain_orbit(a, s, x0, length, tol)
+    if orbit is None:
+        return False
+    end, inner = orbit
+    values = exact_chain(a, s, x0, length)
+    assert abs(values[-1]) > tol and (end < 0) == (values[-1] < 0), (a, s, x0, length)
+    assert inner == sum(v < 0 for v in values[:-1]), (a, s, x0, length)
+    assert end == pytest.approx(float(values[-1]), rel=1e-6), (a, s, x0, length)
+    return True
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(-96, 96), st.sampled_from((1, 0.25, 2, 0.5625, 1e-4)), st.integers(-64, 64),
+       st.integers(1, 60), st.sampled_from((1e-10, 1e-5)))
+def test_chain_orbit_agrees_with_the_exact_orbit(a32, s, x16, length, tol):
+    if x16:
+        check_chain(a32 / 32, s, x16 / 16, length, tol)
+
+
+def test_chain_orbit_steps_at_exact_zeros():
+    # orbits that hit 0 exactly: a = -1 and a = 1 with s = 1 at j = 1, 4, 7, ...
+    # (oscillating, period 3); a = 6, s = 4 from 3/4 at j = 2 (real fixed
+    # points).  A zero at the top or just below it must leave the chain
+    # stepped.  The oscillating closed form still counts across a zero further
+    # down; with real fixed points that zero puts the crossing index on an
+    # integer, and the chain is stepped.
+    cases = [(-1.0, 1.0, -1.0, {j for j in range(1, 60) if j % 3 == 1}),
+             (1.0, 1.0, 1.0, {j for j in range(1, 60) if j % 3 == 1}),
+             (6.0, 4.0, 0.75, {2}), (4.0, 2.0, 0.5, {1}), (-4.0, 2.0, -0.5, {1})]
+    for a, s, x0, zeros in cases:
+        trusted = 0
+        for length in range(1, 50):
+            if length in zeros or length - 1 in zeros:
+                assert chain_orbit(a, s, x0, length, 1e-10) is None, (a, s, x0, length)
+            else:
+                trusted += check_chain(a, s, x0, length)
+        assert trusted >= 10 or a * a > 4 * s, (a, s, x0)
+
+
+def test_chain_orbit_counts_both_families():
+    # path adjacency at alpha: a = -alpha, s = 1, from the leaf x0 = a; the
+    # counts are those of P_{L+1}, whose eigenvalues are 2cos(k pi/(L + 2))
+    rng = random.Random(17)
+    for _ in range(200):
+        alpha, length = rng.uniform(-2.5, 2.5), rng.randint(1, 400)
+        orbit = chain_orbit(-alpha, 1.0, -alpha, length, 1e-10)
+        if orbit is None:
+            continue
+        eigs = [2 * math.cos(k * math.pi / (length + 2)) for k in range(1, length + 2)]
+        below = sum(e < alpha for e in eigs)
+        assert orbit[1] + (orbit[0] < 0) + (-alpha < 0) == below, (alpha, length)
+    for bad in ((1.0, 1.0, 0.5, 3, 1.0), (2.0, 1.0, 0.5, 3, 1e-10), (-2.0, 1.0, 0.5, 3, 1e-10)):
+        assert chain_orbit(*bad) is None  # tol >= s/2, and the double root a^2 = 4s
 
 
 # ---------------------------------------------------------------------------

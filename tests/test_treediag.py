@@ -2,17 +2,24 @@
 
 import math
 import random
+from contextlib import contextmanager
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.linalg import eigh_tridiagonal
 
+from treespec import treediag
 from treespec.errors import BadIndexError, BadVertexError, DomainError, NotATreeError
+from treespec.limits import StarlikeSpec, t_lmn
 from treespec.oracle import dense_spectrum, random_tree
 from treespec.treediag import (
     MatrixKind,
     SymmetricTreeMatrix,
+    _chain_program,
+    _inertia,
     build_matrix,
     build_tree,
     diagonalize,
@@ -385,6 +392,178 @@ def test_kth_eigenvalue_ordering():
     values = [kth_eigenvalue(m, k, tol) for k in range(1, 11)]
     for a, b in zip(values, values[1:]):
         assert a <= b + 2 * tol
+
+
+# ---------------------------------------------------------------------------
+# chains swept in closed form
+
+
+@contextmanager
+def chain_calls(min_chain=None):
+    """Record, per closed-form chain call, whether it was trusted (else stepped).
+
+    ``min_chain`` replaces treediag.MIN_CHAIN while the block runs.
+    """
+    calls = []
+    real, saved = treediag.chain_orbit, treediag.MIN_CHAIN
+
+    def recorded(*args):
+        orbit = real(*args)
+        calls.append(orbit is not None)
+        return orbit
+
+    treediag.chain_orbit = recorded
+    if min_chain is not None:
+        treediag.MIN_CHAIN = min_chain
+    try:
+        yield calls
+    finally:
+        treediag.chain_orbit, treediag.MIN_CHAIN = real, saved
+
+
+def with_chains(m):
+    """m with the chain program its first bisection would build."""
+    m._chains = _chain_program(m)
+    return m
+
+
+def fraction_inertia(m, alpha):
+    return _inertia(list(diagonalize(m, Fraction(alpha), exact=True).values()), 0)
+
+
+def chain_heavy_edges(shape, a, b):
+    """Edges of a tree made mostly of degree-2 runs; a, b >= 1 size its parts."""
+    if shape == "path":
+        return [(v, v + 1) for v in range(1, a + b)]
+    if shape == "spider":  # T(l, a, b): three legs at a centre
+        return t_lmn(StarlikeSpec(1 + b % 3, a, b)).edges()
+    if shape == "broom":  # a path of 2a vertices with 2..5 pendant 2-paths at each end
+        edges = [(v, v + 1) for v in range(1, 2 * a)]
+        nxt = 2 * a + 1
+        for star in (1, 2 * a):
+            for _ in range(2 + b % 4):
+                edges += [(star, nxt), (nxt, nxt + 1)]
+                nxt += 2
+        return edges
+    spine = 2 + b % 5  # caterpillar whose spine vertices carry legs of a vertices
+    edges = [(v, v + 1) for v in range(1, spine)]
+    nxt = spine + 1
+    for v in range(1, spine + 1):
+        for prev in [v] + list(range(nxt, nxt + a - 1)):
+            edges.append((prev, nxt))
+            nxt += 1
+    return edges
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.sampled_from(("path", "spider", "broom", "caterpillar")), st.integers(1, 40),
+       st.integers(1, 40), st.integers(0, 10**6), st.sampled_from((MatrixKind.ADJACENCY, MatrixKind.LAPLACIAN)),
+       st.fractions(-3, 6, max_denominator=200), st.sampled_from((1, 2, treediag.MIN_CHAIN)))
+def test_contracted_counts_equal_the_fraction_sweep(shape, a, b, root, kind, alpha, min_chain):
+    edges = chain_heavy_edges(shape, a, b)
+    tree = build_tree(edges, root=1 + root % (len(edges) + 1))
+    shift = float(alpha)  # the float sweep's shift, exactly a dyadic rational
+    with chain_calls(min_chain):
+        m = with_chains(build_matrix(tree, kind))
+        assert locate(m, shift) == fraction_inertia(m, shift)
+
+
+def test_chain_program_finds_the_runs():
+    n = 40
+    path = build_tree([(v, v + 1) for v in range(1, n)], root=1)
+    # adjacency: leaf n is the bottom, n - 1 .. 1 the chain; Laplacian: the
+    # root's diagonal 1 ends the run of diagonal-2 vertices one step earlier
+    for kind, want in ((MatrixKind.ADJACENCY, (n - 1, 0, 1, 1, 0)),
+                       (MatrixKind.LAPLACIAN, (n - 2, 2, 1, 2, 1))):
+        chains = _chain_program(build_matrix(path, kind))
+        assert chains[0] == want and chains[1:] == [None] * (n - 1)
+    for tree in (random_tree(60, seed=2), build_tree([(1, v) for v in range(2, 60)], root=1)):
+        assert not any(_chain_program(build_matrix(tree, MatrixKind.ADJACENCY)))
+    # spider rooted at its centre: one chain per long leg, none for the short one
+    m = build_matrix(t_lmn(StarlikeSpec(2, 30, 45)), MatrixKind.LAPLACIAN)
+    assert sorted(c[0] for c in _chain_program(m) if c) == [29, 44]
+
+
+def test_bisection_contracts_and_keeps_its_results():
+    trees = [build_tree(chain_heavy_edges(shape, 60, 7), root=1) for shape in ("path", "spider", "broom")]
+    for tree in trees:
+        for kind in MatrixKind.ALL:
+            with chain_calls(10**9):  # no chains: every vertex stepped
+                stepped = [spectral_radius(build_matrix(tree, kind)),
+                           kth_eigenvalue(build_matrix(tree, kind), tree.n // 3)]
+            with chain_calls() as calls:
+                contracted = [spectral_radius(build_matrix(tree, kind)),
+                              kth_eigenvalue(build_matrix(tree, kind), tree.n // 3)]
+            assert contracted == stepped, (tree, kind)
+            assert sum(calls) >= 0.9 * len(calls) > 0, (tree, kind)
+
+
+def test_shifts_at_rational_eigenvalues_are_stepped():
+    # P17 and P35 have eigenvalues 0 and +-1, each a zero at the top of the
+    # chain from the far leaf: at 0 the leaf itself is zero, at +-1 the phase
+    # of the top lies on a multiple of pi
+    for n in (17, 35):
+        m = with_chains(build_matrix(build_tree([(v, v + 1) for v in range(1, n)], root=1),
+                                     MatrixKind.ADJACENCY))
+        for alpha in (0.0, 1.0, -1.0):
+            with chain_calls() as calls:
+                got = locate(m, alpha)
+            assert got == fraction_inertia(m, alpha) and got.equal == 1, (n, alpha)
+            assert not any(calls), (n, alpha)
+    # the Laplacian of P18 has eigenvalues 1, 2 and 3 (2 - 2cos(k pi/18))
+    m = with_chains(build_matrix(build_tree([(v, v + 1) for v in range(1, 18)], root=1),
+                                 MatrixKind.LAPLACIAN))
+    for alpha in (1.0, 2.0, 3.0):
+        assert locate(m, alpha) == fraction_inertia(m, alpha) == (
+            sum(2 - 2 * math.cos(k * math.pi / 18) < alpha - 1e-9 for k in range(18)), 1,
+            sum(2 - 2 * math.cos(k * math.pi / 18) > alpha + 1e-9 for k in range(18)))
+
+
+def test_normalized_laplacian_chain():
+    # the normalized Laplacian of P_n has eigenvalues 1 - cos(k pi/(n - 1))
+    n = 60
+    m = with_chains(build_matrix(build_tree([(v, v + 1) for v in range(1, n)], root=1),
+                                 MatrixKind.NORMALIZED_LAPLACIAN))
+    eigs = [1 - math.cos(k * math.pi / (n - 1)) for k in range(n)]
+    with chain_calls() as calls:
+        for k in range(n - 1):
+            assert locate(m, 0.5 * (eigs[k] + eigs[k + 1])) == (k + 1, 0, n - k - 1)
+    assert sum(calls) >= 0.9 * (n - 1)  # the extreme shifts sit near a^2 = 4s, and are stepped
+    assert kth_eigenvalue(m, 17) == pytest.approx(eigs[16], abs=1e-9)
+
+
+def test_locate_is_unchanged_by_a_bisection():
+    shifts = {
+        MatrixKind.ADJACENCY: (0.0, 1.0, -1.0, 0.37, 1e-11, 1.9, 2.05),
+        MatrixKind.LAPLACIAN: (0.0, 1.0, 2.0, 0.37, 3.99, 4.2),
+        MatrixKind.NORMALIZED_LAPLACIAN: (1.0, 0.37, 1.5),
+    }
+    rng = random.Random(9)
+    trees = [build_tree(_shape_edges(shape, 120, rng), root=1)
+             for shape in ("path", "star", "caterpillar", "prufer", "broom")]
+    trees += [build_tree(chain_heavy_edges(shape, 50, 9), root=3) for shape in ("spider", "caterpillar")]
+    for tree in trees:
+        for kind, alphas in shifts.items():
+            m = build_matrix(tree, kind)
+            before = [locate(m, a) for a in alphas]
+            spectral_radius(m)
+            assert m._chains is not None
+            assert [locate(m, a) for a in alphas] == before, (tree, kind)
+
+
+def test_closed_form_spectra_of_a_path_at_1e5():
+    n = 100_000
+    tree = build_tree([(v, v + 1) for v in range(1, n)], root=1)
+    adjacency = build_matrix(tree, MatrixKind.ADJACENCY)
+    laplacian = build_matrix(tree, MatrixKind.LAPLACIAN)
+    with chain_calls() as calls:
+        for k in (1, 2, 777, n // 3, n // 2 + 1, n - 1, n):
+            # the k-th smallest: 2cos((n + 1 - k) pi/(n + 1)) and 2 - 2cos((k - 1) pi/n)
+            assert kth_eigenvalue(adjacency, k) == pytest.approx(
+                2 * math.cos((n + 1 - k) * math.pi / (n + 1)), abs=1e-9), k
+            assert kth_eigenvalue(laplacian, k) == pytest.approx(
+                2 - 2 * math.cos((k - 1) * math.pi / n), abs=1e-9), k
+    assert sum(calls) >= 0.95 * len(calls)
 
 
 # ---------------------------------------------------------------------------
