@@ -7,9 +7,12 @@ Submodules:
   signs       alternating-sign analytics of the pendant-path orbit
   limits      starlike-tree spectral radius limit points
   cli         command-line interface (``treespec`` entry point)
+
+Importing the package imports no submodule; ``treespec.signs`` and the like
+import theirs on first access, so each CLI command loads only what it runs.
 """
 
-from . import limits, oracle, recurrence, signs, treediag
+import importlib
 
 __all__ = [
     "recurrence",
@@ -20,3 +23,9 @@ __all__ = [
 ]
 
 __version__ = "0.1.0"
+
+
+def __getattr__(name: str):
+    if name in __all__:
+        return importlib.import_module(f".{name}", __name__)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

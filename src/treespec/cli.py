@@ -12,7 +12,8 @@ Subcommands:
   random-tree  edge list of a seeded uniform random labeled tree
 
 Each subcommand takes only the --format values it prints, listed as its
-``formats`` in _build_parser; the first is its default.
+``formats`` in _build_parser; the first is its default.  Each handler
+imports the library modules it runs, so a command loads only those.
 
 Exit codes: 0 success, 2 usage error (a --format the subcommand does not
 print is one), 3 domain error, 1 when stdout is closed before the output is
@@ -28,15 +29,14 @@ import math
 import os
 import re
 import sys
-from dataclasses import asdict
 from fractions import Fraction
 from typing import List, Optional, Sequence
 
-from . import limits, oracle, recurrence, signs, treediag
 from .errors import DomainError, PatternNotFoundError, TreespecError
-from .recurrence import Pole, RecurrenceParams
-from .signs import DoubleBroom, PendantConfig
-from .treediag import MatrixKind
+
+#: the --matrix choices: treediag.MatrixKind.ALL, restated so that the parser
+#: needs no treediag (tests pin the two together)
+_MATRIX_KINDS = ("adjacency", "laplacian", "normalized")
 
 _RATIONAL_RE = re.compile(r"^[+-]?\d+(/\d+)?$")
 
@@ -101,9 +101,12 @@ def _require_finite(args) -> None:
             raise DomainError(f"{option} must be finite, got {value!r}")
 
 
-def _load_matrix(args) -> treediag.SymmetricTreeMatrix:
+def _load_matrix(args):
+    from . import treediag
+
     try:
-        text = open(args.tree, "r", encoding="utf-8").read()
+        with open(args.tree, "r", encoding="utf-8") as fh:
+            text = fh.read()
     except OSError as exc:
         raise _UsageError(f"cannot read tree file {args.tree!r}: {exc}") from exc
     tree = treediag.parse_tree_file(text, root=getattr(args, "root", None))
@@ -120,6 +123,8 @@ _RENAMED = {"phi_angle": "phi"}
 
 def _fields(obj) -> dict:
     """A library dataclass as an output row, in field order."""
+    from dataclasses import asdict
+
     return {_RENAMED.get(key, key): value for key, value in asdict(obj).items()}
 
 
@@ -149,7 +154,9 @@ def _print(args, rows: List[dict], header: Sequence[str] = ()) -> None:
 
 
 def _cmd_solve(args) -> int:
-    params = RecurrenceParams(args.alpha, args.gamma)
+    from . import recurrence
+
+    params = recurrence.RecurrenceParams(args.alpha, args.gamma)
     cls = recurrence.classify(params)
     sol = recurrence.solve(params, args.x1)
     payload = {
@@ -169,8 +176,8 @@ def _cmd_solve(args) -> int:
         value = sol.eval(args.eval_j)
         payload["eval"] = {
             "j": args.eval_j,
-            "value": None if isinstance(value, Pole) else value,
-            "is_pole": isinstance(value, Pole),
+            "value": None if isinstance(value, recurrence.Pole) else value,
+            "is_pole": isinstance(value, recurrence.Pole),
         }
     if orbit is not None and not orbit.completed:
         payload["hit_zero_step"] = orbit.hit_zero_step
@@ -182,9 +189,11 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_plot_data(args) -> int:
+    from . import recurrence
+
     if args.step <= 0:
         raise _UsageError("--step must be positive")
-    params = RecurrenceParams(args.alpha, args.gamma)
+    params = recurrence.RecurrenceParams(args.alpha, args.gamma)
     sol = recurrence.solve(params, args.x1)
     _require_finite_output(_fields(sol))
     rows = []
@@ -194,13 +203,15 @@ def _cmd_plot_data(args) -> int:
         if j > args.j_to + 1e-12:
             break
         value = sol.eval(j)
-        pole = isinstance(value, Pole)
+        pole = isinstance(value, recurrence.Pole)
         rows.append({"j": j, "value": None if pole else value, "is_pole": int(pole)})
     _print(args, rows, header=("j", "value", "is_pole"))
     return 0
 
 
 def _cmd_locate(args) -> int:
+    from . import treediag
+
     matrix = _load_matrix(args)
     alpha = _parse_shift(args.alpha, args.exact)
     triple = treediag.locate(matrix, alpha, exact=args.exact)
@@ -215,6 +226,8 @@ def _cmd_locate(args) -> int:
 
 
 def _cmd_radius(args) -> int:
+    from . import treediag
+
     matrix = _load_matrix(args)
     value = treediag.spectral_radius(matrix, args.tol)
     _print(args, [{"n": matrix.n, "matrix": args.matrix, "tol": args.tol, "radius": value}])
@@ -222,6 +235,8 @@ def _cmd_radius(args) -> int:
 
 
 def _cmd_eigen(args) -> int:
+    from . import treediag
+
     matrix = _load_matrix(args)
     value = treediag.kth_eigenvalue(matrix, args.k, args.tol)
     _print(args, [{"n": matrix.n, "matrix": args.matrix, "k": args.k, "tol": args.tol,
@@ -229,15 +244,18 @@ def _cmd_eigen(args) -> int:
     return 0
 
 
-def _mlas_row(cfg: PendantConfig, direct: bool) -> dict:
+def _mlas_row(n: int, r: int, direct: bool) -> dict:
     """The report, b_{2k0+2} and b_{2k0+3}, and mlas_direct with --direct.
 
     mlas_direct's scan shows b_1 .. b_{mlas_direct+1} nonzero, so it also
     serves as the proof that b_{2k0+2} may be powered to.  P / Q of ints is
     correctly rounded: the floats need no gcd.
     """
+    from . import signs
+
+    cfg = signs.PendantConfig(n, r)
     row = _fields(signs.build_report(cfg))
-    j, n = 2 * row["k0"] + 2, cfg.n
+    j = 2 * row["k0"] + 2
     found = signs.mlas_direct(cfg) if direct else -1
     p, q = signs._b_pair(cfg, j, found + 1)
     if p == 0:
@@ -256,12 +274,14 @@ def _cmd_mlas(args) -> int:
         rs = range(1, args.table + 1)
     else:
         rs = [args.r]
-    _print(args, [_mlas_row(PendantConfig(args.n, r), args.direct) for r in rs])
+    _print(args, [_mlas_row(args.n, r, args.direct) for r in rs])
     return 0
 
 
 def _cmd_broom(args) -> int:
-    broom = DoubleBroom(r=args.r, q=args.q, p=args.p, R=args.rr)
+    from . import signs
+
+    broom = signs.DoubleBroom(r=args.r, q=args.q, p=args.p, R=args.rr)
     result = signs.double_broom_sigma(broom)
     _print(args, [{
         **_fields(broom),
@@ -276,6 +296,8 @@ def _cmd_broom(args) -> int:
 
 
 def _cmd_limit(args) -> int:
+    from . import limits
+
     if args.n_max < 1:
         raise _UsageError("--n-max must be >= 1")
     if args.family == "adjacency":
@@ -292,9 +314,11 @@ def _cmd_limit(args) -> int:
 
 
 def _cmd_random_tree(args) -> int:
-    tree = oracle.random_tree(args.n, args.seed)
-    for child, parent in tree.edges():
-        print(f"{child} {parent}")
+    from . import oracle
+
+    edges = oracle.random_tree(args.n, args.seed).edges()
+    if edges:
+        print("\n".join(f"{child} {parent}" for child, parent in edges))
     return 0
 
 
@@ -328,7 +352,7 @@ def _build_parser() -> argparse.ArgumentParser:
                              for name in ("locate", "radius", "eigen"))
     for p, fn in ((locate, _cmd_locate), (radius, _cmd_radius), (eigen, _cmd_eigen)):
         p.add_argument("--tree", required=True, help="edge-list file, one 'u v' per line")
-        p.add_argument("--matrix", choices=MatrixKind.ALL, required=True)
+        p.add_argument("--matrix", choices=_MATRIX_KINDS, required=True)
         p.add_argument("--root", type=int, default=None,
                        help="override the root vertex (default: file root line or n)")
         p.set_defaults(func=fn, formats=("json", "text"))

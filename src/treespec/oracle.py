@@ -10,10 +10,9 @@ are drawn uniformly by decoding a random Pruefer sequence.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from heapq import heappop, heappush, heapify
 from math import inf
-from typing import List, Tuple
+from typing import List, NamedTuple, Tuple
 
 from .errors import DomainError, SizeLimitError
 from .treediag import RootedTree, SymmetricTreeMatrix, build_tree
@@ -25,8 +24,7 @@ SIZE_LIMIT = 512
 DEFAULT_TOL = 1e-10
 
 
-@dataclass(frozen=True)
-class DenseSpectrum:
+class DenseSpectrum(NamedTuple):
     """All eigenvalues of a small symmetric matrix, ascending."""
 
     eigenvalues: Tuple[float, ...]

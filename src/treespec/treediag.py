@@ -30,7 +30,6 @@ from types import MappingProxyType
 from typing import Dict, Iterable, List, Mapping, NamedTuple, Optional, Sequence, Tuple, Union
 
 from .errors import BadIndexError, BadVertexError, DomainError, NotATreeError
-from .recurrence import chain_orbit
 
 Real = Union[int, float, Fraction]
 
@@ -162,10 +161,12 @@ class SymmetricTreeMatrix:
     diagonal, the edge weights and their squares (0 at the root), entries
     as given.  ``diag`` and ``edge_weight`` are read-only dict views built
     from those lists on each access.  ``_chains`` is the chain program of
-    the float sweeps, built by the first bisection (see ``_chain_program``).
+    the float sweeps (see ``_chain_program``) and ``_gershgorin`` the
+    interval of ``gershgorin()``; the first bisection stores both.
     """
 
-    __slots__ = ("tree", "kind", "is_rational", "_diag", "_w", "_w2", "_dmin", "_dmax", "_chains")
+    __slots__ = ("tree", "kind", "is_rational", "_diag", "_w", "_w2", "_dmin", "_dmax",
+                 "_chains", "_gershgorin")
 
     def __init__(
         self,
@@ -197,6 +198,7 @@ class SymmetricTreeMatrix:
         self._w = weight
         self._w2 = [w * w for w in weight]
         self._chains: Optional[List[Optional[tuple]]] = None
+        self._gershgorin: Optional[Tuple[float, float]] = None
         entries = diag[1:]
         self._dmin = min(entries)
         self._dmax = max(entries)
@@ -272,7 +274,7 @@ def build_matrix(tree: RootedTree, kind: str) -> SymmetricTreeMatrix:
 
 
 def _sweep(m: SymmetricTreeMatrix, alpha: Real, tol: Real, two: Real,
-           chains: Iterable[Optional[tuple]]) -> Tuple[List[Real], InertiaTriple]:
+           chains: Optional[Sequence[Optional[tuple]]]) -> Tuple[List[Real], InertiaTriple]:
     """One congruence sweep of M - alpha*I, bottom-up, and its inertia.
 
     alpha : the shift, float or Fraction; each vertex starts at m_vv - alpha.
@@ -280,7 +282,7 @@ def _sweep(m: SymmetricTreeMatrix, alpha: Real, tol: Real, two: Real,
     two   : the constant 2 in the arithmetic of the sweep: 2.0 for a float
             sweep, Fraction(2) for an exact one.
     chains: per postorder position, None or the chain of ``_chain_program``
-            whose bottom sits there; ``repeat(None)`` steps every vertex.
+            whose bottom sits there; None steps every vertex.
 
     Vertices are processed in postorder.  A vertex subtracts the sum of
     w_c^2/a_c over its children, added up in postorder.  A vertex with a
@@ -296,6 +298,10 @@ def _sweep(m: SymmetricTreeMatrix, alpha: Real, tol: Real, two: Real,
     Returns the values (index v, slot 0 spare) and the counts of final
     values below -tol, within [-tol, tol] and above tol.
     """
+    if chains is None:
+        chains = repeat(None)
+    else:  # only chains need recurrence: a command whose matrix has none does not load it
+        from .recurrence import chain_orbit
     d, w2 = m._diag, m._w2
     a = [two - two] * len(d)  # the child sum of v, until v's value replaces it
     zero_child: Dict[int, int] = {}
@@ -334,7 +340,7 @@ def _sweep(m: SymmetricTreeMatrix, alpha: Real, tol: Real, two: Real,
 
 
 def _chain_program(m: SymmetricTreeMatrix) -> List[Optional[tuple]]:
-    """The chains of M, at the postorder positions of their bottoms.
+    """The chains of M, at the postorder positions of their bottoms; [] if it has none.
 
     A chain is a run of L >= MIN_CHAIN vertices u_1 .. u_L above a bottom
     vertex b: u_1 has b as its only child and u_{i+1} has u_i, every u_i has
@@ -362,7 +368,7 @@ def _chain_program(m: SymmetricTreeMatrix) -> List[Optional[tuple]]:
             if end - 1 - bottom >= MIN_CHAIN:
                 top = order[end - 1]
                 chains[bottom] = (end - 1 - bottom, key[0], key[1], top, tree._parent[top])
-    return chains
+    return chains if any(chains) else []
 
 
 def _require_exact(m: SymmetricTreeMatrix, alpha: Real) -> Fraction:
@@ -431,7 +437,7 @@ def _shifted_sweep(m: SymmetricTreeMatrix, alpha: Real, exact: bool,
             raise DomainError(f"shift alpha must be finite, got {alpha!r}")
         scale = max(abs(m._dmax - alpha), abs(m._dmin - alpha))
         tol, two = SWEEP_ZERO_TOL * max(1.0, scale), 2.0
-    return _sweep(m, alpha, tol, two, repeat(None) if exact or chains is None else chains)
+    return _sweep(m, alpha, tol, two, None if exact or not chains else chains)
 
 
 def diagonalize(m: SymmetricTreeMatrix, alpha: Real, exact: bool = False) -> Dict[int, Real]:
@@ -476,7 +482,9 @@ def _bisect(m: SymmetricTreeMatrix, tol: float, predicate) -> float:
         raise DomainError(f"tol must be positive and finite, got {tol!r}")
     if m._chains is None:
         m._chains = _chain_program(m)
-    lo, hi = m.gershgorin()
+    if m._gershgorin is None:
+        m._gershgorin = m.gershgorin()
+    lo, hi = m._gershgorin
     for _ in range(MAX_BISECT):
         mid = 0.5 * (lo + hi)
         if hi - lo <= tol or mid == lo or mid == hi:  # mid == lo or hi: no float in between

@@ -339,22 +339,56 @@ def test_phases_below_float_resolution_exit_3(capsys):
     assert code == 0 and len(out.splitlines()) == 4
 
 
-def test_cli_start_up_does_not_import_numpy(tmp_path):
-    tree = tmp_path / "p4.txt"
-    tree.write_text("1 2\n2 3\n3 4\n")
+#: per subcommand: an argv and the treespec modules it loads besides the
+#: package, cli and errors; {p40} and {p4} are paths of 40 and 4 vertices,
+#: and only the first has a chain for recurrence's closed form
+#: (limit's arms have one from --n-max 17)
+FOOTPRINTS = {
+    "solve": (["solve", "--alpha", "1", "--gamma", "-0.25", "--x1", "0.36", "--count", "5"],
+              {"recurrence"}),
+    "plot-data": (["plot-data", "--alpha", "1", "--gamma", "2", "--x1", "1",
+                   "--from", "0", "--to", "3", "--step", "1"], {"recurrence"}),
+    "locate": (["locate", "--tree", "{p40}", "--matrix", "normalized", "--alpha", "0.5"],
+               {"treediag"}),
+    "radius": (["radius", "--tree", "{p40}", "--matrix", "laplacian"], {"treediag", "recurrence"}),
+    "eigen": (["eigen", "--tree", "{p4}", "--matrix", "adjacency", "--k", "3"], {"treediag"}),
+    "mlas": (["mlas", "--n", "19", "--direct"], {"signs", "treediag", "recurrence"}),
+    "broom": (["broom", "--r", "3", "--q", "4", "--p", "2", "--rr", "3"],
+              {"signs", "treediag", "recurrence"}),
+    "limit": (["limit", "--family", "adjacency", "--n-max", "17"],
+              {"limits", "treediag", "recurrence"}),
+    "random-tree": (["random-tree", "--n", "50", "--seed", "1"], {"oracle", "treediag"}),
+}
+
+
+@pytest.mark.parametrize("command", FOOTPRINTS)
+def test_each_subcommand_imports_only_its_modules(tmp_path, command):
+    for n in (4, 40):
+        (tmp_path / f"p{n}.txt").write_text("".join(f"{v} {v + 1}\n" for v in range(1, n)))
+    argv, modules = FOOTPRINTS[command]
+    argv = [token.format(p4=tmp_path / "p4.txt", p40=tmp_path / "p40.txt") for token in argv]
     script = "\n".join([
-        "import sys",
-        "import treespec.cli",
+        "import contextlib, io, json, sys",
         "from treespec.cli import run",
-        f"assert run(['locate', '--tree', {str(tree)!r}, '--matrix', 'normalized',"
-        " '--alpha', '0.5']) == 0",
-        f"assert run(['radius', '--tree', {str(tree)!r}, '--matrix', 'laplacian']) == 0",
-        "assert run(['random-tree', '--n', '50', '--seed', '1']) == 0",
-        "print('numpy loaded:', 'numpy' in sys.modules)",
+        "with contextlib.redirect_stdout(io.StringIO()):",
+        f"    code = run({argv!r})",
+        "print(json.dumps([code, sorted(m for m in sys.modules if m.startswith('treespec')),"
+        " 'numpy' in sys.modules]))",
     ])
     out = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
     assert out.returncode == 0, out.stderr
-    assert out.stdout.splitlines()[-1] == "numpy loaded: False"
+    code, loaded, numpy_loaded = json.loads(out.stdout)
+    assert code == 0
+    assert set(loaded) == {"treespec", "treespec.cli", "treespec.errors"} | {
+        f"treespec.{name}" for name in modules}
+    assert not numpy_loaded
+
+
+def test_matrix_choices_are_the_matrix_kinds():
+    from treespec.cli import _MATRIX_KINDS
+    from treespec.treediag import MatrixKind
+
+    assert _MATRIX_KINDS == MatrixKind.ALL
 
 
 #: nine-vertex caterpillar rooted at an inner vertex
@@ -487,12 +521,12 @@ def test_closed_stdout_exits_1_without_traceback():
         os.close(write_end)
     assert (out.returncode, out.stderr) == (1, b"")
     # stdout closed after the first line, mid-way through ~0.5 MB of edges
-    proc = subprocess.Popen(cli + ["random-tree", "--n", "50000", "--seed", "1"],
-                            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
-    first = proc.stdout.readline()
-    proc.stdout.close()
-    err = proc.stderr.read()
-    assert (proc.wait(), err) == (1, b"")
+    with subprocess.Popen(cli + ["random-tree", "--n", "50000", "--seed", "1"],
+                          stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:
+        first = proc.stdout.readline()
+        proc.stdout.close()
+        err = proc.stderr.read()
+        assert (proc.wait(), err) == (1, b"")
     assert first.split() and len(first.split()) == 2
 
 

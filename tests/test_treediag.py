@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import eigh_tridiagonal
 
-from treespec import treediag
+from treespec import recurrence, treediag
 from treespec.errors import BadIndexError, BadVertexError, DomainError, NotATreeError
 from treespec.limits import StarlikeSpec, t_lmn
 from treespec.oracle import dense_spectrum, random_tree
@@ -394,6 +394,26 @@ def test_kth_eigenvalue_ordering():
         assert a <= b + 2 * tol
 
 
+def test_bisection_computes_the_gershgorin_interval_once(monkeypatch):
+    real = SymmetricTreeMatrix.gershgorin
+    calls = []
+
+    def counted(m):
+        calls.append(m)
+        return real(m)
+
+    monkeypatch.setattr(SymmetricTreeMatrix, "gershgorin", counted)
+    tree = random_tree(40, seed=3)
+    for kind in MatrixKind.ALL:
+        m = build_matrix(tree, kind)
+        first = kth_eigenvalue(m, 5)
+        assert [x.hex() for x in m._gershgorin] == [x.hex() for x in real(m)]
+        assert kth_eigenvalue(m, 5) == first
+        spectral_radius(m)
+        assert calls == [m], kind
+        calls.clear()
+
+
 # ---------------------------------------------------------------------------
 # chains swept in closed form
 
@@ -405,20 +425,20 @@ def chain_calls(min_chain=None):
     ``min_chain`` replaces treediag.MIN_CHAIN while the block runs.
     """
     calls = []
-    real, saved = treediag.chain_orbit, treediag.MIN_CHAIN
+    real, saved = recurrence.chain_orbit, treediag.MIN_CHAIN
 
     def recorded(*args):
         orbit = real(*args)
         calls.append(orbit is not None)
         return orbit
 
-    treediag.chain_orbit = recorded
+    recurrence.chain_orbit = recorded
     if min_chain is not None:
         treediag.MIN_CHAIN = min_chain
     try:
         yield calls
     finally:
-        treediag.chain_orbit, treediag.MIN_CHAIN = real, saved
+        recurrence.chain_orbit, treediag.MIN_CHAIN = real, saved
 
 
 def with_chains(m):
