@@ -21,11 +21,12 @@ with the closed form of ``recurrence.chain_orbit``.
 
 from __future__ import annotations
 
+import gc
 import re
 from fractions import Fraction
-from itertools import groupby, islice, repeat
+from itertools import groupby
 from math import inf, isfinite, sqrt
-from operator import add, sub
+from operator import add, eq, itemgetter, sub
 from types import MappingProxyType
 from typing import Dict, Iterable, List, Mapping, NamedTuple, Optional, Sequence, Tuple, Union
 
@@ -66,7 +67,7 @@ class RootedTree:
         self._degree[0] = 0
         self._degree[root] -= 1
         self._postorder = tuple(postorder)
-        self._postorder_parent = [parent[v] for v in postorder]
+        self._postorder_parent = tuple(map(parent.__getitem__, postorder))
 
     @property
     def postorder(self) -> Tuple[int, ...]:
@@ -96,23 +97,41 @@ def build_tree(edges: Iterable[Tuple[int, int]], root: int) -> RootedTree:
     children are visited in ascending order, which fixes the postorder.
     """
     edge_list = list(edges)
-    for e in edge_list:
+    if set(map(len, edge_list)) - {2}:
+        _check_edges(edge_list)
+    return _orient(list(map(itemgetter(0), edge_list)), list(map(itemgetter(1), edge_list)), root)
+
+
+def _check_edges(edges: Iterable[Tuple[int, int]]) -> None:
+    """Raise the error of the first malformed edge, bad vertex id or self-loop."""
+    for e in edges:
         if len(e) != 2:
             raise NotATreeError(f"malformed edge {e!r}")
         u, v = e
-        if type(u) is not int or type(v) is not int or u < 1 or v < 1:
-            for w in (u, v):
-                if not isinstance(w, int) or isinstance(w, bool) or w < 1:
-                    raise BadVertexError(f"vertex id must be a positive integer, got {w!r}")
+        for w in (u, v):
+            if not isinstance(w, int) or isinstance(w, bool) or w < 1:
+                raise BadVertexError(f"vertex id must be a positive integer, got {w!r}")
         if u == v:
             raise NotATreeError(f"self-loop at vertex {u}")
-    n = max(map(max, edge_list), default=1)
+
+
+def _orient(us: List[int], vs: List[int], root: int) -> RootedTree:
+    """``build_tree`` of the edges (us[i], vs[i]); ``_check_edges`` runs only to name a bad one."""
+    ids = us + vs
+    if set(map(type, ids)) - {int} or min(ids, default=1) < 1 or any(map(eq, us, vs)):
+        _check_edges(zip(us, vs))
+    n = max(ids, default=1)
+    del ids  # 2n references that the walk does not need
     if not isinstance(root, int) or isinstance(root, bool) or not (1 <= root <= n):
         raise BadVertexError(f"root {root!r} outside 1..{n}")
-    if len(edge_list) != n - 1:
-        raise NotATreeError(f"a tree on {n} vertices needs {n - 1} edges, got {len(edge_list)}")
+    if len(us) != n - 1:
+        raise NotATreeError(f"a tree on {n} vertices needs {n - 1} edges, got {len(us)}")
+    enabled = gc.isenabled()
+    gc.disable()  # n + 1 new lists would set off full collections that find no garbage
     children: List[List[int]] = [[] for _ in range(n + 1)]
-    for u, v in edge_list:
+    if enabled:
+        gc.enable()
+    for u, v in zip(us, vs):
         children[u].append(v)
         children[v].append(u)
     # preorder by a stack that pops the largest child first; its reverse is
@@ -197,7 +216,7 @@ class SymmetricTreeMatrix:
         self._diag = diag
         self._w = weight
         self._w2 = [w * w for w in weight]
-        self._chains: Optional[List[Optional[tuple]]] = None
+        self._chains: Optional[List[tuple]] = None
         self._gershgorin: Optional[Tuple[float, float]] = None
         entries = diag[1:]
         self._dmin = min(entries)
@@ -274,15 +293,15 @@ def build_matrix(tree: RootedTree, kind: str) -> SymmetricTreeMatrix:
 
 
 def _sweep(m: SymmetricTreeMatrix, alpha: Real, tol: Real, two: Real,
-           chains: Optional[Sequence[Optional[tuple]]]) -> Tuple[List[Real], InertiaTriple]:
+           chains: Optional[Sequence[tuple]]) -> Tuple[List[Real], InertiaTriple]:
     """One congruence sweep of M - alpha*I, bottom-up, and its inertia.
 
     alpha : the shift, float or Fraction; each vertex starts at m_vv - alpha.
     tol   : values with -tol <= a <= tol count as zero; 0 makes the test exact.
     two   : the constant 2 in the arithmetic of the sweep: 2.0 for a float
             sweep, Fraction(2) for an exact one.
-    chains: per postorder position, None or the chain of ``_chain_program``
-            whose bottom sits there; None steps every vertex.
+    chains: the segment program of ``_chain_program``; None or [] steps
+            every vertex.
 
     Vertices are processed in postorder.  A vertex subtracts the sum of
     w_c^2/a_c over its children, added up in postorder.  A vertex with a
@@ -290,57 +309,60 @@ def _sweep(m: SymmetricTreeMatrix, alpha: Real, tol: Real, two: Real,
     and the vertex's own parent edge is cut (it contributes nothing upward).
     Ties between several zero children go to the smallest vertex index.
     The root's parent is the spare slot 0, which takes its unused term.
-    Above a nonzero chain bottom, ``recurrence.chain_orbit`` gives the
-    chain's top value and the signs below it at once; the other chain
-    vertices are skipped and keep no value, only their count.  When the
-    closed form is in doubt the chain is stepped like any other vertices.
+    Above a chain bottom that is nonzero and took no zero-child branch,
+    ``recurrence.chain_orbit`` gives the chain's top value and the signs
+    below it at once; the next segment, the chain's vertices, is skipped,
+    and they keep no value, only their count.  Otherwise, and when the
+    closed form is in doubt, that segment is stepped like any other.
 
     Returns the values (index v, slot 0 spare) and the counts of final
     values below -tol, within [-tol, tol] and above tol.
     """
-    if chains is None:
-        chains = repeat(None)
-    else:  # only chains need recurrence: a command whose matrix has none does not load it
+    order, parents = m.tree._postorder, m.tree._postorder_parent
+    if chains:  # only chains need recurrence: a command whose matrix has none does not load it
         from .recurrence import chain_orbit
     d, w2 = m._diag, m._w2
     a = [two - two] * len(d)  # the child sum of v, until v's value replaces it
     zero_child: Dict[int, int] = {}
     lo = -tol
     below = zeros = 0
-    program = zip(m.tree._postorder, m.tree._postorder_parent, chains)
-    for v, p, chain in program:
-        if v in zero_child:
-            zc = zero_child[v]
-            a[zc] = two
-            x = a[v] = -w2[zc] / two
-            zeros -= two > tol
+    segments = iter(chains or [(0, len(order), None)])
+    for start, stop, chain in segments:
+        for v, p in zip(order[start:stop], parents[start:stop]):
+            if v in zero_child:
+                zc = zero_child[v]
+                a[zc] = two
+                x = a[v] = -w2[zc] / two
+                zeros -= two > tol
+                if x < lo:
+                    below += 1
+                else:
+                    zeros += 1
+                continue
+            x = a[v] = d[v] - alpha - a[v]
+            if lo <= x <= tol:
+                zeros += 1
+                if p not in zero_child or v < zero_child[p]:
+                    zero_child[p] = v
+                continue
             if x < lo:
                 below += 1
-            else:
-                zeros += 1
+            a[p] += w2[v] / x
+        bottom = order[stop - 1]
+        if chain is None or bottom in zero_child or lo <= a[bottom] <= tol:
             continue
-        x = a[v] = d[v] - alpha - a[v]
-        if lo <= x <= tol:
-            zeros += 1
-            if p not in zero_child or v < zero_child[p]:
-                zero_child[p] = v
-            continue
-        if chain is not None:
-            length, cd, s, top, top_parent = chain
-            orbit = chain_orbit(cd - alpha, s, x, length, tol)
-            if orbit is not None:
-                next(islice(program, length, length), None)  # skip the chain's vertices
-                below += (x < lo) + orbit[1]
-                x = a[top] = orbit[0]
-                v, p = top, top_parent
-        if x < lo:
-            below += 1
-        a[p] += w2[v] / x
+        length, cd, s, top, top_parent = chain
+        orbit = chain_orbit(cd - alpha, s, a[bottom], length, tol)
+        if orbit is not None:
+            next(segments)  # the chain's vertices
+            x = a[top] = orbit[0]
+            below += orbit[1] + (x < lo)
+            a[top_parent] += w2[top] / x
     return a, InertiaTriple(below, zeros, len(d) - 1 - below - zeros)
 
 
-def _chain_program(m: SymmetricTreeMatrix) -> List[Optional[tuple]]:
-    """The chains of M, at the postorder positions of their bottoms; [] if it has none.
+def _chain_program(m: SymmetricTreeMatrix) -> List[tuple]:
+    """The chains of M as a program of postorder segments; [] if it has none.
 
     A chain is a run of L >= MIN_CHAIN vertices u_1 .. u_L above a bottom
     vertex b: u_1 has b as its only child and u_{i+1} has u_i, every u_i has
@@ -351,24 +373,31 @@ def _chain_program(m: SymmetricTreeMatrix) -> List[Optional[tuple]]:
     a stretch of one-child vertices with equal keys (d_v, w_c^2 of v's
     child c).  A bottom is never a chain vertex: where the key changes
     inside a stretch, the vertex there is stepped and becomes a bottom.
+    The segments (start, stop, chain) cover postorder in order; one that
+    ends at a bottom carries the chain's entry, the next holds its vertices.
     """
     tree = m.tree
     order, deg, d, w2 = tree._postorder, tree._degree, m._diag, m._w2
     # one child: degree 2, or 1 at the root; the first vertex is a leaf
     one_child = bytearray(deg[v] == 2 for v in order)
     one_child[-1] = deg[tree.root] == 1
-    chains: List[Optional[tuple]] = [None] * len(order)
+    segments: List[tuple] = []
+    start = 0
     for stretch in re.finditer(b"\x01{%d,}" % MIN_CHAIN, one_child):
-        start, stop = stretch.span()
-        keys = [(d[v], w2[c]) for c, v in zip(order[start - 1:stop - 1], order[start:stop])]
-        end = start
-        for key, run in groupby(keys):
-            bottom = end - 1 if end == start else end
-            end += len(list(run))
+        first, stop = stretch.span()
+        keys = zip(map(d.__getitem__, order[first:stop]), map(w2.__getitem__, order[first - 1:stop - 1]))
+        end = first
+        for key, run in groupby(keys):  # lazily: a path's one stretch would hold n key tuples
+            bottom = end - 1 if end == first else end
+            end += sum(1 for _ in run)
             if end - 1 - bottom >= MIN_CHAIN:
                 top = order[end - 1]
-                chains[bottom] = (end - 1 - bottom, key[0], key[1], top, tree._parent[top])
-    return chains if any(chains) else []
+                segments += [(start, bottom + 1, (end - 1 - bottom, key[0], key[1], top, tree._parent[top])),
+                             (bottom + 1, end, None)]
+                start = end
+    if segments and start < len(order):
+        segments.append((start, len(order), None))
+    return segments
 
 
 def _require_exact(m: SymmetricTreeMatrix, alpha: Real) -> Fraction:
@@ -419,7 +448,7 @@ def _certified_sweep(m: SymmetricTreeMatrix, alpha: Fraction) -> Optional[Tuple[
 
 
 def _shifted_sweep(m: SymmetricTreeMatrix, alpha: Real, exact: bool,
-                   chains: Optional[Sequence[Optional[tuple]]] = None) -> Tuple[List[Real], InertiaTriple]:
+                   chains: Optional[Sequence[tuple]] = None) -> Tuple[List[Real], InertiaTriple]:
     """``_sweep`` of M - alpha*I with the zero threshold of its arithmetic.
 
     The float threshold is SWEEP_ZERO_TOL times max(1, max_v |m_vv - alpha|);
@@ -437,7 +466,7 @@ def _shifted_sweep(m: SymmetricTreeMatrix, alpha: Real, exact: bool,
             raise DomainError(f"shift alpha must be finite, got {alpha!r}")
         scale = max(abs(m._dmax - alpha), abs(m._dmin - alpha))
         tol, two = SWEEP_ZERO_TOL * max(1.0, scale), 2.0
-    return _sweep(m, alpha, tol, two, None if exact or not chains else chains)
+    return _sweep(m, alpha, tol, two, None if exact else chains)
 
 
 def diagonalize(m: SymmetricTreeMatrix, alpha: Real, exact: bool = False) -> Dict[int, Real]:
@@ -508,14 +537,49 @@ def kth_eigenvalue(m: SymmetricTreeMatrix, k: int, tol: float = 1e-10) -> float:
     return _bisect(m, tol, lambda mid: locate(m, mid).below >= k)
 
 
+#: "u v" lines, the last one without a newline, and a leading "root k" line, with ids
+#: of 1 to 18 ASCII digits, which int() cannot refuse; compiled on first use (``re``
+#: caches them), so commands that read no tree file do not pay for it
+_EDGE_LINES = (r"(?:[ \t]*[0-9]{1,18}[ \t]+[0-9]{1,18}[ \t]*\r?\n)*"
+               r"(?:[ \t]*[0-9]{1,18}[ \t]+[0-9]{1,18}[ \t]*)?")
+_ROOT_LINE = r"[ \t]*[Rr][Oo][Oo][Tt][ \t]+([0-9]{1,18})[ \t]*\r?\n"
+PARSE_BLOCK = 1 << 16  # characters per block of the block parse, extended to a newline
+
+
 def parse_tree_file(text: str, root: Optional[int] = None) -> RootedTree:
     """Tree from the text format: one "u v" edge per line, optional "root k".
 
     Blank lines and lines starting with "#" are ignored.  An explicit
     ``root`` argument wins over a root line; with neither, the root is the
-    largest vertex id.
+    largest vertex id.  A usual file, "u v" lines after an optional leading
+    root line, is read in blocks that end at a newline, each checked with
+    one ``fullmatch`` (the regex engine's memory grows with the lines it
+    matches at once) and split into ints.  Other text, and any id 0, goes
+    to ``_read_lines``, whose errors name a line.
     """
-    edges: List[Tuple[int, int]] = []
+    head, edge_lines = re.match(_ROOT_LINE, text), re.compile(_EDGE_LINES)
+    file_root, pos = (int(head[1]), head.end()) if head else (None, 0)
+    us, vs = [], []
+    while pos < len(text):
+        end = text.find("\n", pos + PARSE_BLOCK) + 1 or len(text)
+        if not edge_lines.fullmatch(text, pos, end):
+            break
+        ints = list(map(int, text[pos:end].split()))
+        us += ints[0::2]
+        vs += ints[1::2]
+        pos = end
+    if pos < len(text) or file_root == 0 or 0 in us or 0 in vs:
+        us, vs, file_root = _read_lines(text)
+    if not us and file_root is None and root is None:
+        raise NotATreeError("empty tree file")
+    if root is None:
+        root = file_root if file_root is not None else max(max(us, default=1), max(vs, default=1))
+    return _orient(us, vs, root)
+
+
+def _read_lines(text: str) -> Tuple[List[int], List[int], Optional[int]]:
+    """(us, vs, root line's k or None), line by line; errors name their line."""
+    us, vs = [], []
     file_root: Optional[int] = None
     for ln, raw in enumerate(text.splitlines(), start=1):
         parts = raw.split("#", 1)[0].split()
@@ -529,17 +593,16 @@ def parse_tree_file(text: str, root: Optional[int] = None) -> RootedTree:
             if parts[0].lower() == "root":
                 if len(parts) != 2:
                     raise NotATreeError(f"line {ln}: expected 'root k'")
+                if file_root is not None:
+                    raise NotATreeError(f"line {ln}: a second 'root' line")
                 file_root = _parse_vertex(parts[1], ln)
                 continue
             if len(parts) != 2:
                 raise NotATreeError(f"line {ln}: expected 'u v', got {raw!r}")
             u, v = _parse_vertex(parts[0], ln), _parse_vertex(parts[1], ln)
-        edges.append((u, v))
-    if not edges and file_root is None and root is None:
-        raise NotATreeError("empty tree file")
-    if root is None:
-        root = file_root if file_root is not None else max(map(max, edges), default=1)
-    return build_tree(edges, root)
+        us.append(u)
+        vs.append(v)
+    return us, vs, file_root
 
 
 def _parse_vertex(token: str, ln: int) -> int:

@@ -2,17 +2,19 @@
 
 import math
 import random
+import re
 from contextlib import contextmanager
 from fractions import Fraction
+from itertools import accumulate
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.linalg import eigh_tridiagonal
 
 from treespec import recurrence, treediag
-from treespec.errors import BadIndexError, BadVertexError, DomainError, NotATreeError
+from treespec.errors import BadIndexError, BadVertexError, DomainError, NotATreeError, TreespecError
 from treespec.limits import StarlikeSpec, t_lmn
 from treespec.oracle import dense_spectrum, random_tree
 from treespec.treediag import (
@@ -88,6 +90,34 @@ def test_build_tree_error_classes():
         assert text in str(info.value), (edges, root)
     with pytest.raises(NotATreeError, match="duplicate edge"):
         build_tree([(4, 3), (3, 5), (2, 3), (3, 2)], root=5)
+
+
+@pytest.mark.parametrize("edges, root, exc, message", [
+    ([(1, 2, 3)], 1, NotATreeError, "malformed edge (1, 2, 3)"),
+    ([(1, 2), (2, 3, 4)], 1, NotATreeError, "malformed edge (2, 3, 4)"),
+    ([(1,)], 1, NotATreeError, "malformed edge (1,)"),
+    ([(1, True)], 1, BadVertexError, "vertex id must be a positive integer, got True"),
+    ([(1, 2), (1.0, 3)], 1, BadVertexError, "vertex id must be a positive integer, got 1.0"),
+    ([(0, 1)], 1, BadVertexError, "vertex id must be a positive integer, got 0"),
+    ([(1, -1)], 1, BadVertexError, "vertex id must be a positive integer, got -1"),
+    ([(1, 2), (2, "3")], 1, BadVertexError, "vertex id must be a positive integer, got '3'"),
+    ([(2, 2)], 1, NotATreeError, "self-loop at vertex 2"),
+    ([(1, 2), (2, 1), (3, 4)], 1, NotATreeError, "duplicate edge (1, 2)"),
+    ([(1, 2), (2, 1), (3, 4)], 4, NotATreeError, "edge list is disconnected"),
+    ([(1, 2), (2, 3), (1, 3)], 1, NotATreeError, "a tree on 3 vertices needs 2 edges, got 3"),
+    ([(1, 2), (3, 4)], 1, NotATreeError, "a tree on 4 vertices needs 3 edges, got 2"),
+    # the first bad edge names the error, whatever its kind
+    ([(1, 2), (3, 3), (0, 4)], 1, NotATreeError, "self-loop at vertex 3"),
+    ([(0, 2), (1, 2, 3)], 1, BadVertexError, "vertex id must be a positive integer, got 0"),
+    ([(5, 5), (1, 2, 3)], 1, NotATreeError, "self-loop at vertex 5"),
+    ([(True, 0)], 1, BadVertexError, "vertex id must be a positive integer, got True"),
+    ([], 2, BadVertexError, "root 2 outside 1..1"),
+    ([(1, 2)], 2.0, BadVertexError, "root 2.0 outside 1..2"),
+])
+def test_build_tree_first_error_messages(edges, root, exc, message):
+    with pytest.raises(exc) as info:
+        build_tree(edges, root=root)
+    assert type(info.value) is exc and str(info.value) == message
 
 
 def _shape_edges(shape, n, rng):
@@ -479,6 +509,9 @@ def chain_heavy_edges(shape, a, b):
 @given(st.sampled_from(("path", "spider", "broom", "caterpillar")), st.integers(1, 40),
        st.integers(1, 40), st.integers(0, 10**6), st.sampled_from((MatrixKind.ADJACENCY, MatrixKind.LAPLACIAN)),
        st.fractions(-3, 6, max_denominator=200), st.sampled_from((1, 2, treediag.MIN_CHAIN)))
+# rooted at 3, the centre 5 takes the zero-child branch at alpha = 0 and is
+# the bottom of the chain 5 -> 3: that chain must be stepped, not contracted
+@example("spider", 1, 1, 2, MatrixKind.ADJACENCY, Fraction(0), 1)
 def test_contracted_counts_equal_the_fraction_sweep(shape, a, b, root, kind, alpha, min_chain):
     edges = chain_heavy_edges(shape, a, b)
     tree = build_tree(edges, root=1 + root % (len(edges) + 1))
@@ -492,16 +525,17 @@ def test_chain_program_finds_the_runs():
     n = 40
     path = build_tree([(v, v + 1) for v in range(1, n)], root=1)
     # adjacency: leaf n is the bottom, n - 1 .. 1 the chain; Laplacian: the
-    # root's diagonal 1 ends the run of diagonal-2 vertices one step earlier
-    for kind, want in ((MatrixKind.ADJACENCY, (n - 1, 0, 1, 1, 0)),
-                       (MatrixKind.LAPLACIAN, (n - 2, 2, 1, 2, 1))):
-        chains = _chain_program(build_matrix(path, kind))
-        assert chains[0] == want and chains[1:] == [None] * (n - 1)
+    # root's diagonal 1 ends the run of diagonal-2 vertices one step earlier;
+    # the segment after a chain's entry holds the chain's vertices
+    assert _chain_program(build_matrix(path, MatrixKind.ADJACENCY)) == [
+        (0, 1, (n - 1, 0, 1, 1, 0)), (1, n, None)]
+    assert _chain_program(build_matrix(path, MatrixKind.LAPLACIAN)) == [
+        (0, 1, (n - 2, 2, 1, 2, 1)), (1, n - 1, None), (n - 1, n, None)]
     for tree in (random_tree(60, seed=2), build_tree([(1, v) for v in range(2, 60)], root=1)):
         assert not any(_chain_program(build_matrix(tree, MatrixKind.ADJACENCY)))
     # spider rooted at its centre: one chain per long leg, none for the short one
     m = build_matrix(t_lmn(StarlikeSpec(2, 30, 45)), MatrixKind.LAPLACIAN)
-    assert sorted(c[0] for c in _chain_program(m) if c) == [29, 44]
+    assert sorted(chain[0] for _, _, chain in _chain_program(m) if chain) == [29, 44]
 
 
 def test_bisection_contracts_and_keeps_its_results():
@@ -630,3 +664,107 @@ def test_parse_tree_file_root_line_and_comments():
     t = parse_tree_file("  ROOT 2 # the middle\n1 2#a\n\n# only a comment\n\t3   2 \n")
     assert (t.n, t.root, t.postorder) == (3, 2, (1, 3, 2))
     assert parse_tree_file("", root=1).n == 1
+
+
+def test_a_second_root_line_is_an_error():
+    for text, ln in (("1 2\n2 3\nroot 2\nroot 3\n", 4), ("root 2\n1 2\n2 3\n# c\nROOT 2\n", 5)):
+        with pytest.raises(NotATreeError) as info:
+            parse_tree_file(text)
+        assert str(info.value) == f"line {ln}: a second 'root' line"
+    with pytest.raises(NotATreeError, match="line 2: a second 'root' line"):
+        parse_tree_file("root 1\nroot 1\n1 2\n", root=2)
+
+
+@contextmanager
+def line_walker_only():
+    """parse_tree_file with every text sent to the line walker."""
+    saved = treediag._EDGE_LINES, treediag._ROOT_LINE
+    treediag._EDGE_LINES = treediag._ROOT_LINE = re.compile(r"(?!)")
+    try:
+        yield
+    finally:
+        treediag._EDGE_LINES, treediag._ROOT_LINE = saved
+
+
+def parse_outcome(text, root=None):
+    """(root, parent list, postorder) of the parsed tree, or the error's type and message."""
+    try:
+        tree = parse_tree_file(text, root=root)
+    except TreespecError as exc:
+        return type(exc), str(exc)
+    return tree.root, tree._parent, tree.postorder
+
+
+def assert_parses_as_the_line_walker(text, root=None):
+    got = parse_outcome(text, root)
+    with line_walker_only():
+        assert got == parse_outcome(text, root), text[:200]
+
+
+def edge_lines(n, seed, rng):
+    """Canonical "u v" lines of a seeded tree, in shuffled order and orientation."""
+    lines = [f"{u} {v}" if rng.random() < 0.5 else f"{v} {u}" for u, v in random_tree(n, seed=seed).edges()]
+    rng.shuffle(lines)
+    return lines
+
+
+PERTURBATIONS = ("crlf", "tab", "blank", "comment", "root", "zeros", "arabic", "three", "zero",
+                 "negative", "self-loop", "duplicate", "disconnect", "long")
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 30), st.integers(0, 10**6), st.randoms(use_true_random=False),
+       st.sampled_from(("", "root", "ROOT", "Root")), st.lists(st.sampled_from(PERTURBATIONS), max_size=3),
+       st.one_of(st.none(), st.integers(1, 31)))
+def test_both_parse_paths_agree(n, seed, rng, head, perturbations, root):
+    lines = edge_lines(n, seed, rng)
+    if head:
+        lines.insert(0, f"{head} {rng.randint(1, n)}")
+    for kind in perturbations:
+        i = rng.randrange(len(lines) + 1)
+        if kind == "blank":
+            lines.insert(i, rng.choice(("", "  ", "\t")))
+        elif kind == "comment":
+            lines.insert(i, rng.choice(("# a comment", "1 2 # an edge")))
+        elif kind == "root":
+            lines.insert(i, f"{rng.choice(('root', 'ROOT', 'rOoT'))} {rng.randint(0, n)}")
+        elif kind == "three":
+            lines.insert(i, "1 2 3")
+        elif kind == "self-loop":
+            lines.insert(i, f"{n} {n}")
+        elif kind == "duplicate" and len(lines) > 1:
+            lines.insert(i, lines[rng.randrange(len(lines))])
+        elif kind == "disconnect" and n > 3:  # n - 1 edges, one of them repeated
+            lines[rng.randrange(len(lines))] = lines[rng.randrange(len(lines))]
+        elif kind == "long":
+            lines.insert(i, f"{n + 1} {10 ** 19}")
+        elif lines:
+            j = rng.randrange(len(lines))
+            u, _, rest = lines[j].partition(" ")
+            lines[j] = {"tab": f"{u}\t {rest}", "zeros": f"00{u} {rest}", "arabic": f"{u} {rest}٣",
+                        "zero": f"0 {rest}", "negative": f"{u} -{rest}"}.get(kind, lines[j])
+    text = "\n".join(lines) + rng.choice(("\n", ""))
+    if "crlf" in perturbations:
+        text = text.replace("\n", "\r\n")
+    assert_parses_as_the_line_walker(text, root)
+
+
+def test_usual_files_skip_the_line_walker(monkeypatch):
+    texts = ["1 2\n2 3\n", "root 2\r\n1 2\r\n 2\t3 \r\n3 4", "RooT 004\n004 0003\n1 3\n2 3\n", "",
+             "\n".join(["root 9"] + edge_lines(60_000, 5, random.Random(4))) + "\n"]
+    assert len(texts[-1]) > 10 * treediag.PARSE_BLOCK
+    with line_walker_only():
+        want = [parse_outcome(text) for text in texts]
+    monkeypatch.setattr(treediag, "_read_lines", lambda text: pytest.fail("line walker called"))
+    assert [parse_outcome(text) for text in texts] == want
+
+
+def test_a_bad_line_in_a_later_block_names_its_line():
+    lines = edge_lines(100_000, 6, random.Random(6))
+    assert len("\n".join(lines)) > 2**20
+    ends = accumulate(len(line) + 1 for line in lines)
+    k = next(i for i, end in enumerate(ends) if end > 1.5 * treediag.PARSE_BLOCK)  # in the second block
+    text = "\n".join(lines[:k] + ["7 x"] + lines[k:]) + "\n"
+    assert parse_outcome(text) == (BadVertexError, f"line {k + 1}: bad vertex id 'x'")
+    assert_parses_as_the_line_walker(text)
+    assert_parses_as_the_line_walker("\n".join(lines))
