@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import sys
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -179,8 +180,24 @@ def fixed_points(params: RecurrenceParams) -> List[float]:
         return [alpha / 2.0]
     if cls.kind is SolutionKind.TYPE3:
         return []
-    sq = math.sqrt(float(cls.delta))
-    return [(alpha - sq) / 2.0, (alpha + sq) / 2.0]
+    return sorted(_real_roots(params, cls.delta))
+
+
+def _real_roots(params: RecurrenceParams, delta: Real) -> Tuple[float, float]:
+    """The two real fixed points, as floats, when delta > 0; the larger first.
+
+    The root of larger magnitude adds alpha and sqrt(delta) of one sign; the
+    other is the product -gamma over it, so neither cancels (Higham,
+    *Accuracy and Stability of Numerical Algorithms*, 2nd ed., section 1.8).
+    An overflowed sqrt(delta) gives (inf, -inf).
+    """
+    alpha = float(params.alpha)
+    sq = math.sqrt(float(delta))
+    if math.isinf(sq):
+        return math.inf, -math.inf
+    big = alpha / 2.0 + math.copysign(sq, alpha) / 2.0
+    other = -float(params.gamma) / big if big else 0.0  # an exact delta below the float range
+    return (big, other) if big > other else (other, big)
 
 
 def forbidden_initials(params: RecurrenceParams, count: int) -> List[Real]:
@@ -316,7 +333,8 @@ class Type2Solution(ClosedFormSolution):
 
     theta, theta_prime are the fixed points (theta the larger), and
     q = theta/theta_prime.  The continuous extension exists only for q > 0;
-    for q < 0 only integer j are meaningful.
+    for q < 0 only integer j are meaningful.  eval and zeros_and_poles raise
+    DomainError when theta, theta' or beta overflowed, or beta underflowed.
     """
 
     variant: ClassVar[str] = "type2"
@@ -328,28 +346,46 @@ class Type2Solution(ClosedFormSolution):
     def base(self) -> float:
         return self.theta / self.theta_prime
 
+    @property
+    def _log_base(self) -> float:
+        """log|q|; from the roots' logarithms when q is not a normal float (where |log q| > 708)."""
+        q = abs(self.base)
+        normal = sys.float_info.min <= q <= sys.float_info.max
+        return math.log(q) if normal else math.log(abs(self.theta)) - math.log(abs(self.theta_prime))
+
+    def _require_normal(self) -> None:
+        """DomainError when solve overflowed theta, theta' or beta, or left beta without 53 bits."""
+        if not all(map(math.isfinite, (self.theta, self.theta_prime, self.beta))):
+            raise DomainError(f"{self!r} is not finite: a float overflowed")
+        if abs(self.beta) < sys.float_info.min:
+            raise DomainError(f"{self!r}: beta underflowed below the normal float range")
+
     def _den(self, j: float) -> float:
-        q = self.base
-        try:
-            if q > 0.0:
-                return self.beta * math.exp(j * math.log(q)) + 1.0
+        """beta*q^j + 1; from logarithms once q or q^j leaves the float range."""
+        q, sign = self.base, math.copysign(1.0, self.beta)
+        if q < 0.0:
             jr = round(j)
             if abs(j - jr) > POLE_TOL:
-                raise NoContinuousExtensionError(
-                    "theta/theta' < 0: solution defined only at integer j"
-                )
-            return self.beta * q ** int(jr) + 1.0
+                raise NoContinuousExtensionError("theta/theta' < 0: solution defined only at integer j")
+            j, sign = jr, -sign if jr % 2 else sign
+        if sys.float_info.min <= abs(q) <= sys.float_info.max:
+            try:
+                return self.beta * (math.exp(j * math.log(q)) if q > 0.0 else q ** j) + 1.0
+            except OverflowError:
+                pass
+        try:
+            return sign * math.exp(math.log(abs(self.beta)) + j * self._log_base) + 1.0
         except OverflowError:
-            return math.inf if self.beta > 0 else -math.inf
+            return sign * math.inf
 
     def eval(self, j: float) -> Union[float, Pole]:
-        q = self.base
-        if q > 0.0 and self.beta < 0.0:
-            pole_j = math.log(-1.0 / self.beta) / math.log(q)
+        self._require_normal()
+        if self.base > 0.0 and self.beta < 0.0:
+            pole_j = math.log(-1.0 / self.beta) / self._log_base
             if abs(j - pole_j) <= POLE_TOL:
                 return POLE
         den = self._den(j)
-        if math.isnan(den):  # only an overflowed theta, theta' or beta gives nan
+        if math.isnan(den):  # a nan j
             raise DomainError(f"closed form is not finite at j = {j!r}: a float overflowed")
         if den == 0.0:
             return POLE
@@ -534,22 +570,6 @@ def _normalize_half_pi(omega: float) -> float:
     return omega
 
 
-def _orbit_matches(params: RecurrenceParams, x1: float, sol: ClosedFormSolution) -> float:
-    """Max deviation between sol.eval and the first three iterates."""
-    orbit = iterate(params, x1, 3)
-    worst = 0.0
-    for j, ref in enumerate(orbit.values, start=1):
-        try:
-            got = sol.eval(float(j))
-        except DomainError:  # the closed form overflowed: it fits nothing
-            return math.inf
-        if isinstance(got, Pole):
-            worst = math.inf
-            break
-        worst = max(worst, abs(got - float(ref)) / max(1.0, abs(float(ref))))
-    return worst
-
-
 def solve(params: RecurrenceParams, x1: Real) -> ClosedFormSolution:
     """Closed form of the orbit starting at x1, per the discriminant class.
 
@@ -570,28 +590,13 @@ def solve(params: RecurrenceParams, x1: Real) -> ClosedFormSolution:
         beta = -1.0 + theta / (xf - theta)
         return Type1Solution(theta=theta, beta=beta)
     if cls.kind is SolutionKind.TYPE2:
-        sq = math.sqrt(float(cls.delta))
-        theta = alpha / 2.0 + sq / 2.0
-        theta_prime = alpha / 2.0 - sq / 2.0
-        if theta == 0.0 or theta_prime == 0.0:  # gamma != 0: both roots are nonzero
-            raise DomainError(
-                f"fixed points {theta!r} and {theta_prime!r}: one cancelled to 0.0 in floats"
-            )
+        theta, theta_prime = _real_roots(params, cls.delta)
+        if theta == 0.0 or theta_prime == 0.0:  # gamma != 0: only exact parameters underflow
+            raise DomainError(f"fixed points {theta!r} and {theta_prime!r}: one underflowed to 0.0 in floats")
         if xf == theta or xf == theta_prime:
             return ConstantSolution(xf)
-
-        def build(th: float, tp: float) -> Type2Solution:
-            beta = (tp / th) * ((tp - th) / (xf - th) - 1.0)
-            return Type2Solution(theta=th, theta_prime=tp, beta=beta)
-
-        sol = build(theta, theta_prime)
-        # Validate against the orbit; swap root roles if the fit is bad.
-        dev = _orbit_matches(params, xf, sol)
-        if dev > 1e-6:
-            swapped = build(theta_prime, theta)
-            if _orbit_matches(params, xf, swapped) < dev:
-                sol = swapped
-        return sol
+        beta = (theta_prime / theta) * ((theta_prime - xf) / (xf - theta))
+        return Type2Solution(theta=theta, theta_prime=theta_prime, beta=beta)
     if alpha == 0.0:
         return AlternatingSolution(x1=xf, gamma=gamma)
     rho = math.sqrt(-gamma)
@@ -629,21 +634,12 @@ def zeros_and_poles(
     if isinstance(sol, Type1Solution):
         return within([-sol.beta - 1.0]), within([-sol.beta])
     if isinstance(sol, Type2Solution):
-        q = sol.base
-        if q <= 0.0:
-            raise NoContinuousExtensionError(
-                "theta/theta' < 0: no real continuous extension"
-            )
-        zeros: List[float] = []
-        poles: List[float] = []
-        logq = math.log(q)
-        if sol.beta < 0.0:
-            poles.append(math.log(-1.0 / sol.beta) / logq)
-        if sol.beta != 0.0:
-            target = -sol.theta_prime / (sol.beta * sol.theta)
-            if target > 0.0:
-                zeros.append(math.log(target) / logq)
-        return within(zeros), within(poles)
+        sol._require_normal()
+        if sol.base <= 0.0:
+            raise NoContinuousExtensionError("theta/theta' < 0: no real continuous extension")
+        # beta*q^j = -1 at the pole; x_j = 0 where beta*q^(j+1) = -1, one step before it
+        poles = [math.log(-1.0 / sol.beta) / sol._log_base] if sol.beta < 0.0 else []
+        return within([p - 1.0 for p in poles]), within(poles)
     if isinstance(sol, Type3Solution):
         phi, omega = sol.phi_angle, sol.omega
 

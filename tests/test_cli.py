@@ -308,18 +308,38 @@ def test_plot_data_overflow_is_domain_error(capsys):
 
 
 def test_overflowed_closed_forms_exit_3_without_traceback():
-    # the type-3 closed form overflows to nan, and type 2's theta' cancels to 0.0
+    # the type-3 closed form overflows to nan, and type 2's beta = (theta'/theta)
+    # (theta' - x1)/(x1 - theta) overflows although beta*q stays finite, or underflows
     cases = [
         (["--alpha", "1e308", "--gamma", "-1e308", "--x1", "1e+48", "--eval", "0.5"],
          "error: closed form is not finite at j = 0.5: a float overflowed\n"),
-        (["--alpha", "1e+123", "--gamma", "3", "--x1", "1e308", "--eval", "-1e308"],
-         "error: fixed points 1e+123 and 0.0: one cancelled to 0.0 in floats\n"),
+        (["--alpha", "-2.178179017452761e+101", "--gamma", "3.32e-11", "--x1", "4.9e-05",
+          "--eval", "2"],
+         "error: Type2Solution(theta=1.5242089715300463e-112, theta_prime=-2.178179017452761e+101,"
+         " beta=inf) is not finite: a float overflowed\n"),
+        # beta underflowed where q = theta/theta' (or q^2) overflows: beta*q^j would be wrong
+        (["--alpha", "1e150", "--gamma", "1e-10", "--x1", "-1e150", "--eval", "1"],
+         "error: Type2Solution(theta=1e+150, theta_prime=-1e-160, beta=5e-311):"
+         " beta underflowed below the normal float range\n"),
+        (["--alpha", "4.60642339610059e+153", "--gamma", "-3.08560646735757e+146",
+          "--x1", "-0.013291000500515552", "--eval", "2"],
+         "error: Type2Solution(theta=4.60642339610059e+153, theta_prime=6.69848644388526e-08,"
+         " beta=-4.195743e-317): beta underflowed below the normal float range\n"),
     ]
     for argv, message in cases:
         out = subprocess.run([sys.executable, "-m", "treespec.cli", "solve", *argv],
                              capture_output=True, text=True)
         assert (out.returncode, out.stdout) == (3, ""), argv
         assert "Traceback" not in out.stderr and out.stderr == message, argv
+    # theta' = -gamma/theta is far below theta's ulp and no longer cancels to 0.0
+    out = subprocess.run([sys.executable, "-m", "treespec.cli", "solve", "--alpha", "1e+123",
+                          "--gamma", "3", "--x1", "1e308", "--count", "3", "--eval", "2"],
+                         capture_output=True, text=True)
+    assert (out.returncode, out.stderr) == (0, "")
+    payload = json.loads(out.stdout)
+    sol = payload["solution"]
+    assert sol["theta_prime"] == -3.0 / sol["theta"]
+    assert payload["eval"]["value"] == payload["orbit"][1]
 
 
 def test_phases_below_float_resolution_exit_3(capsys):
@@ -453,7 +473,8 @@ GOLDEN_ARGV = {
 @pytest.mark.parametrize("command", sorted(GOLDEN_ARGV))
 def test_golden_output(capsys, tmp_path, command):
     # sha256 over (exit code, stdout) of every argv and format of the
-    # subcommand, recorded before the printers were merged into one; the
+    # subcommand, recorded before the printers were merged into one (solve's
+    # since the smaller type-2 fixed point is -gamma/theta); the
     # float columns go through the platform's libm (x86-64 glibc)
     golden = {
         "broom": "6ba2ffb175c89fea4e33a9ceb96c0f9f68e363d62b50a1dd41adb1183c8b2233",
@@ -464,7 +485,7 @@ def test_golden_output(capsys, tmp_path, command):
         "plot-data": "a3e7c8c9eff3fa848b8bf6360ca61d54d392774899cc9708d409350a9ae6d1bc",
         "radius": "7dbdf354801a0d1739e7f5c89507655f438c82921c95529dbf596b85cd16f903",
         "random-tree": "344fe67b8c577d8e15245b1088621a0fffe4d9c57ed384a54b420d5cf20fed6d",
-        "solve": "11f1f148ee2623d179ba6fe1bd1a1703c56def7c81dec19ff7a424ca6c958f29",
+        "solve": "9b56501ed20c95947867a8b57e44ba2d2d9f22af62fa2d680e7c902582e15552",
     }
     tree = tmp_path / "caterpillar.txt"
     tree.write_text(CATERPILLAR)

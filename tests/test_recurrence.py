@@ -3,10 +3,11 @@
 import inspect
 import math
 import random
+import sys
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from treespec.errors import (
@@ -236,13 +237,77 @@ def test_solve_type2_worked_example():
 
 
 def test_type2_eval_overflow_is_domain_error():
-    # finite input whose fixed points overflow: theta inf and beta nan
+    # finite input whose fixed points overflow: theta inf and beta nan; and a
+    # beta that overflowed with q > 0, whose pole test would take log(0)
     sol = solve(RecurrenceParams(1e308, 1e308), 1e308)
     assert isinstance(sol, Type2Solution) and math.isnan(sol.beta)
-    with pytest.raises(DomainError, match="a float overflowed"):
-        sol.eval(2.0)
+    for sol in (sol, Type2Solution(theta=2.0, theta_prime=1.0, beta=-math.inf)):
+        with pytest.raises(DomainError, match="a float overflowed"):
+            sol.eval(2.0)
+        with pytest.raises(DomainError, match="a float overflowed"):
+            zeros_and_poles(sol, 0.0, 10.0)
+    # a subnormal beta has lost the bits that beta*q^j needs once q^j is huge
+    sol = solve(RecurrenceParams(1e150, 1e-10), -1e150)
+    assert 0.0 < sol.beta < sys.float_info.min
+    with pytest.raises(DomainError, match="beta underflowed"):
+        sol.eval(1.0)
+    with pytest.raises(DomainError, match="beta underflowed"):
+        zeros_and_poles(sol, 0.0, 10.0)
     # a zero denominator is still a pole (q = -2, integer j only)
     assert Type2Solution(theta=2.0, theta_prime=-1.0, beta=-1.0).eval(0.0) is POLE
+
+
+def test_type2_fixed_point_below_the_float_range_is_domain_error():
+    # float gamma has |gamma| > ZERO_TOL, so -gamma/theta stays nonzero; an
+    # exact gamma or delta can round to 0.0
+    for alpha in (Fraction(3), Fraction(0)):
+        p = RecurrenceParams(alpha, Fraction(1, 10**400))
+        assert classify(p).kind is SolutionKind.TYPE2
+        with pytest.raises(DomainError, match="underflowed to 0.0"):
+            solve(p, Fraction(1))
+
+
+def _signed_power_of_ten(lo, hi):
+    return st.tuples(st.sampled_from((-1.0, 1.0)), st.floats(lo, hi)).map(
+        lambda t: t[0] * 10.0 ** t[1])
+
+
+TYPE2_CASES = st.one_of(
+    st.tuples(_signed_power_of_ten(-3, 5), _signed_power_of_ten(-4, 4), _signed_power_of_ten(-3, 4)),
+    # |gamma| << alpha^2, where (alpha - sign(alpha) sqrt(delta))/2 would cancel
+    st.tuples(_signed_power_of_ten(1, 6), _signed_power_of_ten(-14, -4), _signed_power_of_ten(-3, 4))
+    .map(lambda t: (t[0], t[0] * t[0] * t[1], t[2])),
+)
+
+
+@settings(max_examples=500, deadline=None)
+@given(TYPE2_CASES)
+@example((443765.57125321275, -11338162.501529632, 0.0010162529684633376))
+# theta/theta' = -1e309 overflows, and q^2 = 1e310 does: beta*q^j from logarithms
+@example((1e150, 1e-9, 9.900990099009902e149))
+@example((1e154, -1e153, 100.1))
+def test_type2_closed_form_matches_the_exact_orbit(case):
+    alpha, gamma, x1 = case
+    assume(abs(gamma) > ZERO_TOL)
+    p = RecurrenceParams(alpha, gamma)
+    assume(classify(p).kind is SolutionKind.TYPE2)
+    sol = solve(p, x1)
+    assert isinstance(sol, Type2Solution)
+    theta, theta_prime = sol.theta, sol.theta_prime
+    assert theta > theta_prime
+    assert fixed_points(p) == [theta_prime, theta]
+    orbit = iterate(RecurrenceParams(Fraction(alpha), Fraction(gamma)), Fraction(x1), 3)
+    # a relative change of u in theta, theta' or x1 moves beta*q^j by u*start
+    # relative and x_j by that times |x_j - theta||x_j - theta'|/|theta - theta'|:
+    # j next to a pole, or x1 next to a root, is ill-conditioned in any float form
+    start = (abs(theta_prime) + abs(x1)) / abs(theta_prime - x1) + (abs(x1) + abs(theta)) / abs(x1 - theta)
+    for j, ref in enumerate(orbit.values, start=1):
+        x = float(ref)
+        scale = max(1.0, abs(theta), abs(theta_prime), abs(x))
+        if start * abs(x - theta) * abs(x - theta_prime) > 1e5 * abs(theta - theta_prime) * scale:
+            continue
+        got = sol.eval(float(j))
+        assert got is not POLE and abs(got - x) <= 1e-9 * scale, (j, got, ref)
 
 
 def test_solve_alternating():
