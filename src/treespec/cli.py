@@ -193,12 +193,14 @@ def _cmd_plot_data(args) -> int:
 
     if args.step <= 0:
         raise _UsageError("--step must be positive")
+    span = (args.j_to - args.j_from) / args.step
+    if not math.isfinite(span):
+        raise _UsageError(f"(--to - --from)/--step overflows to {span!r}")
     params = recurrence.RecurrenceParams(args.alpha, args.gamma)
     sol = recurrence.solve(params, args.x1)
     _require_finite_output(_fields(sol))
     rows = []
-    count = int((args.j_to - args.j_from) / args.step + 1e-9)
-    for i in range(count + 1):
+    for i in range(int(span + 1e-9) + 1):
         j = args.j_from + i * args.step
         if j > args.j_to + 1e-12:
             break

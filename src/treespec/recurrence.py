@@ -189,14 +189,18 @@ def _real_roots(params: RecurrenceParams, delta: Real) -> Tuple[float, float]:
     The root of larger magnitude adds alpha and sqrt(delta) of one sign; the
     other is the product -gamma over it, so neither cancels (Higham,
     *Accuracy and Stability of Numerical Algorithms*, 2nd ed., section 1.8).
-    An overflowed sqrt(delta) gives (inf, -inf).
+    Where delta overflowed, the larger root is c(a + sign(alpha) sqrt(a^2 + g))
+    with c = max(|alpha|/2, sqrt|gamma|), a = alpha/2c and g = gamma/c^2.
     """
-    alpha = float(params.alpha)
+    alpha, gamma = float(params.alpha), float(params.gamma)
     sq = math.sqrt(float(delta))
     if math.isinf(sq):
-        return math.inf, -math.inf
-    big = alpha / 2.0 + math.copysign(sq, alpha) / 2.0
-    other = -float(params.gamma) / big if big else 0.0  # an exact delta below the float range
+        c = max(abs(alpha) / 2.0, math.sqrt(abs(gamma)))
+        half = alpha / 2.0 / c
+        big = c * (half + math.copysign(math.sqrt(half * half + gamma / c / c), alpha))
+    else:
+        big = alpha / 2.0 + math.copysign(sq, alpha) / 2.0
+    other = -gamma / big if big else 0.0  # an exact delta below the float range
     return (big, other) if big > other else (other, big)
 
 
@@ -424,122 +428,6 @@ class Type3Solution(ClosedFormSolution):
         return self.rho * (math.cos(self.phi_angle) - math.sin(self.phi_angle) * math.tan(arg))
 
 
-def _clear_floor(f: float, margin: float) -> Optional[int]:
-    """floor(f) when no integer lies in [f - margin, f + margin], else None."""
-    k = math.floor(f + margin)
-    return k if k < math.ceil(f - margin) else None
-
-
-def chain_orbit(a: float, s: float, x0: float, length: int, tol: float) -> Optional[Tuple[float, int]]:
-    """x_L of x_j = a - s/x_{j-1} from x_0 = x0, and how many of x_1 .. x_{L-1} are negative.
-
-    This is phi with alpha = a and gamma = -s < 0, evaluated in O(1) for
-    L = length >= 1; None when the float evaluation cannot be trusted.  The
-    counts are those of the exact orbit from x0 of the a*, s* that a, s
-    round (|a - a*| <= u|a|, |s - s*| <= u s, u = 2^-53).  Each operation
-    errs by at most u relative, each libm call by one ulp <= 2u|result|.
-    Every relative error below is required to be at most 2^-10, so the
-    first-order terms, summed and doubled, bound the whole error.
-
-    Oscillating family (a^2 < 4s).  With rho = sqrt(s), a = 2 rho cos(phi),
-    phi in (0, pi), and omega such that x0 = rho sin(omega)/sin(omega - phi),
-    x_j = rho sin(theta_j)/sin(theta_{j-1}) with theta_j = j phi + omega.
-    x_j < 0 exactly when (theta_{j-1}, theta_j] holds a multiple of pi, so
-    x_1 .. x_L hold floor(theta_L/pi) - floor(omega/pi) negative terms: the
-    sign is constant between consecutive zeros and poles.
-      D = (2rho - |a|)(2rho + |a|) = (2 rho sin phi)^2 is computed without
-    cancellation.  Each factor errs by u(2rho + |a| + factor) <= 8u rho,
-    so D by eps_D = 32u rho^2/D + u (required <= 2^-10), y = sqrt(D) by
-    eps_D/2 + u/2 <= 4u/sin^2 + u and a by u.  atan2(y, a) moves by at most
-    |ay|/(a^2 + y^2) (eps_a + eps_y) <= sin(phi) (eps_a + eps_y), plus its
-    ulp: |dphi| <= 13u/sin(phi).  omega = atan2(Y, X), Y = x0 sin(phi),
-    X = x0 cos(phi) - rho: |dY|, |dX| - u rho - u|X| <= |x0| (|dphi| + 3u),
-    and |X + iY| >= max(|x0|, rho) sin(phi), so |domega| <= (|dX| + |dY|)
-    / |X + iY| + 2 pi u <= 41u/sin^2(phi).  theta_L = L phi + omega and
-    theta_{L-1} = theta_L - phi err by at most (L + 1)|dphi| + |domega|
-    + u(L phi + |theta_L| + |theta_{L-1}|) <= 24Lu/sin + 64u/sin^2 =: E,
-    and f = theta/pi by E/pi + 2u|f| (pi's rounding, the division); the
-    window's ends f +- m round by u|f + m|.  So m = 2(E/pi + 4u|f|) for
-    theta_L and theta_{L-1}, whose floors certify the signs of
-    x_1 .. x_{L-1} and of x_L, and omega gets the same with E = 41u/sin^2.  |x_L| <= tol needs |sin theta_L| <= tol/rho, within
-    tol/(2 rho) of an integer in f; that term joins the margin of theta_L.
-    Real fixed points (a^2 > 4s).  r1 = (a + sign(a) sqrt(a^2 - 4s))/2 and
-    r2 = s/r1 share a's sign, |r2| < |r1|, and z = (x - r1)/(x - r2) obeys
-    z_j = q^j z_0 with q = r2/r1 in (0, 1) (Moebius conjugacy).  x_j has the
-    sign opposite to a exactly when z_j lies in (1, 1/q), a fundamental
-    domain of z -> qz, so at most one term changes side: x_j for j in
-    (t - 1, t) with t = log(z_0)/lam, lam = log(1/q), when z_0 > 0; x_j = 0
-    at j = t - 1 and has a pole at j = t.  Only t near 1 .. L + 1 matters.
-      With p = |a| - 2rho and P = |a| + 2rho, p P errs by 2uP/p + 3u and its
-    root by eta = uP/p + 2u (required <= 2^-10); r1 by eta + u, r2 by
-    eta + 3u, y = sqrt(pP)/|r2| by 2eta + 4u and lam = log1p(y) by
-    2eta + 6u, all relative.  x0 - r1 and x0 - r2 err by
-    e1 = (eta + u)|r1|/|x0 - r1| + u and e2 = (eta + 3u)|r2|/|x0 - r2| + u
-    (each required <= 1/2, where |log(1 + e)| <= 2|e|), so log(z_0) errs by
-    2(e1 + e2 + u) + 2u|log z_0| and t by E = that/lam + |t|(2eta + 7u);
-    m = 2(E + 2u|t|).  While tol <= |r2|/2, |x| <= tol keeps
-    |(x - r1)(x - r2)| >= s/4 and |d log z/dx| <= 4 sqrt(pP)/s, so
-    |x_L| <= tol needs |t - L - 1| <= 4 tol sqrt(pP)/(lam s): a term of
-    the margin.  With z_0 <= 0, or t below 1, |x_L| > |r2| >= 2 tol.
-
-    In both families floor(f) is trusted when [f - m, f + m] holds no
-    integer.  The sweep's zero-child branch replaces a zero x_j by 2 and
-    x_{j+1} by -s/2, the signs of x_j = 0+- and x_{j+1} = -+inf; with
-    tol < min(2, s/2) those values stay outside [-tol, tol], so a zero
-    inside the chain leaves the counts of the exact orbit.
-    """
-    if not tol < min(2.0, s / 2):
-        return None
-    u, rho = 2.0**-53, math.sqrt(s)
-    big, small = 2 * rho + abs(a), 2 * rho - abs(a)
-    if small > 0:
-        d = small * big
-        if 32 * u * s > 2.0**-10 * d:
-            return None
-        y = math.sqrt(d)
-        phi = math.atan2(y, a)
-        sin = y / (2 * rho)
-        omega = math.atan2(x0 * math.sin(phi), x0 * math.cos(phi) - rho)
-        theta = length * phi + omega
-        f0, f1, f2 = omega / math.pi, (theta - phi) / math.pi, theta / math.pi
-        e = (24 * length * u / sin + 64 * u / (sin * sin)) / math.pi
-        k0 = _clear_floor(f0, 2 * (41 * u / (sin * sin) / math.pi + 4 * u * abs(f0)))
-        k1 = _clear_floor(f1, 2 * (e + 4 * u * abs(f1)))
-        k2 = _clear_floor(f2, 2 * (e + 4 * u * abs(f2)) + tol / (2 * rho))
-        if k0 is None or k1 is None or k2 is None:
-            return None
-        return rho * math.sin(theta) / math.sin(theta - phi), k1 - k0
-    if small == 0 or u * big > 2.0**-11 * -small:  # eta > 2^-10, or a^2 = 4s
-        return None
-    eta = u * big / -small + 2 * u
-    root = math.sqrt(-small * big)
-    r1 = math.copysign((abs(a) + root) / 2, a)
-    r2 = s / r1
-    if x0 == r1 or x0 == r2 or not 2 * tol <= abs(r2):
-        return None
-    e1 = (eta + u) * abs(r1 / (x0 - r1)) + u
-    e2 = (eta + 3 * u) * abs(r2 / (x0 - r2)) + u
-    if not (e1 <= 0.5 and e2 <= 0.5):
-        return None
-    lam = math.log1p(root / abs(r2))
-    z0 = (x0 - r1) / (x0 - r2)
-    flip = 0
-    if z0 > 0:
-        log_z = math.log(z0)
-        t = log_z / lam
-        err = (2 * (e1 + e2 + u) + 2 * u * abs(log_z)) / lam + abs(t) * (2 * eta + 7 * u)
-        m = 2 * (err + 2 * u * abs(t)) + 4 * tol * root / (lam * s)
-        if 1 - m <= t <= length + 1 + m:
-            k = _clear_floor(t, m)
-            if k is None:
-                return None
-            flip = 1 <= k <= length
-    z = z0 * math.exp(-length * lam)
-    end = (r1 - r2 * z) / (1 - z)
-    negatives = flip if a > 0 else length - flip
-    return end, negatives - (end < 0)
-
-
 @dataclass(frozen=True)
 class AlternatingSolution(ClosedFormSolution):
     """alpha = 0, gamma < 0: x_j alternates x_1, gamma/x_1, x_1, ...
@@ -590,6 +478,10 @@ def solve(params: RecurrenceParams, x1: Real) -> ClosedFormSolution:
         beta = -1.0 + theta / (xf - theta)
         return Type1Solution(theta=theta, beta=beta)
     if cls.kind is SolutionKind.TYPE2:
+        # roots beyond 1e154 lose a moderate x1 in beta*q^j + 1: alpha 1, gamma 1e308,
+        # x1 1 would give x_1 = 0.0 and a pole at x_2 = 1e308
+        if cls.delta == math.inf:
+            raise DomainError(f"computed delta is not finite ({cls.delta!r}): a float overflowed")
         theta, theta_prime = _real_roots(params, cls.delta)
         if theta == 0.0 or theta_prime == 0.0:  # gamma != 0: only exact parameters underflow
             raise DomainError(f"fixed points {theta!r} and {theta_prime!r}: one underflowed to 0.0 in floats")

@@ -299,12 +299,30 @@ def test_solve_overflow_is_domain_error(capsys):
 
 
 def test_plot_data_overflow_is_domain_error(capsys):
-    # the closed form overflows (theta inf, beta nan): not a pole at every j
-    argv = ["plot-data", "--alpha", "1e308", "--gamma", "1e308", "--x1", "1e308",
-            "--from", "1", "--to", "3", "--step", "1"]
+    # the closed form overflows (beta inf): not a pole at every j
+    argv = ["plot-data", "--alpha", "-2.178179017452761e+101", "--gamma", "3.32e-11",
+            "--x1", "4.9e-05", "--from", "1", "--to", "3", "--step", "1"]
     code, out, err = invoke(capsys, *argv)
     assert (code, out) == (3, "")
-    assert err == "error: computed theta is not finite (inf): a float overflowed\n"
+    assert err == "error: computed beta is not finite (inf): a float overflowed\n"
+
+
+def test_plot_data_overflowed_delta_is_domain_error(capsys):
+    # roots +-1e154 are representable, but beta*q^j + 1 cancels: x_1 would read 0.0
+    argv = ["plot-data", "--alpha", "1", "--gamma", "1e308", "--x1", "1",
+            "--from", "1", "--to", "4", "--step", "1"]
+    code, out, err = invoke(capsys, *argv)
+    assert (code, out) == (3, "")
+    assert err == "error: computed delta is not finite (inf): a float overflowed\n"
+
+
+@pytest.mark.parametrize("span", [("0", "1e300", "1e-300"), ("1e308", "1e-300", "1e-12")])
+def test_plot_data_sample_count_overflow_is_usage_error(capsys, span):
+    j_from, j_to, step = span
+    code, out, err = invoke(capsys, "plot-data", "--alpha", "1", "--gamma", "2", "--x1", "1",
+                            "--from", j_from, "--to", j_to, "--step", step)
+    assert (code, out) == (2, "")
+    assert "--step overflows" in err
 
 
 def test_overflowed_closed_forms_exit_3_without_traceback():
@@ -360,9 +378,7 @@ def test_phases_below_float_resolution_exit_3(capsys):
 
 
 #: per subcommand: an argv and the treespec modules it loads besides the
-#: package, cli and errors; {p40} and {p4} are paths of 40 and 4 vertices,
-#: and only the first has a chain for recurrence's closed form
-#: (limit's arms have one from --n-max 17)
+#: package, cli and errors; {p40} and {p4} are paths of 40 and 4 vertices
 FOOTPRINTS = {
     "solve": (["solve", "--alpha", "1", "--gamma", "-0.25", "--x1", "0.36", "--count", "5"],
               {"recurrence"}),
@@ -370,13 +386,13 @@ FOOTPRINTS = {
                    "--from", "0", "--to", "3", "--step", "1"], {"recurrence"}),
     "locate": (["locate", "--tree", "{p40}", "--matrix", "normalized", "--alpha", "0.5"],
                {"treediag"}),
-    "radius": (["radius", "--tree", "{p40}", "--matrix", "laplacian"], {"treediag", "recurrence"}),
+    "radius": (["radius", "--tree", "{p40}", "--matrix", "laplacian"], {"treediag"}),
     "eigen": (["eigen", "--tree", "{p4}", "--matrix", "adjacency", "--k", "3"], {"treediag"}),
     "mlas": (["mlas", "--n", "19", "--direct"], {"signs", "treediag", "recurrence"}),
     "broom": (["broom", "--r", "3", "--q", "4", "--p", "2", "--rr", "3"],
               {"signs", "treediag", "recurrence"}),
     "limit": (["limit", "--family", "adjacency", "--n-max", "17"],
-              {"limits", "treediag", "recurrence"}),
+              {"limits", "treediag"}),
     "random-tree": (["random-tree", "--n", "50", "--seed", "1"], {"oracle", "treediag"}),
 }
 

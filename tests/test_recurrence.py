@@ -28,7 +28,6 @@ from treespec.recurrence import (
     Type1Solution,
     Type2Solution,
     Type3Solution,
-    chain_orbit,
     classify,
     fixed_points,
     forbidden_initials,
@@ -41,6 +40,7 @@ from treespec.recurrence import (
     solve,
     zeros_and_poles,
 )
+from treespec.treediag import chain_orbit
 
 LAMBDA_STAR = math.sqrt(2.0 + math.sqrt(5.0))
 
@@ -135,6 +135,9 @@ def test_fixed_points():
     assert roots[0] == pytest.approx(-1.27202, abs=1e-5)
     assert roots[1] == pytest.approx(-0.786145, abs=1e-5)
     assert fixed_points(RecurrenceParams(2.0 / 7.0, -1.0)) == []
+    # delta = alpha^2 + 4 gamma overflows, the roots do not
+    assert fixed_points(RecurrenceParams(1e200, 1.0)) == pytest.approx([-1e-200, 1e200], rel=1e-15)
+    assert fixed_points(RecurrenceParams(1.0, 1e308)) == pytest.approx([-1e154, 1e154], rel=1e-15)
 
 
 def test_fixed_points_satisfy_phi():
@@ -237,11 +240,13 @@ def test_solve_type2_worked_example():
 
 
 def test_type2_eval_overflow_is_domain_error():
-    # finite input whose fixed points overflow: theta inf and beta nan; and a
-    # beta that overflowed with q > 0, whose pole test would take log(0)
-    sol = solve(RecurrenceParams(1e308, 1e308), 1e308)
-    assert isinstance(sol, Type2Solution) and math.isnan(sol.beta)
-    for sol in (sol, Type2Solution(theta=2.0, theta_prime=1.0, beta=-math.inf)):
+    # fixed points that overflowed: theta inf and beta nan; and a beta that
+    # overflowed with q > 0, whose pole test would take log(0)
+    overflowed = Type2Solution(theta=math.inf, theta_prime=-math.inf, beta=math.nan)
+    # roots +-1e154 of an overflowed delta: x1 = 1 is lost in beta*q^j + 1, so solve refuses
+    with pytest.raises(DomainError, match=r"delta is not finite \(inf\)"):
+        solve(RecurrenceParams(1.0, 1e308), 1.0)
+    for sol in (overflowed, Type2Solution(theta=2.0, theta_prime=1.0, beta=-math.inf)):
         with pytest.raises(DomainError, match="a float overflowed"):
             sol.eval(2.0)
         with pytest.raises(DomainError, match="a float overflowed"):

@@ -13,7 +13,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.linalg import eigh_tridiagonal
 
-from treespec import recurrence, treediag
+from treespec import treediag
 from treespec.errors import BadIndexError, BadVertexError, DomainError, NotATreeError, TreespecError
 from treespec.limits import StarlikeSpec, t_lmn
 from treespec.oracle import dense_spectrum, random_tree
@@ -212,6 +212,23 @@ def test_build_matrix_kinds():
         lap.diag[1] = 5  # read-only views
     with pytest.raises(TypeError):
         lap.edge_weight[1] = 5
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_hand_built_matrix_refuses_non_finite_entries(bad):
+    tree = path_tree(3)
+    diag, weight = {1: 0.0, 2: 0.0, 3: 0.0}, {1: 1.0, 2: 1.0}
+    with pytest.raises(DomainError, match=r"diagonal entry at vertex 2 is not finite"):
+        SymmetricTreeMatrix(tree, {**diag, 2: bad}, weight)
+    with pytest.raises(DomainError, match=r"edge weight at vertex 1 is not finite"):
+        SymmetricTreeMatrix(tree, diag, {**weight, 1: bad})
+    assert locate(SymmetricTreeMatrix(tree, diag, weight), 0.0) == (1, 1, 1)
+
+
+def test_hand_built_matrix_refuses_weight_whose_square_overflows():
+    # w^2 = inf in the sweeps: two such children sum to inf - inf = nan, counted as above
+    with pytest.raises(DomainError, match=r"edge weight at vertex 1 is not finite when squared: 1e\+200"):
+        SymmetricTreeMatrix(path_tree(3), {1: 0.0, 2: 0.0, 3: 0.0}, {1: 1e200, 2: 1.0})
 
 
 def test_dense_round_trip():
@@ -455,20 +472,20 @@ def chain_calls(min_chain=None):
     ``min_chain`` replaces treediag.MIN_CHAIN while the block runs.
     """
     calls = []
-    real, saved = recurrence.chain_orbit, treediag.MIN_CHAIN
+    real, saved = treediag.chain_orbit, treediag.MIN_CHAIN
 
     def recorded(*args):
         orbit = real(*args)
         calls.append(orbit is not None)
         return orbit
 
-    recurrence.chain_orbit = recorded
+    treediag.chain_orbit = recorded
     if min_chain is not None:
         treediag.MIN_CHAIN = min_chain
     try:
         yield calls
     finally:
-        recurrence.chain_orbit, treediag.MIN_CHAIN = real, saved
+        treediag.chain_orbit, treediag.MIN_CHAIN = real, saved
 
 
 def with_chains(m):
