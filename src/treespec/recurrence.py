@@ -156,13 +156,19 @@ def classify(params: RecurrenceParams) -> DeltaClass:
     """Discriminant class of the recurrence.
 
     With exact parameters the sign test is exact; in float mode values with
-    |delta| <= DELTA_TOL land in the double-root family.
+    |delta| <= DELTA_TOL land in the double-root family.  Where the float
+    delta is NaN (alpha^2 and 4 gamma overflow with opposite signs), the
+    sign comes from delta/c^2, c = max(|alpha|, 2 sqrt|gamma|).
     """
-    delta = params.alpha * params.alpha + 4 * params.gamma
-    zero = delta == 0 if params.exact else abs(delta) <= DELTA_TOL
+    alpha, gamma = params.alpha, params.gamma
+    delta = sign = alpha * alpha + 4 * gamma
+    if sign != sign:  # NaN: alpha^2 is inf and 4 gamma is -inf
+        c = max(abs(alpha), 2 * math.sqrt(abs(gamma)))
+        sign = (alpha / c) ** 2 + 4 * (gamma / c / c)
+    zero = delta == 0 if params.exact else (abs(delta) <= DELTA_TOL or sign == 0)
     if zero:
         kind = SolutionKind.TYPE1
-    elif delta > 0:
+    elif sign > 0:
         kind = SolutionKind.TYPE2
     else:
         kind = SolutionKind.TYPE3
@@ -189,12 +195,16 @@ def _real_roots(params: RecurrenceParams, delta: Real) -> Tuple[float, float]:
     The root of larger magnitude adds alpha and sqrt(delta) of one sign; the
     other is the product -gamma over it, so neither cancels (Higham,
     *Accuracy and Stability of Numerical Algorithms*, 2nd ed., section 1.8).
-    Where delta overflowed, the larger root is c(a + sign(alpha) sqrt(a^2 + g))
-    with c = max(|alpha|/2, sqrt|gamma|), a = alpha/2c and g = gamma/c^2.
+    Where delta overflowed or is NaN, the larger root is
+    c(a + sign(alpha) sqrt(a^2 + g)) with c = max(|alpha|/2, sqrt|gamma|),
+    a = alpha/2c and g = gamma/c^2.
     """
     alpha, gamma = float(params.alpha), float(params.gamma)
-    sq = math.sqrt(float(delta))
-    if math.isinf(sq):
+    try:
+        sq = math.sqrt(float(delta))
+    except OverflowError:  # an exact delta beyond the float range
+        sq = math.inf
+    if not math.isfinite(sq):
         c = max(abs(alpha) / 2.0, math.sqrt(abs(gamma)))
         half = alpha / 2.0 / c
         big = c * (half + math.copysign(math.sqrt(half * half + gamma / c / c), alpha))
@@ -468,6 +478,10 @@ def solve(params: RecurrenceParams, x1: Real) -> ClosedFormSolution:
     if _is_zero(x1):
         raise DomainError("initial value x1 must be nonzero")
     cls = classify(params)
+    # an overflowed or NaN delta puts a root beyond 1e154, which loses a moderate x1 in
+    # beta*q^j + 1: alpha 1, gamma 1e308, x1 1 would give x_1 = 0.0 and a pole at x_2 = 1e308
+    if isinstance(cls.delta, float) and not math.isfinite(cls.delta):
+        raise DomainError(f"computed delta is not finite ({cls.delta!r}): a float overflowed")
     alpha = float(params.alpha)
     gamma = float(params.gamma)
     xf = float(x1)
@@ -478,10 +492,6 @@ def solve(params: RecurrenceParams, x1: Real) -> ClosedFormSolution:
         beta = -1.0 + theta / (xf - theta)
         return Type1Solution(theta=theta, beta=beta)
     if cls.kind is SolutionKind.TYPE2:
-        # roots beyond 1e154 lose a moderate x1 in beta*q^j + 1: alpha 1, gamma 1e308,
-        # x1 1 would give x_1 = 0.0 and a pole at x_2 = 1e308
-        if cls.delta == math.inf:
-            raise DomainError(f"computed delta is not finite ({cls.delta!r}): a float overflowed")
         theta, theta_prime = _real_roots(params, cls.delta)
         if theta == 0.0 or theta_prime == 0.0:  # gamma != 0: only exact parameters underflow
             raise DomainError(f"fixed points {theta!r} and {theta_prime!r}: one underflowed to 0.0 in floats")

@@ -29,13 +29,13 @@ from enum import Enum
 from fractions import Fraction
 from functools import cached_property
 from itertools import islice
-from typing import Iterator, List, Optional, Tuple
+from typing import TYPE_CHECKING, Iterator, List, Optional, Tuple
 
 from .errors import DomainError, OutOfDomainError, PatternNotFoundError, PreconditionViolatedError
-from .recurrence import OrbitResult, RecurrenceParams, iterate
-from .treediag import (
-    InertiaTriple, MatrixKind, RootedTree, _inertia, build_matrix, build_tree, diagonalize,
-)
+from .treediag import InertiaTriple, MatrixKind, RootedTree, _sweep, build_matrix, build_tree
+
+if TYPE_CHECKING:  # imported where they run, so mlas and broom do not load recurrence
+    from .recurrence import OrbitResult, RecurrenceParams
 
 
 @dataclass(frozen=True)
@@ -67,6 +67,8 @@ class PendantConfig:
         return self.x1 + self.r * (1 - 1 / self.x2)
 
     def params(self, exact: bool = True) -> RecurrenceParams:
+        from .recurrence import RecurrenceParams
+
         if exact:
             return RecurrenceParams(Fraction(2, self.n), Fraction(-1))
         return RecurrenceParams(2.0 / self.n, -1.0)
@@ -87,6 +89,8 @@ def _check_domain(cfg: PendantConfig, allow_r0: bool = False) -> None:
 
 def b_sequence(cfg: PendantConfig, count: int, exact: bool = False) -> OrbitResult:
     """First ``count`` values of b_j: b_1 as above, b_{j+1} = 2/n - 1/b_j."""
+    from .recurrence import iterate
+
     if exact:
         return iterate(cfg.params(exact=True), cfg.b1, count)
     return iterate(cfg.params(exact=False), float(cfg.b1), count)
@@ -428,8 +432,7 @@ def double_broom_sigma(b: DoubleBroom) -> BroomSigma:
     n = b.n
     d = 2 - Fraction(2, n)
     lap = build_matrix(layout.tree, MatrixKind.LAPLACIAN)
-    values = diagonalize(lap, d, exact=True)
-    inertia = _inertia(list(values.values()), 0)
+    values, inertia = _sweep(lap, d, True)
     root_value = values[layout.root]
     if root_value > 0:
         sign = RootSign.POSITIVE

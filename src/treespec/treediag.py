@@ -13,10 +13,10 @@ arithmetics: float sweeps count values within a relative threshold as zero,
 and matrices with integer/rational entries also support an exact-rational
 sweep (``exact=True``) whose zero test is exact.  ``locate(exact=True)``
 first runs a float sweep with a certified error bound per vertex and falls
-back to the exact sweep only when that bound leaves a sign in doubt.  The
-first bisection on a matrix records its chains (runs of one-child vertices
-with equal entries); from then on float sweeps take each chain in one step
-with the closed form of ``chain_orbit``.
+back to the exact sweep only when that bound leaves a sign in doubt.  Each
+bisection finds the chains of its matrix (runs of one-child vertices with
+equal entries) once, and its float sweeps take each chain in one step with
+the closed form of ``chain_orbit``.
 """
 
 from __future__ import annotations
@@ -180,13 +180,10 @@ class SymmetricTreeMatrix:
     the lists the sweep reads, indexed by vertex with a spare slot 0: the
     diagonal, the edge weights and their squares (0 at the root), entries
     as given.  ``diag`` and ``edge_weight`` are read-only dict views built
-    from those lists on each access.  ``_chains`` is the chain program of
-    the float sweeps (see ``_chain_program``) and ``_gershgorin`` the
-    interval of ``gershgorin()``; the first bisection stores both.
+    from those lists on each access.
     """
 
-    __slots__ = ("tree", "kind", "is_rational", "_diag", "_w", "_w2", "_dmin", "_dmax",
-                 "_chains", "_gershgorin")
+    __slots__ = ("tree", "kind", "is_rational", "_diag", "_w", "_w2", "_dmin", "_dmax")
 
     def __init__(
         self,
@@ -223,8 +220,6 @@ class SymmetricTreeMatrix:
         self._diag = diag
         self._w = weight
         self._w2 = [w * w for w in weight]
-        self._chains: Optional[List[tuple]] = None
-        self._gershgorin: Optional[Tuple[float, float]] = None
         entries = diag[1:]
         self._dmin = min(entries)
         self._dmax = max(entries)
@@ -299,16 +294,18 @@ def build_matrix(tree: RootedTree, kind: str) -> SymmetricTreeMatrix:
     return m
 
 
-def _sweep(m: SymmetricTreeMatrix, alpha: Real, tol: Real, two: Real,
-           chains: Optional[Sequence[tuple]]) -> Tuple[List[Real], InertiaTriple]:
+def _sweep(m: SymmetricTreeMatrix, alpha: Real, exact: bool,
+           chains: Optional[Sequence[tuple]] = None) -> Tuple[List[Real], InertiaTriple]:
     """One congruence sweep of M - alpha*I, bottom-up, and its inertia.
 
-    alpha : the shift, float or Fraction; each vertex starts at m_vv - alpha.
-    tol   : values with -tol <= a <= tol count as zero; 0 makes the test exact.
-    two   : the constant 2 in the arithmetic of the sweep: 2.0 for a float
-            sweep, Fraction(2) for an exact one.
-    chains: the segment program of ``_chain_program``; None or [] steps
-            every vertex.
+    alpha : the shift; each vertex starts at m_vv - alpha.
+    exact : sweep a rational M and alpha in Fractions, with tol = 0; else
+            in floats, with tol = SWEEP_ZERO_TOL * max(1, max_v |m_vv - alpha|)
+            (the largest |m_vv - alpha| sits at the smallest or the largest
+            diagonal entry).  Both read the same lists: in a float sweep each
+            entry is rounded to float where it first meets a float operand.
+    chains: the segment program of ``_chain_program``, read by float sweeps
+            only; None or [] steps every vertex.
 
     Vertices are processed in postorder.  A vertex subtracts the sum of
     w_c^2/a_c over its children, added up in postorder.  A vertex with a
@@ -325,6 +322,15 @@ def _sweep(m: SymmetricTreeMatrix, alpha: Real, tol: Real, two: Real,
     Returns the values (index v, slot 0 spare) and the counts of final
     values below -tol, within [-tol, tol] and above tol.
     """
+    if exact:
+        alpha = _require_exact(m, alpha)
+        tol, two, chains = 0, Fraction(2), None
+    else:
+        alpha = float(alpha)
+        if not isfinite(alpha):
+            raise DomainError(f"shift alpha must be finite, got {alpha!r}")
+        scale = max(abs(m._dmax - alpha), abs(m._dmin - alpha))
+        tol, two = SWEEP_ZERO_TOL * max(1.0, scale), 2.0
     order, parents = m.tree._postorder, m.tree._postorder_parent
     d, w2 = m._diag, m._w2
     a = [two - two] * len(d)  # the child sum of v, until v's value replaces it
@@ -568,28 +574,6 @@ def _certified_sweep(m: SymmetricTreeMatrix, alpha: Fraction) -> Optional[Tuple[
     return x[1:], ebound[1:]
 
 
-def _shifted_sweep(m: SymmetricTreeMatrix, alpha: Real, exact: bool,
-                   chains: Optional[Sequence[tuple]] = None) -> Tuple[List[Real], InertiaTriple]:
-    """``_sweep`` of M - alpha*I with the zero threshold of its arithmetic.
-
-    The float threshold is SWEEP_ZERO_TOL times max(1, max_v |m_vv - alpha|);
-    the largest |m_vv - alpha| sits at the smallest or the largest diagonal
-    entry.  Both sweeps read the same lists: in a float sweep each entry is
-    rounded to float where it first meets a float operand.  ``chains`` is
-    read by float sweeps only.
-    """
-    if exact:
-        alpha = _require_exact(m, alpha)
-        tol, two = 0, Fraction(2)
-    else:
-        alpha = float(alpha)
-        if not isfinite(alpha):
-            raise DomainError(f"shift alpha must be finite, got {alpha!r}")
-        scale = max(abs(m._dmax - alpha), abs(m._dmin - alpha))
-        tol, two = SWEEP_ZERO_TOL * max(1.0, scale), 2.0
-    return _sweep(m, alpha, tol, two, None if exact else chains)
-
-
 def diagonalize(m: SymmetricTreeMatrix, alpha: Real, exact: bool = False) -> Dict[int, Real]:
     """Final vertex values of the congruence sweep of M - alpha*I.
 
@@ -600,7 +584,7 @@ def diagonalize(m: SymmetricTreeMatrix, alpha: Real, exact: bool = False) -> Dic
     -w_j^2/2 while a(v_j) becomes 2 and the vertex's own parent edge is cut.
     Exact sweeps return Fraction values, float sweeps floats.
     """
-    values, _ = _shifted_sweep(m, alpha, exact)
+    values, _ = _sweep(m, alpha, exact)
     return dict(zip(range(1, len(values)), values[1:]))
 
 
@@ -617,29 +601,24 @@ def _inertia(values: List[Real], tol: Real) -> InertiaTriple:
 
 
 def locate(m: SymmetricTreeMatrix, alpha: Real, exact: bool = False) -> InertiaTriple:
-    """Counts of eigenvalues of M below / equal to / above alpha.
-
-    After a bisection on M, float shifts sweep its chains in closed form.
-    """
+    """Counts of eigenvalues of M below / equal to / above alpha."""
     certified = exact and _certified_sweep(m, _require_exact(m, alpha))
     if certified:
         return _inertia(certified[0], 0)
-    return _shifted_sweep(m, alpha, exact, m._chains)[1]
+    return _sweep(m, alpha, exact)[1]
 
 
 def _bisect(m: SymmetricTreeMatrix, tol: float, predicate) -> float:
+    """Bisect M's Gershgorin interval; each mid whose counts satisfy ``predicate`` becomes the top."""
     if not tol > 0 or tol == inf:
         raise DomainError(f"tol must be positive and finite, got {tol!r}")
-    if m._chains is None:
-        m._chains = _chain_program(m)
-    if m._gershgorin is None:
-        m._gershgorin = m.gershgorin()
-    lo, hi = m._gershgorin
+    chains = _chain_program(m)
+    lo, hi = m.gershgorin()
     for _ in range(MAX_BISECT):
         mid = 0.5 * (lo + hi)
         if hi - lo <= tol or mid == lo or mid == hi:  # mid == lo or hi: no float in between
             break
-        if predicate(mid):
+        if predicate(_sweep(m, mid, False, chains)[1]):
             hi = mid
         else:
             lo = mid
@@ -648,14 +627,14 @@ def _bisect(m: SymmetricTreeMatrix, tol: float, predicate) -> float:
 
 def spectral_radius(m: SymmetricTreeMatrix, tol: float = 1e-10) -> float:
     """Largest eigenvalue, within tol, by bisection on the above-count."""
-    return _bisect(m, tol, lambda mid: locate(m, mid).above == 0)
+    return _bisect(m, tol, lambda counts: counts.above == 0)
 
 
 def kth_eigenvalue(m: SymmetricTreeMatrix, k: int, tol: float = 1e-10) -> float:
     """k-th smallest eigenvalue (1-based), within tol, by bisection."""
     if not (1 <= k <= m.n):
         raise BadIndexError(f"k must lie in 1..{m.n}, got {k}")
-    return _bisect(m, tol, lambda mid: locate(m, mid).below >= k)
+    return _bisect(m, tol, lambda counts: counts.below >= k)
 
 
 #: "u v" lines, the last one without a newline, and a leading "root k" line, with ids

@@ -290,12 +290,15 @@ def test_non_finite_float_options_are_domain_errors(capsys, p3_file):
 
 
 def test_solve_overflow_is_domain_error(capsys):
-    # finite input whose closed forms overflow: no bare Infinity or NaN in the output
-    argv = ["solve", "--alpha", "1e308", "--gamma", "1e308", "--x1", "1e308", "--count", "3"]
-    for fmt in ("json", "text"):
-        code, out, err = invoke(capsys, "--format", fmt, *argv)
-        assert (code, out) == (3, ""), fmt
-        assert err == "error: computed delta is not finite (inf): a float overflowed\n"
+    # finite input whose closed forms overflow: no bare Infinity or NaN in the output;
+    # with gamma -9e307, alpha^2 and 4 gamma overflow with opposite signs (real roots)
+    cases = [(["--gamma", "1e308", "--x1", "1e308", "--count", "3"], "inf"),
+             (["--gamma", "-9e307", "--x1", "1"], "nan")]
+    for argv, delta in cases:
+        for fmt in ("json", "text"):
+            code, out, err = invoke(capsys, "--format", fmt, "solve", "--alpha", "1e308", *argv)
+            assert (code, out) == (3, ""), (argv, fmt)
+            assert err == f"error: computed delta is not finite ({delta}): a float overflowed\n"
 
 
 def test_plot_data_overflow_is_domain_error(capsys):
@@ -326,11 +329,14 @@ def test_plot_data_sample_count_overflow_is_usage_error(capsys, span):
 
 
 def test_overflowed_closed_forms_exit_3_without_traceback():
-    # the type-3 closed form overflows to nan, and type 2's beta = (theta'/theta)
-    # (theta' - x1)/(x1 - theta) overflows although beta*q stays finite, or underflows
+    # delta is NaN (alpha^2 and 4 gamma overflow), the type-3 phase j*phi overflows,
+    # and type 2's beta = (theta'/theta)(theta' - x1)/(x1 - theta) overflows
+    # although beta*q stays finite, or underflows
     cases = [
         (["--alpha", "1e308", "--gamma", "-1e308", "--x1", "1e+48", "--eval", "0.5"],
-         "error: closed form is not finite at j = 0.5: a float overflowed\n"),
+         "error: computed delta is not finite (nan): a float overflowed\n"),
+        (["--alpha", "-1", "--gamma", "-1", "--x1", "0.3", "--eval", "1e308"],
+         "error: closed form is not finite at j = 1e+308: a float overflowed\n"),
         (["--alpha", "-2.178179017452761e+101", "--gamma", "3.32e-11", "--x1", "4.9e-05",
           "--eval", "2"],
          "error: Type2Solution(theta=1.5242089715300463e-112, theta_prime=-2.178179017452761e+101,"
@@ -388,9 +394,8 @@ FOOTPRINTS = {
                {"treediag"}),
     "radius": (["radius", "--tree", "{p40}", "--matrix", "laplacian"], {"treediag"}),
     "eigen": (["eigen", "--tree", "{p4}", "--matrix", "adjacency", "--k", "3"], {"treediag"}),
-    "mlas": (["mlas", "--n", "19", "--direct"], {"signs", "treediag", "recurrence"}),
-    "broom": (["broom", "--r", "3", "--q", "4", "--p", "2", "--rr", "3"],
-              {"signs", "treediag", "recurrence"}),
+    "mlas": (["mlas", "--n", "19", "--direct"], {"signs", "treediag"}),
+    "broom": (["broom", "--r", "3", "--q", "4", "--p", "2", "--rr", "3"], {"signs", "treediag"}),
     "limit": (["limit", "--family", "adjacency", "--n-max", "17"],
               {"limits", "treediag"}),
     "random-tree": (["random-tree", "--n", "50", "--seed", "1"], {"oracle", "treediag"}),

@@ -135,9 +135,26 @@ def test_fixed_points():
     assert roots[0] == pytest.approx(-1.27202, abs=1e-5)
     assert roots[1] == pytest.approx(-0.786145, abs=1e-5)
     assert fixed_points(RecurrenceParams(2.0 / 7.0, -1.0)) == []
-    # delta = alpha^2 + 4 gamma overflows, the roots do not
+    # delta = alpha^2 + 4 gamma overflows, the roots do not; an exact delta
+    # beyond the float range takes the same scaled form
     assert fixed_points(RecurrenceParams(1e200, 1.0)) == pytest.approx([-1e-200, 1e200], rel=1e-15)
     assert fixed_points(RecurrenceParams(1.0, 1e308)) == pytest.approx([-1e154, 1e154], rel=1e-15)
+    for params in (RecurrenceParams(10**200, 1), RecurrenceParams(Fraction(10**200), Fraction(1))):
+        assert fixed_points(params) == [-1e-200, 1e200]
+
+
+def test_nan_delta_takes_its_kind_from_the_scaled_discriminant():
+    # alpha^2 is inf and 4 gamma is -inf, so the float delta is NaN
+    params = RecurrenceParams(1e308, -9e307)
+    cls = classify(params)
+    assert math.isnan(cls.delta) and cls.kind is SolutionKind.TYPE2
+    assert fixed_points(params) == pytest.approx([0.9, 1e308], rel=1e-15)
+    with pytest.raises(DomainError, match=r"computed delta is not finite \(nan\)"):
+        solve(params, 1.0)
+    # alpha^2 = -4 gamma = 2^1024: a double root; -4 gamma = 2^1025: complex roots
+    double = RecurrenceParams(2.0**512, -(2.0**1022))
+    assert classify(double).kind is SolutionKind.TYPE1 and fixed_points(double) == [2.0**511]
+    assert classify(RecurrenceParams(2.0**512, -(2.0**1023))).kind is SolutionKind.TYPE3
 
 
 def test_fixed_points_satisfy_phi():

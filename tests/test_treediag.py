@@ -442,23 +442,26 @@ def test_kth_eigenvalue_ordering():
 
 
 def test_bisection_computes_the_gershgorin_interval_once(monkeypatch):
-    real = SymmetricTreeMatrix.gershgorin
     calls = []
 
-    def counted(m):
-        calls.append(m)
-        return real(m)
+    def counted(real):
+        def wrapper(m):
+            calls.append((real.__name__, m))
+            return real(m)
+        return wrapper
 
-    monkeypatch.setattr(SymmetricTreeMatrix, "gershgorin", counted)
+    monkeypatch.setattr(SymmetricTreeMatrix, "gershgorin", counted(SymmetricTreeMatrix.gershgorin))
+    monkeypatch.setattr(treediag, "_chain_program", counted(_chain_program))
     tree = random_tree(40, seed=3)
     for kind in MatrixKind.ALL:
         m = build_matrix(tree, kind)
-        first = kth_eigenvalue(m, 5)
-        assert [x.hex() for x in m._gershgorin] == [x.hex() for x in real(m)]
-        assert kth_eigenvalue(m, 5) == first
-        spectral_radius(m)
-        assert calls == [m], kind
-        calls.clear()
+        for bisect in (lambda: kth_eigenvalue(m, 5), lambda: spectral_radius(m)):
+            answers = []
+            for _ in range(2):  # a second bisection on the same matrix repeats the first
+                answers.append(bisect().hex())
+                assert sorted(calls) == [("_chain_program", m), ("gershgorin", m)], kind
+                calls.clear()
+            assert answers[0] == answers[1], kind
 
 
 # ---------------------------------------------------------------------------
@@ -488,10 +491,9 @@ def chain_calls(min_chain=None):
         treediag.chain_orbit, treediag.MIN_CHAIN = real, saved
 
 
-def with_chains(m):
-    """m with the chain program its first bisection would build."""
-    m._chains = _chain_program(m)
-    return m
+def contracted(m, alpha):
+    """Counts of the float sweep at alpha that takes M's chains in closed form, as bisection does."""
+    return treediag._sweep(m, alpha, False, _chain_program(m))[1]
 
 
 def fraction_inertia(m, alpha):
@@ -534,8 +536,8 @@ def test_contracted_counts_equal_the_fraction_sweep(shape, a, b, root, kind, alp
     tree = build_tree(edges, root=1 + root % (len(edges) + 1))
     shift = float(alpha)  # the float sweep's shift, exactly a dyadic rational
     with chain_calls(min_chain):
-        m = with_chains(build_matrix(tree, kind))
-        assert locate(m, shift) == fraction_inertia(m, shift)
+        m = build_matrix(tree, kind)
+        assert contracted(m, shift) == fraction_inertia(m, shift)
 
 
 def test_chain_program_finds_the_runs():
@@ -574,18 +576,16 @@ def test_shifts_at_rational_eigenvalues_are_stepped():
     # chain from the far leaf: at 0 the leaf itself is zero, at +-1 the phase
     # of the top lies on a multiple of pi
     for n in (17, 35):
-        m = with_chains(build_matrix(build_tree([(v, v + 1) for v in range(1, n)], root=1),
-                                     MatrixKind.ADJACENCY))
+        m = build_matrix(build_tree([(v, v + 1) for v in range(1, n)], root=1), MatrixKind.ADJACENCY)
         for alpha in (0.0, 1.0, -1.0):
             with chain_calls() as calls:
-                got = locate(m, alpha)
+                got = contracted(m, alpha)
             assert got == fraction_inertia(m, alpha) and got.equal == 1, (n, alpha)
             assert not any(calls), (n, alpha)
     # the Laplacian of P18 has eigenvalues 1, 2 and 3 (2 - 2cos(k pi/18))
-    m = with_chains(build_matrix(build_tree([(v, v + 1) for v in range(1, 18)], root=1),
-                                 MatrixKind.LAPLACIAN))
+    m = build_matrix(build_tree([(v, v + 1) for v in range(1, 18)], root=1), MatrixKind.LAPLACIAN)
     for alpha in (1.0, 2.0, 3.0):
-        assert locate(m, alpha) == fraction_inertia(m, alpha) == (
+        assert contracted(m, alpha) == fraction_inertia(m, alpha) == (
             sum(2 - 2 * math.cos(k * math.pi / 18) < alpha - 1e-9 for k in range(18)), 1,
             sum(2 - 2 * math.cos(k * math.pi / 18) > alpha + 1e-9 for k in range(18)))
 
@@ -593,17 +593,17 @@ def test_shifts_at_rational_eigenvalues_are_stepped():
 def test_normalized_laplacian_chain():
     # the normalized Laplacian of P_n has eigenvalues 1 - cos(k pi/(n - 1))
     n = 60
-    m = with_chains(build_matrix(build_tree([(v, v + 1) for v in range(1, n)], root=1),
-                                 MatrixKind.NORMALIZED_LAPLACIAN))
+    m = build_matrix(build_tree([(v, v + 1) for v in range(1, n)], root=1),
+                     MatrixKind.NORMALIZED_LAPLACIAN)
     eigs = [1 - math.cos(k * math.pi / (n - 1)) for k in range(n)]
     with chain_calls() as calls:
         for k in range(n - 1):
-            assert locate(m, 0.5 * (eigs[k] + eigs[k + 1])) == (k + 1, 0, n - k - 1)
+            assert contracted(m, 0.5 * (eigs[k] + eigs[k + 1])) == (k + 1, 0, n - k - 1)
     assert sum(calls) >= 0.9 * (n - 1)  # the extreme shifts sit near a^2 = 4s, and are stepped
     assert kth_eigenvalue(m, 17) == pytest.approx(eigs[16], abs=1e-9)
 
 
-def test_locate_is_unchanged_by_a_bisection():
+def test_contracted_counts_equal_locate():
     shifts = {
         MatrixKind.ADJACENCY: (0.0, 1.0, -1.0, 0.37, 1e-11, 1.9, 2.05),
         MatrixKind.LAPLACIAN: (0.0, 1.0, 2.0, 0.37, 3.99, 4.2),
@@ -613,13 +613,12 @@ def test_locate_is_unchanged_by_a_bisection():
     trees = [build_tree(_shape_edges(shape, 120, rng), root=1)
              for shape in ("path", "star", "caterpillar", "prufer", "broom")]
     trees += [build_tree(chain_heavy_edges(shape, 50, 9), root=3) for shape in ("spider", "caterpillar")]
-    for tree in trees:
-        for kind, alphas in shifts.items():
-            m = build_matrix(tree, kind)
-            before = [locate(m, a) for a in alphas]
-            spectral_radius(m)
-            assert m._chains is not None
-            assert [locate(m, a) for a in alphas] == before, (tree, kind)
+    with chain_calls() as calls:
+        for tree in trees:
+            for kind, alphas in shifts.items():
+                m = build_matrix(tree, kind)
+                assert [contracted(m, a) for a in alphas] == [locate(m, a) for a in alphas], (tree, kind)
+    assert any(calls)
 
 
 def test_closed_form_spectra_of_a_path_at_1e5():
