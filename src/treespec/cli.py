@@ -107,7 +107,7 @@ def _load_matrix(args):
     try:
         with open(args.tree, "r", encoding="utf-8") as fh:
             text = fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise _UsageError(f"cannot read tree file {args.tree!r}: {exc}") from exc
     tree = treediag.parse_tree_file(text, root=getattr(args, "root", None))
     return treediag.build_matrix(tree, args.matrix)

@@ -155,18 +155,19 @@ def psi_apply(params: RecurrenceParams, t: Real) -> Real:
 def classify(params: RecurrenceParams) -> DeltaClass:
     """Discriminant class of the recurrence.
 
-    With exact parameters the sign test is exact; in float mode values with
-    |delta| <= DELTA_TOL land in the double-root family.  Where the float
-    delta is NaN (alpha^2 and 4 gamma overflow with opposite signs), the
-    sign comes from delta/c^2, c = max(|alpha|, 2 sqrt|gamma|).
+    With exact parameters the sign test is exact.  In float mode the test
+    reads delta/c^2, c = max(|alpha|, 2 sqrt|gamma|), which scaling the
+    orbit (alpha by k, gamma by k^2) leaves alone and which stays finite
+    where delta overflows or is NaN: |delta/c^2| <= DELTA_TOL selects the
+    double-root family.
     """
     alpha, gamma = params.alpha, params.gamma
     delta = sign = alpha * alpha + 4 * gamma
-    if sign != sign:  # NaN: alpha^2 is inf and 4 gamma is -inf
+    if not params.exact:
         c = max(abs(alpha), 2 * math.sqrt(abs(gamma)))
         sign = (alpha / c) ** 2 + 4 * (gamma / c / c)
-    zero = delta == 0 if params.exact else (abs(delta) <= DELTA_TOL or sign == 0)
-    if zero:
+        sign = 0 if abs(sign) <= DELTA_TOL else sign
+    if sign == 0:
         kind = SolutionKind.TYPE1
     elif sign > 0:
         kind = SolutionKind.TYPE2

@@ -28,8 +28,7 @@ from fractions import Fraction
 from itertools import groupby
 from math import inf, isfinite, sqrt
 from operator import add, eq, itemgetter, sub
-from types import MappingProxyType
-from typing import Dict, Iterable, List, Mapping, NamedTuple, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 from .errors import BadIndexError, BadVertexError, DomainError, NotATreeError
 
@@ -174,68 +173,49 @@ class MatrixKind:
 class SymmetricTreeMatrix:
     """Symmetric matrix supported on a tree: vertex weights + edge weights.
 
-    ``diag[v]`` is the diagonal entry of vertex v; ``edge_weight[v]`` is the
-    off-diagonal entry on the edge from v to its parent (every entry off the
-    tree is zero).  All edge weights must be nonzero.  The matrix keeps only
-    the lists the sweep reads, indexed by vertex with a spare slot 0: the
-    diagonal, the edge weights and their squares (0 at the root), entries
-    as given.  ``diag`` and ``edge_weight`` are read-only dict views built
-    from those lists on each access.
+    ``diag`` and ``edge_weight`` are read-only tuples of n + 1 entries,
+    indexed by vertex with slot 0 spare, kept as given: ``diag[v]`` is the
+    diagonal entry of vertex v, ``edge_weight[v]`` the off-diagonal entry on
+    the edge from v to its parent, nonzero but at the root and slot 0, where
+    it is 0 (every entry off the tree is zero).  The sweeps also read the
+    squared edge weights.  ``is_rational`` holds when every entry is an int
+    or a Fraction, none a float; exact sweeps need it.  Instances are
+    immutable.
     """
 
-    __slots__ = ("tree", "kind", "is_rational", "_diag", "_w", "_w2", "_dmin", "_dmax")
+    __slots__ = ("tree", "diag", "edge_weight", "is_rational", "_w2", "_dmin", "_dmax")
 
-    def __init__(
-        self,
-        tree: RootedTree,
-        diag: Mapping[int, Real],
-        edge_weight: Mapping[int, Real],
-        kind: Optional[str] = None,
-    ):
-        if set(diag) != set(range(1, tree.n + 1)):
-            raise BadVertexError("diag must assign a value to every vertex")
-        non_root = {v for v in range(1, tree.n + 1) if v != tree.root}
-        if set(edge_weight) != non_root:
-            raise BadVertexError("edge_weight must cover exactly the non-root vertices")
-        weight: List[Real] = [0] * (tree.n + 1)
-        for v, w in edge_weight.items():
-            if w == 0:
-                raise DomainError(f"edge weight at vertex {v} must be nonzero")
-            weight[v] = w
-        diag_list = [0] + [diag[v] for v in range(1, tree.n + 1)]
-        for v, x in enumerate(diag_list):
-            if isinstance(x, float) and not isfinite(x):
-                raise DomainError(f"diagonal entry at vertex {v} is not finite: {x!r}")
-        for v, w in enumerate(weight):
-            if isinstance(w, float) and not isfinite(w * w):  # the sweeps divide w^2
-                raise DomainError(f"edge weight at vertex {v} is not finite when squared: {w!r}")
-        rational = all(isinstance(x, (int, Fraction)) for x in diag_list + weight)
-        self._fill(tree, diag_list, weight, kind, rational)
-
-    def _fill(self, tree: RootedTree, diag: List[Real], weight: List[Real],
-              kind: Optional[str], rational: bool) -> None:
+    def __init__(self, tree: RootedTree, diag: Sequence[Real], edge_weight: Sequence[Real]):
+        root, size = tree.root, tree.n + 1
         self.tree = tree
-        self.kind = kind
-        self.is_rational = rational
-        self._diag = diag
-        self._w = weight
-        self._w2 = [w * w for w in weight]
+        self.diag = diag = tuple(diag)
+        self.edge_weight = weight = tuple(edge_weight)
+        if len(diag) != size or len(weight) != size:
+            raise BadVertexError(f"diag and edge_weight need n + 1 = {size} entries, slot 0 spare; "
+                                 f"got {len(diag)} and {len(weight)}")
+        if weight[0] or weight[root]:
+            raise BadVertexError(f"edge_weight must be 0 in slot 0 and at the root {root}")
+        if not (all(weight[1:root]) and all(weight[root + 1:])):
+            v = next(v for v in range(1, size) if v != root and not weight[v])
+            raise DomainError(f"edge weight at vertex {v} must be nonzero")
         entries = diag[1:]
-        self._dmin = min(entries)
-        self._dmax = max(entries)
+        self._w2 = w2 = [w * w for w in weight]
+        # a sum is a float when a term is, and not finite when a float term is not (or it overflows)
+        dsum, wsum = sum(entries), sum(w2)
+        if isinstance(dsum, float) and not isfinite(dsum):
+            for v, x in enumerate(entries, start=1):
+                if isinstance(x, float) and not isfinite(x):
+                    raise DomainError(f"diagonal entry at vertex {v} is not finite: {x!r}")
+        if isinstance(wsum, float) and not isfinite(wsum):  # the sweeps divide w^2
+            for v, w in enumerate(weight):
+                if isinstance(w, float) and not isfinite(w * w):
+                    raise DomainError(f"edge weight at vertex {v} is not finite when squared: {w!r}")
+        self.is_rational = isinstance(dsum, (int, Fraction)) and isinstance(wsum, (int, Fraction))
+        self._dmin, self._dmax = min(entries), max(entries)
 
     @property
     def n(self) -> int:
         return self.tree.n
-
-    @property
-    def diag(self) -> Mapping[int, Real]:
-        return MappingProxyType(dict(enumerate(self._diag[1:], start=1)))
-
-    @property
-    def edge_weight(self) -> Mapping[int, Real]:
-        w = self._w
-        return MappingProxyType({v: w[v] for v in range(1, self.n + 1) if v != self.tree.root})
 
     def dense(self):
         """Dense float NumPy copy (for the dense oracle)."""
@@ -243,18 +223,18 @@ class SymmetricTreeMatrix:
 
         m = np.zeros((self.n, self.n))
         for v in range(1, self.n + 1):
-            m[v - 1, v - 1] = float(self._diag[v])
+            m[v - 1, v - 1] = float(self.diag[v])
         for v, p in self.tree.edges():
-            m[v - 1, p - 1] = m[p - 1, v - 1] = float(self._w[v])
+            m[v - 1, p - 1] = m[p - 1, v - 1] = float(self.edge_weight[v])
         return m
 
     def gershgorin(self) -> Tuple[float, float]:
         """Closed interval containing every eigenvalue."""
         radius = [0.0] * (self.n + 1)
-        for v, (p, w) in enumerate(zip(self.tree._parent, map(abs, map(float, self._w)))):
+        for v, (p, w) in enumerate(zip(self.tree._parent, map(abs, map(float, self.edge_weight)))):
             radius[v] += w  # each edge at both ends, in the order of its child; the root adds 0.0
             radius[p] += w
-        diag, radius = self._diag[1:], radius[1:]
+        diag, radius = self.diag[1:], radius[1:]
         return min(map(sub, diag, radius)), max(map(add, diag, radius))
 
 
@@ -271,27 +251,22 @@ def build_matrix(tree: RootedTree, kind: str) -> SymmetricTreeMatrix:
 
     adjacency  : diag 0, edge weights 1
     laplacian  : diag degree(v), edge weights -1
-    normalized : diag 1, edge weight -1/sqrt(deg(u)*deg(v))  (float-only)
+    normalized : diag 1, edge weight -1/sqrt(deg(u)*deg(v))  (float weights)
     """
     size = tree.n + 1
-    parent = tree._parent
     if kind == MatrixKind.ADJACENCY:
         diag: List[Real] = [0] * size
-        weight: List[Real] = [1 if p else 0 for p in parent]
+        weight: List[Real] = [1] * size
     elif kind == MatrixKind.LAPLACIAN:
-        diag = tree._degree  # shared with the tree; neither changes it
-        weight = [-1 if p else 0 for p in parent]
+        diag, weight = tree._degree, [-1] * size
     elif kind == MatrixKind.NORMALIZED_LAPLACIAN:
         deg = tree._degree
         diag = [1] * size
-        weight = [-1.0 / sqrt(deg[v] * deg[p]) if p else 0 for v, p in enumerate(parent)]
+        weight = [-1.0 / sqrt(deg[v] * deg[p]) if p else 0 for v, p in enumerate(tree._parent)]
     else:
         raise DomainError(f"unknown matrix kind {kind!r}")
-    # a single vertex has no float edge weight, so every kind is rational
-    rational = kind != MatrixKind.NORMALIZED_LAPLACIAN or tree.n == 1
-    m = SymmetricTreeMatrix.__new__(SymmetricTreeMatrix)
-    m._fill(tree, diag, weight, kind, rational)
-    return m
+    weight[0] = weight[tree.root] = 0
+    return SymmetricTreeMatrix(tree, diag, weight)
 
 
 def _sweep(m: SymmetricTreeMatrix, alpha: Real, exact: bool,
@@ -332,7 +307,7 @@ def _sweep(m: SymmetricTreeMatrix, alpha: Real, exact: bool,
         scale = max(abs(m._dmax - alpha), abs(m._dmin - alpha))
         tol, two = SWEEP_ZERO_TOL * max(1.0, scale), 2.0
     order, parents = m.tree._postorder, m.tree._postorder_parent
-    d, w2 = m._diag, m._w2
+    d, w2 = m.diag, m._w2
     a = [two - two] * len(d)  # the child sum of v, until v's value replaces it
     zero_child: Dict[int, int] = {}
     lo = -tol
@@ -504,7 +479,7 @@ def _chain_program(m: SymmetricTreeMatrix) -> List[tuple]:
     ends at a bottom carries the chain's entry, the next holds its vertices.
     """
     tree = m.tree
-    order, deg, d, w2 = tree._postorder, tree._degree, m._diag, m._w2
+    order, deg, d, w2 = tree._postorder, tree._degree, m.diag, m._w2
     # one child: degree 2, or 1 at the root; the first vertex is a leaf
     one_child = bytearray(deg[v] == 2 for v in order)
     one_child[-1] = deg[tree.root] == 1
@@ -554,10 +529,10 @@ def _certified_sweep(m: SymmetricTreeMatrix, alpha: Fraction) -> Optional[Tuple[
     """
     if max(-m._dmin, m._dmax, abs(alpha), max(m._w2)) > 2.0**200:
         return None
-    d, s, fa = list(map(float, m._diag)), list(map(float, m._w2)), float(alpha)
+    d, s, fa = tuple(map(float, m.diag)), list(map(float, m._w2)), float(alpha)
     base = float(abs(Fraction(fa) - alpha)) + 2.0**-200
-    ebound = [base] * len(d) if d == m._diag else [
-        base + float(abs(Fraction(f) - x)) for f, x in zip(d, m._diag)]
+    ebound = [base] * len(d) if d == m.diag else [  # d is a tuple: a list never equals one
+        base + float(abs(Fraction(f) - x)) for f, x in zip(d, m.diag)]
     ds = [0.0] * len(s) if s == m._w2 else [float(abs(Fraction(f) - x)) for f, x in zip(s, m._w2)]
     u, grow = 2.0**-53, 1.0 + (m.n + 10) * 2.0**-51
     acc, x = [0.0] * len(d), [f - fa for f in d]

@@ -120,6 +120,16 @@ def test_locate_missing_file(capsys):
     assert "cannot read" in err
 
 
+def test_tree_file_that_is_not_utf8_is_usage_error(tmp_path):
+    path = tmp_path / "bad.txt"
+    path.write_bytes(b"1 2\n2 3\xff\n")
+    out = subprocess.run([sys.executable, "-m", "treespec.cli", "locate", "--tree", str(path),
+                          "--matrix", "adjacency", "--alpha", "0"], capture_output=True, text=True)
+    assert (out.returncode, out.stdout) == (2, "")
+    assert out.stderr.startswith(f"error: cannot read tree file {str(path)!r}: 'utf-8' codec can't decode")
+    assert out.stderr.count("\n") == 1 and "Traceback" not in out.stderr
+
+
 def test_unknown_flag_is_usage_error(capsys):
     code = run(["mlas", "--n", "19", "--bogus"])
     capsys.readouterr()

@@ -87,7 +87,7 @@ def test_closed_form_spectra_at_size_limit():
 
 def test_tol_below_lapack_bound_is_domain_error():
     # P3 with weights 1e8: Gershgorin gives g = 2e8, so n*u*g is about 6.7e-8
-    m = SymmetricTreeMatrix(path_tree(3), {1: 0, 2: 0, 3: 0}, {1: 1e8, 2: 1e8})
+    m = SymmetricTreeMatrix(path_tree(3), (0, 0, 0, 0), (0, 1e8, 1e8, 0))
     bound = 3 * 2.0**-53 * 2e8
     for tol in (1e-10, 0.99 * bound):
         with pytest.raises(DomainError, match="below the LAPACK error bound"):

@@ -157,6 +157,19 @@ def test_nan_delta_takes_its_kind_from_the_scaled_discriminant():
     assert classify(RecurrenceParams(2.0**512, -(2.0**1023))).kind is SolutionKind.TYPE3
 
 
+@pytest.mark.parametrize("alpha, gamma, x1", [(3e-6, -2.001e-12, 1.5e-6), (3.0, -2.001, 1.5),
+                                                (3e6, -2.001e12, 1.5e6)])
+def test_float_classification_does_not_depend_on_scale(alpha, gamma, x1):
+    # one map at three scales: delta = 0.996 s^2 lies below DELTA_TOL at s = 1e-6
+    params = RecurrenceParams(alpha, gamma)
+    assert classify(params).kind is SolutionKind.TYPE2
+    sol = solve(params, x1)
+    assert sol.variant == "type2"
+    exact = iterate(RecurrenceParams(Fraction(alpha), Fraction(gamma)), Fraction(x1), 6).values
+    for j, want in enumerate(exact, start=1):
+        assert sol.eval(j) == pytest.approx(float(want), rel=1e-12), j
+
+
 def test_fixed_points_satisfy_phi():
     rng = random.Random(11)
     for _ in range(200):

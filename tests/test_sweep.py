@@ -5,6 +5,7 @@ from fractions import Fraction
 from math import isqrt, nextafter
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -18,6 +19,7 @@ from treespec.treediag import (
     _inertia,
     diagonalize,
     locate,
+    spectral_radius,
 )
 
 N = 120
@@ -75,11 +77,9 @@ def reference_sweep(m, alpha):
     zero-child branch, and the relative zero threshold, as documented.
     """
     n, tree = m.n, m.tree
-    a = np.array([float(m.diag[v]) for v in range(1, n + 1)]) - alpha
+    a = np.array([float(x) for x in m.diag[1:]]) - alpha
     tol = 1e-10 * max(1.0, float(np.max(np.abs(a))))
-    w2 = np.zeros(n)
-    for v, w in m.edge_weight.items():
-        w2[v - 1] = float(w) * float(w)
+    w2 = np.array([float(w) * float(w) for w in m.edge_weight[1:]])
     acc = np.zeros(n)
     zero_child = np.full(n, -1)
     for v1 in tree.postorder:
@@ -123,6 +123,23 @@ def test_float_sweep_bitwise_equals_reference_rule():
     assert zero_branch_cases >= 10  # the shifts above do reach the zero-child branch
 
 
+@pytest.mark.parametrize("kind", MatrixKind.ALL)
+@pytest.mark.parametrize("name", sorted(SHAPES))
+@settings(max_examples=8, deadline=None)
+@given(st.one_of(st.sampled_from((0.0, 1.0, -1.0, 2.0)), st.floats(-4.0, 8.0)))
+def test_a_matrix_rebuilt_from_its_tuples_answers_alike(name, kind, alpha):
+    m = build_matrix(SHAPES[name], kind)
+    copy = SymmetricTreeMatrix(m.tree, m.diag, m.edge_weight)
+    assert copy.is_rational == m.is_rational == (kind != MatrixKind.NORMALIZED_LAPLACIAN)
+    assert bits(diagonalize(copy, alpha).values()) == bits(diagonalize(m, alpha).values())
+    assert locate(copy, alpha) == locate(m, alpha)
+    assert spectral_radius(copy).hex() == spectral_radius(m).hex()
+    if m.is_rational:
+        exact = Fraction(alpha)
+        assert diagonalize(copy, exact, exact=True) == diagonalize(m, exact, exact=True)
+        assert locate(copy, exact, exact=True) == locate(m, exact, exact=True)
+
+
 def test_zero_child_tie_goes_to_smallest_vertex():
     # star adjacency at 0: every leaf is zero; leaf 2 wins, the others stay 0
     k = 7
@@ -136,9 +153,7 @@ def test_zero_child_tie_goes_to_smallest_vertex():
 
 def test_exact_diagonalize_returns_fractions():
     tree = star(5)
-    diag = {v: 0 for v in range(1, 6)}
-    weight = {v: 3 for v in range(2, 6)}
-    m = SymmetricTreeMatrix(tree, diag, weight)
+    m = SymmetricTreeMatrix(tree, (0, 0, 0, 0, 0, 0), (0, 0, 3, 3, 3, 3))
     values = diagonalize(m, 0, exact=True)
     assert all(type(x) is Fraction for x in values.values())
     assert values[1] == Fraction(-9, 2) and values[2] == Fraction(2)
@@ -175,7 +190,7 @@ def documented_bounds(m, alpha, x, e):
     terms use the bounds ``e`` the pass returned for the children.
     """
     u, tree, fa = Fraction(1, 2**53), m.tree, float(alpha)
-    w2 = {v: w * w for v, w in m.edge_weight.items()}
+    w2 = [w * w for w in m.edge_weight]
 
     def rounding(value):
         return abs(Fraction(float(value)) - value)
@@ -232,8 +247,8 @@ def test_exact_locate_on_rational_entries(n, seed, alpha):
         return Fraction(rng.choice((-1, 1)) * rng.randint(1, 600), rng.randint(1, 60))
 
     tree = random_tree(n, seed=seed)
-    diag = {v: entry() for v in range(1, n + 1)}
-    weight = {v: entry() for v in range(1, n + 1) if v != tree.root}
+    diag = [0] + [entry() for v in range(1, n + 1)]
+    weight = [0] + [entry() if v != tree.root else 0 for v in range(1, n + 1)]
     check_certified(SymmetricTreeMatrix(tree, diag, weight), alpha)
 
 
@@ -260,7 +275,7 @@ def test_shifts_that_round_to_one_float_keep_their_own_counts():
     # ~1e-10, leaves the middle sign in doubt.
     r = Fraction(isqrt(2 * 10**80), 10**40)
     for k in (0, 2**20):
-        m = SymmetricTreeMatrix(path(3), {1: k, 2: k, 3: k}, {2: 1, 3: 1})
+        m = SymmetricTreeMatrix(path(3), (0, k, k, k), (0, 0, 1, 1))
         low, high = k + r - Fraction(1, 10**30), k + r + Fraction(1, 10**30)
         assert float(low) == float(high)
         assert locate(m, low, exact=True) == fraction_inertia(m, low) == (2, 0, 1)
@@ -281,11 +296,11 @@ def test_entries_that_are_not_floats():
     # a leaf value of 256 where the exact one is 257 flips the root's sign.
     third = Fraction(1, 3)
     tree = build_tree([(1, 2), (2, 3)], root=2)
-    m = SymmetricTreeMatrix(tree, {1: third, 2: 3 * 10**14, 3: 2**60 + 1}, {1: Fraction(1, 7), 3: 1})
+    m = SymmetricTreeMatrix(tree, (0, third, 3 * 10**14, 2**60 + 1), (0, Fraction(1, 7), 0, 1))
     alpha = Fraction(nextafter(float(third), 0.0))
     assert locate(m, alpha, exact=True) == fraction_inertia(m, alpha) == (0, 0, 3)
     top = 2**60 - 256
-    m = SymmetricTreeMatrix(build_tree([(1, 2)], root=2), {1: 2**60 + 1, 2: top + Fraction(2, 513)}, {1: 1})
+    m = SymmetricTreeMatrix(build_tree([(1, 2)], root=2), (0, 2**60 + 1, top + Fraction(2, 513)), (0, 1, 0))
     assert locate(m, top, exact=True) == fraction_inertia(m, top) == (0, 0, 2)
     for alpha in (third, Fraction(1, 7), top, Fraction(10**15, 3)):
         check_certified(m, alpha)
@@ -296,7 +311,7 @@ def test_entries_below_the_float_range():
     # 0.0; with the weight 2^-500 the root's float value is 2^73 where the
     # exact one is 2^73 * (3 - 4/1.02) < 0
     tree = build_tree([(1, 2)], root=2)
-    m = SymmetricTreeMatrix(tree, {1: Fraction(51, 50 * 2**1075), 2: 3 * 2**73}, {1: Fraction(1, 2**500)})
+    m = SymmetricTreeMatrix(tree, (0, Fraction(51, 50 * 2**1075), 3 * 2**73), (0, Fraction(1, 2**500), 0))
     assert locate(m, 0, exact=True) == fraction_inertia(m, 0) == (1, 0, 1)
 
 
@@ -304,7 +319,7 @@ def test_a_value_equal_to_its_bound_stays_uncertain():
     # one vertex: d = 1 + 2^-54 rounds to 1 and the shift to 1 - 2^-53, so the
     # float value is x = 2^-53.  The bound grows with the shift's rounding error
     # da; the last certified bound must be the float just below x.
-    m = SymmetricTreeMatrix(build_tree([], root=1), {1: 1 + Fraction(1, 2**54)}, {})
+    m = SymmetricTreeMatrix(build_tree([], root=1), (0, 1 + Fraction(1, 2**54)), (0, 0))
     x, da, last = 2.0**-53, 2.0**-54 * (1 - 1e-13), None
     while (certified := _certified_sweep(m, Fraction(1 - x) + Fraction(da))) is not None:
         assert certified[0] == [x]

@@ -197,19 +197,19 @@ def test_build_tree_matches_reference_dfs(shape):
 def test_build_matrix_kinds():
     p2 = path_tree(2)
     lap = build_matrix(p2, MatrixKind.LAPLACIAN)
-    assert lap.diag == {1: 1, 2: 1}
-    assert lap.edge_weight == {1: -1}
+    assert lap.diag == (0, 1, 1)
+    assert lap.edge_weight == (0, -1, 0)
     p3 = path_tree(3)
     adj = build_matrix(p3, MatrixKind.ADJACENCY)
-    assert adj.diag == {1: 0, 2: 0, 3: 0}
-    assert set(adj.edge_weight.values()) == {1}
+    assert adj.diag == (0, 0, 0, 0)
+    assert adj.edge_weight == (0, 1, 1, 0)
     norm = build_matrix(p3, MatrixKind.NORMALIZED_LAPLACIAN)
-    assert norm.diag == {1: 1, 2: 1, 3: 1}
+    assert norm.diag[1:] == (1, 1, 1)
     assert norm.edge_weight[1] == pytest.approx(-1.0 / math.sqrt(2.0))
     assert not norm.is_rational and adj.is_rational and lap.is_rational
     assert build_matrix(build_tree([], root=1), MatrixKind.NORMALIZED_LAPLACIAN).is_rational
     with pytest.raises(TypeError):
-        lap.diag[1] = 5  # read-only views
+        lap.diag[1] = 5  # read-only tuples
     with pytest.raises(TypeError):
         lap.edge_weight[1] = 5
 
@@ -217,18 +217,38 @@ def test_build_matrix_kinds():
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 def test_hand_built_matrix_refuses_non_finite_entries(bad):
     tree = path_tree(3)
-    diag, weight = {1: 0.0, 2: 0.0, 3: 0.0}, {1: 1.0, 2: 1.0}
+    diag, weight = (0, 0.0, 0.0, 0.0), (0, 1.0, 1.0, 0)
     with pytest.raises(DomainError, match=r"diagonal entry at vertex 2 is not finite"):
-        SymmetricTreeMatrix(tree, {**diag, 2: bad}, weight)
+        SymmetricTreeMatrix(tree, (0, 0.0, bad, 0.0), weight)
     with pytest.raises(DomainError, match=r"edge weight at vertex 1 is not finite"):
-        SymmetricTreeMatrix(tree, diag, {**weight, 1: bad})
+        SymmetricTreeMatrix(tree, diag, (0, bad, 1.0, 0))
     assert locate(SymmetricTreeMatrix(tree, diag, weight), 0.0) == (1, 1, 1)
 
 
 def test_hand_built_matrix_refuses_weight_whose_square_overflows():
     # w^2 = inf in the sweeps: two such children sum to inf - inf = nan, counted as above
     with pytest.raises(DomainError, match=r"edge weight at vertex 1 is not finite when squared: 1e\+200"):
-        SymmetricTreeMatrix(path_tree(3), {1: 0.0, 2: 0.0, 3: 0.0}, {1: 1e200, 2: 1.0})
+        SymmetricTreeMatrix(path_tree(3), (0, 0.0, 0.0, 0.0), (0, 1e200, 1.0, 0))
+
+
+def test_hand_built_matrix_checks_lengths_spare_slot_and_root():
+    tree = path_tree(3)  # root 3
+    diag, weight = (0, 0, 0, 0), (0, 1, 1, 0)
+    with pytest.raises(BadVertexError, match=r"need n \+ 1 = 4 entries, slot 0 spare; got 3 and 4"):
+        SymmetricTreeMatrix(tree, diag[1:], weight)
+    with pytest.raises(BadVertexError, match=r"need n \+ 1 = 4 entries, slot 0 spare; got 4 and 5"):
+        SymmetricTreeMatrix(tree, diag, weight + (0,))
+    for bad in ((1, 1, 1, 0), (0, 1, 1, 1), (0.5, 1, 1, 0)):
+        with pytest.raises(BadVertexError, match=r"edge_weight must be 0 in slot 0 and at the root 3"):
+            SymmetricTreeMatrix(tree, diag, bad)
+    with pytest.raises(DomainError, match=r"edge weight at vertex 2 must be nonzero"):
+        SymmetricTreeMatrix(tree, diag, (0, 1, Fraction(0), 0))
+    with pytest.raises(DomainError, match=r"edge weight at vertex 3 must be nonzero"):
+        SymmetricTreeMatrix(path_tree(3, root=1), diag, (0, 0, 1, 0.0))
+    m = SymmetricTreeMatrix(tree, [0, Fraction(1, 3), 2, 0], [0, 1, Fraction(-1, 2), 0])
+    assert m.is_rational and m.diag == (0, Fraction(1, 3), 2, 0) and m.edge_weight == (0, 1, Fraction(-1, 2), 0)
+    assert not SymmetricTreeMatrix(tree, (0, Fraction(1, 3), 0.5, 0), weight).is_rational
+    assert not SymmetricTreeMatrix(tree, diag, (0, Fraction(1, 3), 0.5, 0)).is_rational
 
 
 def test_dense_round_trip():
@@ -403,8 +423,8 @@ def test_sweep_matches_tridiagonal_reference_at_1e5():
     root = n // 2 + 7
     tree = build_tree([(i, i + 1) for i in range(1, n)], root=root)
     # edge (i, i + 1) belongs to its child, the end farther from the root
-    weight = {i if i < root else i + 1: w for i, w in enumerate(e, start=1)}
-    m = SymmetricTreeMatrix(tree, dict(enumerate(d, start=1)), weight)
+    weight = [0] + e[:root - 1] + [0] + e[root - 1:]
+    m = SymmetricTreeMatrix(tree, [0] + d, weight)
     d, e = np.array(d), np.array(e)
     checks = 0
     for k in (1, 17, n // 3, n // 2, 3 * n // 4, n - 1):
