@@ -122,10 +122,8 @@ _RENAMED = {"phi_angle": "phi"}
 
 
 def _fields(obj) -> dict:
-    """A library dataclass as an output row, in field order."""
-    from dataclasses import asdict
-
-    return {_RENAMED.get(key, key): value for key, value in asdict(obj).items()}
+    """A library record (a NamedTuple) as an output row, in field order."""
+    return {_RENAMED.get(key, key): value for key, value in obj._asdict().items()}
 
 
 def _print(args, rows: List[dict], header: Sequence[str] = ()) -> None:

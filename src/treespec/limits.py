@@ -11,26 +11,28 @@ their algebraic closed forms.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import List, Tuple
+from typing import List, NamedTuple, Tuple
 
 from .errors import OutOfDomainError
 from .treediag import MatrixKind, RootedTree, build_matrix, build_tree, spectral_radius
 
 
-@dataclass(frozen=True)
-class StarlikeSpec:
-    """Arm lengths (vertex counts) of a starlike tree; center has degree 3."""
-
+class _Arms(NamedTuple):
     l: int
     m: int
     n_arm: int
 
-    def __post_init__(self) -> None:
-        for name in ("l", "m", "n_arm"):
-            v = getattr(self, name)
+
+class StarlikeSpec(_Arms):
+    """Arm lengths (vertex counts) of a starlike tree; center has degree 3."""
+
+    __slots__ = ()
+
+    def __new__(cls, l: int, m: int, n_arm: int) -> StarlikeSpec:
+        for name, v in zip(cls._fields, (l, m, n_arm)):
             if not isinstance(v, int) or v < 1:
                 raise OutOfDomainError(f"{name} must be a positive integer, got {v!r}")
+        return super().__new__(cls, l, m, n_arm)
 
     @property
     def n(self) -> int:

@@ -26,10 +26,9 @@ from __future__ import annotations
 import itertools
 import math
 import sys
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import ClassVar, Iterator, List, Optional, Tuple, Union
+from typing import Iterator, List, NamedTuple, Optional, Tuple, Union
 
 from .errors import (
     DomainError,
@@ -59,16 +58,20 @@ def _is_zero(value: Real) -> bool:
     return -ZERO_TOL <= value <= ZERO_TOL
 
 
-@dataclass(frozen=True)
-class RecurrenceParams:
-    """The pair (alpha, gamma) defining phi(t) = alpha + gamma/t."""
-
+class _Params(NamedTuple):
     alpha: Real
     gamma: Real
 
-    def __post_init__(self) -> None:
-        if _is_zero(self.gamma):
+
+class RecurrenceParams(_Params):
+    """The pair (alpha, gamma) defining phi(t) = alpha + gamma/t."""
+
+    __slots__ = ()
+
+    def __new__(cls, alpha: Real, gamma: Real) -> RecurrenceParams:
+        if _is_zero(gamma):
             raise DomainError("gamma must be nonzero")
+        return super().__new__(cls, alpha, gamma)
 
     @property
     def exact(self) -> bool:
@@ -82,8 +85,7 @@ class SolutionKind(Enum):
     TYPE3 = "type3"  # delta < 0, complex pair
 
 
-@dataclass(frozen=True)
-class DeltaClass:
+class DeltaClass(NamedTuple):
     """Discriminant delta = alpha^2 + 4*gamma and the family it selects."""
 
     delta: Real
@@ -91,14 +93,7 @@ class DeltaClass:
 
 
 class Pole:
-    """Marker value returned by eval() at a vertical asymptote."""
-
-    _instance: Optional["Pole"] = None
-
-    def __new__(cls) -> "Pole":
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
+    """Marker value returned by eval() at a vertical asymptote: the one instance is POLE."""
 
     def __repr__(self) -> str:
         return "Pole"
@@ -107,8 +102,7 @@ class Pole:
 POLE = Pole()
 
 
-@dataclass(frozen=True)
-class OrbitResult:
+class OrbitResult(NamedTuple):
     """A finite prefix of an orbit of phi.
 
     ``hit_zero_step`` is the 1-based index of the terminating zero value
@@ -122,9 +116,6 @@ class OrbitResult:
     @property
     def completed(self) -> bool:
         return self.hit_zero_step is None
-
-    def __len__(self) -> int:
-        return len(self.values)
 
 
 # ---------------------------------------------------------------------------
@@ -299,39 +290,24 @@ def local_behavior(params: RecurrenceParams, t: Real) -> LocalBehavior:
 
 
 # ---------------------------------------------------------------------------
-# closed forms
+# closed forms: a family is named by its ``variant``; its eval(j) evaluates the continuous
+# extension at real j (integer j >= 1 reproduces the orbit), POLE within POLE_TOL of an asymptote
 
 
-class ClosedFormSolution:
-    """Base class of the closed-form solution variants.
-
-    ``eval(j)`` evaluates the continuous extension at real j (integer j >= 1
-    reproduces the orbit); it returns POLE within POLE_TOL of an asymptote.
-    ``variant`` names the family.
-    """
-
-    variant: ClassVar[str]
-
-    def eval(self, j: float) -> Union[float, Pole]:
-        raise NotImplementedError
-
-
-@dataclass(frozen=True)
-class ConstantSolution(ClosedFormSolution):
+class ConstantSolution(NamedTuple):
     """x_j = theta for all j (x_1 was a fixed point)."""
 
-    variant: ClassVar[str] = "constant"
+    variant = "constant"
     theta: float
 
     def eval(self, j: float) -> Union[float, Pole]:
         return self.theta
 
 
-@dataclass(frozen=True)
-class Type1Solution(ClosedFormSolution):
+class Type1Solution(NamedTuple):
     """Double-root family: x_j = theta * (1 + 1/(beta + j)), theta = alpha/2."""
 
-    variant: ClassVar[str] = "type1"
+    variant = "type1"
     theta: float
     beta: float
 
@@ -342,8 +318,7 @@ class Type1Solution(ClosedFormSolution):
         return self.theta * (1.0 + 1.0 / den)
 
 
-@dataclass(frozen=True)
-class Type2Solution(ClosedFormSolution):
+class Type2Solution(NamedTuple):
     """Two-real-roots family: x_j = theta + (theta' - theta)/(beta*q^j + 1).
 
     theta, theta_prime are the fixed points (theta the larger), and
@@ -352,7 +327,7 @@ class Type2Solution(ClosedFormSolution):
     DomainError when theta, theta' or beta overflowed, or beta underflowed.
     """
 
-    variant: ClassVar[str] = "type2"
+    variant = "type2"
     theta: float
     theta_prime: float
     beta: float
@@ -409,8 +384,7 @@ class Type2Solution(ClosedFormSolution):
         return self.theta + (self.theta_prime - self.theta) / den
 
 
-@dataclass(frozen=True)
-class Type3Solution(ClosedFormSolution):
+class Type3Solution(NamedTuple):
     """Complex-pair family: x_j = rho*(cos(phi) - sin(phi)*tan(j*phi + omega)).
 
     rho = sqrt(-gamma) > 0, phi_angle in (0, pi), omega normalized into
@@ -420,7 +394,7 @@ class Type3Solution(ClosedFormSolution):
     pole test would be decided by rounding (|j| up to 1e6 stays well below).
     """
 
-    variant: ClassVar[str] = "type3"
+    variant = "type3"
     rho: float
     phi_angle: float
     omega: float
@@ -439,14 +413,13 @@ class Type3Solution(ClosedFormSolution):
         return self.rho * (math.cos(self.phi_angle) - math.sin(self.phi_angle) * math.tan(arg))
 
 
-@dataclass(frozen=True)
-class AlternatingSolution(ClosedFormSolution):
+class AlternatingSolution(NamedTuple):
     """alpha = 0, gamma < 0: x_j alternates x_1, gamma/x_1, x_1, ...
 
     No continuous extension; only integer j are meaningful.
     """
 
-    variant: ClassVar[str] = "alternating"
+    variant = "alternating"
     x1: float
     gamma: float
 
@@ -457,6 +430,9 @@ class AlternatingSolution(ClosedFormSolution):
                 "alternating solution is defined only at integer j"
             )
         return self.x1 if int(jr) % 2 == 1 else self.gamma / self.x1
+
+
+ClosedFormSolution = Union[ConstantSolution, Type1Solution, Type2Solution, Type3Solution, AlternatingSolution]
 
 
 def _normalize_half_pi(omega: float) -> float:

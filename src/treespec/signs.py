@@ -24,12 +24,10 @@ are float.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from functools import cached_property
 from itertools import islice
-from typing import TYPE_CHECKING, Iterator, List, Optional, Tuple
+from typing import TYPE_CHECKING, Iterator, List, NamedTuple, Optional, Tuple
 
 from .errors import DomainError, OutOfDomainError, PatternNotFoundError, PreconditionViolatedError
 from .treediag import InertiaTriple, MatrixKind, RootedTree, _sweep, build_matrix, build_tree
@@ -38,33 +36,36 @@ if TYPE_CHECKING:  # imported where they run, so mlas and broom do not load recu
     from .recurrence import OrbitResult, RecurrenceParams
 
 
-@dataclass(frozen=True)
-class PendantConfig:
-    """Tree order n (>= 3) and pendant 2-path count r (>= 0).
-
-    x1, x2 and b1 are computed once per instance.
-    """
-
+class _Pendant(NamedTuple):
     n: int
     r: int
 
-    def __post_init__(self) -> None:
-        if not isinstance(self.n, int) or self.n < 3:
-            raise OutOfDomainError(f"n must be an integer >= 3, got {self.n!r}")
-        if not isinstance(self.r, int) or self.r < 0:
-            raise OutOfDomainError(f"r must be a nonnegative integer, got {self.r!r}")
 
-    @cached_property
+class PendantConfig(_Pendant):
+    """Tree order n (>= 3) and pendant 2-path count r (>= 0)."""
+
+    __slots__ = ()
+
+    def __new__(cls, n: int, r: int) -> PendantConfig:
+        if not isinstance(n, int) or n < 3:
+            raise OutOfDomainError(f"n must be an integer >= 3, got {n!r}")
+        if not isinstance(r, int) or r < 0:
+            raise OutOfDomainError(f"r must be a nonnegative integer, got {r!r}")
+        return super().__new__(cls, n, r)
+
+    @property
     def x1(self) -> Fraction:
         return Fraction(2, self.n) - 1
 
-    @cached_property
+    @property
     def x2(self) -> Fraction:
         return Fraction(2, self.n) - 1 / self.x1
 
-    @cached_property
+    @property
     def b1(self) -> Fraction:
-        return self.x1 + self.r * (1 - 1 / self.x2)
+        """x1 + r (1 - 1/x2) = x1 + 4r(n - 1)/c with c = n^2 + 2n - 4, as one Fraction."""
+        n, c = self.n, self.n * self.n + 2 * self.n - 4
+        return Fraction((2 - n) * c + 4 * self.r * n * (n - 1), n * c)
 
     def params(self, exact: bool = True) -> RecurrenceParams:
         from .recurrence import RecurrenceParams
@@ -291,8 +292,7 @@ def mlas_lower_bound(cfg: PendantConfig) -> int:
     return max(raw, 2)
 
 
-@dataclass(frozen=True)
-class MlasReport:
+class MlasReport(NamedTuple):
     """All alternating-sign analytics for one (n, r) pair."""
 
     n: int
@@ -325,29 +325,31 @@ def build_report(cfg: PendantConfig) -> MlasReport:
 # double brooms and the star-up transform
 
 
-@dataclass(frozen=True)
-class DoubleBroom:
-    """Two star vertices with r and R pendant 2-paths, joined through paths
-    of 2q and 2p vertices that meet at a degree-2 root; n = 2r+2R+2q+2p+1."""
-
+class _Broom(NamedTuple):
     r: int
     q: int
     p: int
     R: int
 
-    def __post_init__(self) -> None:
-        for name in ("r", "q", "p", "R"):
-            v = getattr(self, name)
+
+class DoubleBroom(_Broom):
+    """Two star vertices with r and R pendant 2-paths, joined through paths
+    of 2q and 2p vertices that meet at a degree-2 root; n = 2r+2R+2q+2p+1."""
+
+    __slots__ = ()
+
+    def __new__(cls, r: int, q: int, p: int, R: int) -> DoubleBroom:
+        for name, v in zip(cls._fields, (r, q, p, R)):
             if not isinstance(v, int) or v < 1:
                 raise OutOfDomainError(f"{name} must be a positive integer, got {v!r}")
+        return super().__new__(cls, r, q, p, R)
 
     @property
     def n(self) -> int:
         return 2 * self.r + 2 * self.R + 2 * self.q + 2 * self.p + 1
 
 
-@dataclass(frozen=True)
-class BroomLayout:
+class BroomLayout(NamedTuple):
     tree: RootedTree
     root: int
     left_star: int
@@ -391,8 +393,7 @@ class RootSign(Enum):
     ZERO = "zero"
 
 
-@dataclass(frozen=True)
-class BroomSigma:
+class BroomSigma(NamedTuple):
     """Eigenvalue split of a double broom at the average degree.
 
     sigma counts Laplacian eigenvalues strictly above 2 - 2/n; root_sign is

@@ -24,6 +24,7 @@ from __future__ import annotations
 import gc
 import math
 import re
+import sys
 from fractions import Fraction
 from itertools import groupby
 from math import inf, isfinite, sqrt
@@ -179,8 +180,9 @@ class SymmetricTreeMatrix:
     the edge from v to its parent, nonzero but at the root and slot 0, where
     it is 0 (every entry off the tree is zero).  The sweeps also read the
     squared edge weights.  ``is_rational`` holds when every entry is an int
-    or a Fraction, none a float; exact sweeps need it.  Instances are
-    immutable.
+    or a Fraction, none a float; exact sweeps need it.  A matrix with a float
+    entry is swept only in floats, so its other entries must lie in the float
+    range.  Instances are immutable.
     """
 
     __slots__ = ("tree", "diag", "edge_weight", "is_rational", "_w2", "_dmin", "_dmax")
@@ -200,8 +202,18 @@ class SymmetricTreeMatrix:
             raise DomainError(f"edge weight at vertex {v} must be nonzero")
         entries = diag[1:]
         self._w2 = w2 = [w * w for w in weight]
-        # a sum is a float when a term is, and not finite when a float term is not (or it overflows)
-        dsum, wsum = sum(entries), sum(w2)
+        self._dmin, self._dmax = min(entries), max(entries)
+        try:
+            # a sum is a float when a term is, and not finite when a float term is not (or it overflows)
+            dsum, wsum = sum(entries), sum(w2)
+            self.is_rational = isinstance(dsum, (int, Fraction)) and isinstance(wsum, (int, Fraction))
+            if not self.is_rational:  # swept in floats only: each entry must convert, and the
+                float(self._dmin), float(self._dmax), float(wsum)  # extremes and the sum of w^2 >= 0 bound them
+        except OverflowError:  # among floats: an int or Fraction beyond the float range, or an exact sum
+            v = next((v for v in range(1, size) if max(abs(diag[v]), w2[v]) > sys.float_info.max), None)
+            if v is not None:
+                raise DomainError(f"entry at vertex {v} is beyond the float range among float entries") from None
+            dsum, wsum, self.is_rational = sum(map(float, entries)), sum(map(float, w2)), False
         if isinstance(dsum, float) and not isfinite(dsum):
             for v, x in enumerate(entries, start=1):
                 if isinstance(x, float) and not isfinite(x):
@@ -210,8 +222,6 @@ class SymmetricTreeMatrix:
             for v, w in enumerate(weight):
                 if isinstance(w, float) and not isfinite(w * w):
                     raise DomainError(f"edge weight at vertex {v} is not finite when squared: {w!r}")
-        self.is_rational = isinstance(dsum, (int, Fraction)) and isinstance(wsum, (int, Fraction))
-        self._dmin, self._dmax = min(entries), max(entries)
 
     @property
     def n(self) -> int:
@@ -304,46 +314,50 @@ def _sweep(m: SymmetricTreeMatrix, alpha: Real, exact: bool,
         alpha = float(alpha)
         if not isfinite(alpha):
             raise DomainError(f"shift alpha must be finite, got {alpha!r}")
-        scale = max(abs(m._dmax - alpha), abs(m._dmin - alpha))
-        tol, two = SWEEP_ZERO_TOL * max(1.0, scale), 2.0
+        two = 2.0
     order, parents = m.tree._postorder, m.tree._postorder_parent
     d, w2 = m.diag, m._w2
     a = [two - two] * len(d)  # the child sum of v, until v's value replaces it
     zero_child: Dict[int, int] = {}
-    lo = -tol
     below = zeros = 0
     segments = iter(chains or [(0, len(order), None)])
-    for start, stop, chain in segments:
-        for v, p in zip(order[start:stop], parents[start:stop]):
-            if v in zero_child:
-                zc = zero_child[v]
-                a[zc] = two
-                x = a[v] = -w2[zc] / two
-                zeros -= two > tol
+    try:  # only a float sweep converts entries, and only an int or Fraction beyond its range fails
+        if not exact:
+            tol = SWEEP_ZERO_TOL * max(1.0, abs(m._dmax - alpha), abs(m._dmin - alpha))
+        lo = -tol
+        for start, stop, chain in segments:
+            for v, p in zip(order[start:stop], parents[start:stop]):
+                if v in zero_child:
+                    zc = zero_child[v]
+                    a[zc] = two
+                    x = a[v] = -w2[zc] / two
+                    zeros -= two > tol
+                    if x < lo:
+                        below += 1
+                    else:
+                        zeros += 1
+                    continue
+                x = a[v] = d[v] - alpha - a[v]
+                if lo <= x <= tol:
+                    zeros += 1
+                    if p not in zero_child or v < zero_child[p]:
+                        zero_child[p] = v
+                    continue
                 if x < lo:
                     below += 1
-                else:
-                    zeros += 1
+                a[p] += w2[v] / x
+            bottom = order[stop - 1]
+            if chain is None or bottom in zero_child or lo <= a[bottom] <= tol:
                 continue
-            x = a[v] = d[v] - alpha - a[v]
-            if lo <= x <= tol:
-                zeros += 1
-                if p not in zero_child or v < zero_child[p]:
-                    zero_child[p] = v
-                continue
-            if x < lo:
-                below += 1
-            a[p] += w2[v] / x
-        bottom = order[stop - 1]
-        if chain is None or bottom in zero_child or lo <= a[bottom] <= tol:
-            continue
-        length, cd, s, top, top_parent = chain
-        orbit = chain_orbit(cd - alpha, s, a[bottom], length, tol)
-        if orbit is not None:
-            next(segments)  # the chain's vertices
-            x = a[top] = orbit[0]
-            below += orbit[1] + (x < lo)
-            a[top_parent] += w2[top] / x
+            length, cd, s, top, top_parent = chain
+            orbit = chain_orbit(cd - alpha, s, a[bottom], length, tol)
+            if orbit is not None:
+                next(segments)  # the chain's vertices
+                x = a[top] = orbit[0]
+                below += orbit[1] + (x < lo)
+                a[top_parent] += w2[top] / x
+    except OverflowError:
+        raise DomainError("an entry is beyond the float range: sweep the rational matrix exactly") from None
     return a, InertiaTriple(below, zeros, len(d) - 1 - below - zeros)
 
 
@@ -529,13 +543,14 @@ def _certified_sweep(m: SymmetricTreeMatrix, alpha: Fraction) -> Optional[Tuple[
     """
     if max(-m._dmin, m._dmax, abs(alpha), max(m._w2)) > 2.0**200:
         return None
-    d, s, fa = tuple(map(float, m.diag)), list(map(float, m._w2)), float(alpha)
+    entries = m.diag[1:]  # slot 0 is spare, and may hold anything
+    d, s, fa = tuple(map(float, entries)), list(map(float, m._w2)), float(alpha)
     base = float(abs(Fraction(fa) - alpha)) + 2.0**-200
-    ebound = [base] * len(d) if d == m.diag else [  # d is a tuple: a list never equals one
-        base + float(abs(Fraction(f) - x)) for f, x in zip(d, m.diag)]
+    ebound = [base] * len(m.diag) if d == entries else [  # d is a tuple: a list never equals one
+        base, *(base + float(abs(Fraction(f) - x)) for f, x in zip(d, entries))]
     ds = [0.0] * len(s) if s == m._w2 else [float(abs(Fraction(f) - x)) for f, x in zip(s, m._w2)]
     u, grow = 2.0**-53, 1.0 + (m.n + 10) * 2.0**-51
-    acc, x = [0.0] * len(d), [f - fa for f in d]
+    acc, x = [0.0] * len(m.diag), [0.0, *(f - fa for f in d)]
     for v, p in zip(m.tree._postorder, m.tree._postorder_parent):
         y = x[v]
         xv = x[v] = y - acc[v]
@@ -588,7 +603,10 @@ def _bisect(m: SymmetricTreeMatrix, tol: float, predicate) -> float:
     if not tol > 0 or tol == inf:
         raise DomainError(f"tol must be positive and finite, got {tol!r}")
     chains = _chain_program(m)
-    lo, hi = m.gershgorin()
+    try:
+        lo, hi = m.gershgorin()
+    except OverflowError:  # an int or Fraction beyond the float range
+        raise DomainError("an entry is beyond the float range: bisection needs float entries") from None
     for _ in range(MAX_BISECT):
         mid = 0.5 * (lo + hi)
         if hi - lo <= tol or mid == lo or mid == hi:  # mid == lo or hi: no float in between

@@ -424,15 +424,16 @@ def test_each_subcommand_imports_only_its_modules(tmp_path, command):
         "with contextlib.redirect_stdout(io.StringIO()):",
         f"    code = run({argv!r})",
         "print(json.dumps([code, sorted(m for m in sys.modules if m.startswith('treespec')),"
-        " 'numpy' in sys.modules]))",
+        " 'numpy' in sys.modules, 'dataclasses' in sys.modules]))",
     ])
     out = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
     assert out.returncode == 0, out.stderr
-    code, loaded, numpy_loaded = json.loads(out.stdout)
+    code, loaded, numpy_loaded, dataclasses_loaded = json.loads(out.stdout)
     assert code == 0
     assert set(loaded) == {"treespec", "treespec.cli", "treespec.errors"} | {
         f"treespec.{name}" for name in modules}
     assert not numpy_loaded
+    assert not dataclasses_loaded
 
 
 def test_matrix_choices_are_the_matrix_kinds():

@@ -231,6 +231,46 @@ def test_hand_built_matrix_refuses_weight_whose_square_overflows():
         SymmetricTreeMatrix(path_tree(3), (0, 0.0, 0.0, 0.0), (0, 1e200, 1.0, 0))
 
 
+def test_hand_built_matrix_refuses_int_beyond_the_float_range_among_floats():
+    # only float sweeps take a matrix with a float entry, and they would convert 10**400
+    tree = path_tree(2)
+    with pytest.raises(DomainError, match=r"entry at vertex 1 is beyond the float range"):
+        SymmetricTreeMatrix(tree, (0, 10**400, 1.0), (0, 1, 0))
+    with pytest.raises(DomainError, match=r"entry at vertex 1 is beyond the float range"):
+        SymmetricTreeMatrix(tree, (0, 0, 0.5), (0, 10**200, 0))  # its square
+    # each entry converts, only their exact sum does not: taken, in either order
+    for diag in ((0, 10**308, 10**308, 0.5), (0, 0.5, 10**308, 10**308)):
+        assert not SymmetricTreeMatrix(path_tree(3), diag, (0, 1, 1, 0)).is_rational
+
+
+def test_hand_built_matrix_refuses_fraction_beyond_the_float_range_among_floats():
+    with pytest.raises(DomainError, match=r"entry at vertex 1 is beyond the float range"):
+        SymmetricTreeMatrix(path_tree(2), (0, Fraction(10**400, 3), 0.5), (0, 1, 0))
+
+
+def test_exact_locate_reads_nothing_from_the_spare_slot():
+    tree = path_tree(2)
+    for spare in (10**400, Fraction(-(10**400), 3), 7):
+        m = SymmetricTreeMatrix(tree, (spare, 1, 2), (0, 1, 0))
+        assert locate(m, 0, exact=True) == (0, 0, 2)
+        assert locate(m, 1, exact=True) == (1, 0, 1)  # eigenvalues (3 +- sqrt(5))/2
+    assert locate(SymmetricTreeMatrix(tree, (0, 10**400, 2), (0, 1, 0)), 0, exact=True) == (0, 0, 2)
+
+
+def test_float_sweeps_of_a_rational_matrix_beyond_the_float_range_are_domain_errors():
+    tree = path_tree(2)
+    huge_diag = SymmetricTreeMatrix(tree, (0, 10**400, 2), (0, 1, 0))
+    huge_weight = SymmetricTreeMatrix(tree, (0, 0, 0), (0, 10**400, 0))
+    for m in (huge_diag, huge_weight):
+        with pytest.raises(DomainError, match=r"beyond the float range: sweep the rational matrix exactly"):
+            locate(m, 0.0)
+        with pytest.raises(DomainError, match=r"beyond the float range"):
+            spectral_radius(m)
+        with pytest.raises(DomainError, match=r"beyond the float range"):
+            kth_eigenvalue(m, 1)
+    assert locate(huge_weight, 0, exact=True) == (1, 0, 1)
+
+
 def test_hand_built_matrix_checks_lengths_spare_slot_and_root():
     tree = path_tree(3)  # root 3
     diag, weight = (0, 0, 0, 0), (0, 1, 1, 0)
