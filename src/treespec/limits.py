@@ -34,6 +34,8 @@ class StarlikeSpec(_Arms):
                 raise OutOfDomainError(f"{name} must be a positive integer, got {v!r}")
         return super().__new__(cls, l, m, n_arm)
 
+    _make = classmethod(lambda cls, iterable: cls(*iterable))  # ``_replace`` calls it: both check
+
     @property
     def n(self) -> int:
         return self.l + self.m + self.n_arm + 1

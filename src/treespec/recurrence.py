@@ -73,6 +73,8 @@ class RecurrenceParams(_Params):
             raise DomainError("gamma must be nonzero")
         return super().__new__(cls, alpha, gamma)
 
+    _make = classmethod(lambda cls, iterable: cls(*iterable))  # ``_replace`` calls it: both check
+
     @property
     def exact(self) -> bool:
         """True when both parameters are int/Fraction (exact backend)."""

@@ -53,6 +53,8 @@ class PendantConfig(_Pendant):
             raise OutOfDomainError(f"r must be a nonnegative integer, got {r!r}")
         return super().__new__(cls, n, r)
 
+    _make = classmethod(lambda cls, iterable: cls(*iterable))  # ``_replace`` calls it: both check
+
     @property
     def x1(self) -> Fraction:
         return Fraction(2, self.n) - 1
@@ -344,6 +346,8 @@ class DoubleBroom(_Broom):
                 raise OutOfDomainError(f"{name} must be a positive integer, got {v!r}")
         return super().__new__(cls, r, q, p, R)
 
+    _make = classmethod(lambda cls, iterable: cls(*iterable))  # ``_replace`` calls it: both check
+
     @property
     def n(self) -> int:
         return 2 * self.r + 2 * self.R + 2 * self.q + 2 * self.p + 1
@@ -477,17 +481,21 @@ def star_up(tree: RootedTree, star: int) -> RootedTree:
     the path must run through two degree-2 vertices before reaching anything
     else, and that anchor must not be a leaf.  Vertex ids and count are
     preserved: the two removed path vertices become the new pendant 2-path.
+    The neighbours come from ``tree.parent`` in O(n), which the rebuild costs anyway.
     """
     n = tree.n
     if not (1 <= star <= n):
         raise PreconditionViolatedError(f"star vertex {star} outside 1..{n}")
-    kids, parent, deg = tree._children, tree._parent, tree._degree
+    parent, deg = tree.parent, tree.degree
+    child_sum = [0] * (n + 1)
+    for v, p in enumerate(parent):
+        child_sum[p] += v
 
     def across(v: int, u: int) -> int:
         """The neighbor other than u of a degree-2 vertex v (the root's parent is 0)."""
-        return parent[v] + sum(kids[v]) - u
+        return parent[v] + child_sum[v] - u
 
-    around = kids[star] + [parent[star]] if parent[star] else kids[star]
+    around = [v for v in range(1, n + 1) if parent[v] == star or v == parent[star]]
     others = [w for w in around if deg[w] != 2 or deg[across(w, star)] != 1]
     if len(others) != 1:
         raise PreconditionViolatedError(

@@ -38,9 +38,6 @@ Real = Union[int, float, Fraction]
 #: relative zero threshold of the float sweep
 SWEEP_ZERO_TOL = 1e-10
 
-#: bisection iteration cap
-MAX_BISECT = 200
-
 #: shortest chain that bisection sweeps in closed form; shorter ones are stepped
 MIN_CHAIN = 16
 
@@ -48,44 +45,28 @@ MIN_CHAIN = 16
 class RootedTree:
     """A tree on vertices 1..n with parent links toward the root.
 
-    Every list is indexed by vertex, with slot 0 spare: ``_parent[v]`` is
-    the parent of v (0 at the root), ``_children[v]`` its children in
-    ascending order and ``_degree[v]`` its degree.  ``postorder`` lists
-    every child before its parent, children in ascending order, root last;
-    ``_postorder_parent`` holds the parent of each vertex of ``postorder``,
-    and the sweep walks the two side by side.  Build instances with
-    ``build_tree``; they are immutable.
+    Like the entries of ``SymmetricTreeMatrix``, its data are read-only
+    tuples indexed by vertex with slot 0 spare: ``parent[v]`` is the parent
+    of v (0 at the root and in slot 0) and ``degree[v]`` its degree (0 in
+    slot 0).  ``postorder`` lists every child before its parent, children in
+    ascending order, root last; ``_postorder_parent`` holds the parent of
+    each vertex of ``postorder``, and the sweep walks the two side by side.
+    Build instances with ``build_tree``; they are immutable.
     """
 
-    __slots__ = ("n", "root", "_parent", "_children", "_degree", "_postorder", "_postorder_parent")
+    __slots__ = ("n", "root", "parent", "degree", "postorder", "_postorder_parent")
 
-    def __init__(self, root: int, parent: List[int], children: List[List[int]], postorder: List[int]):
+    def __init__(self, root: int, parent: List[int], degree: List[int], postorder: List[int]):
         self.n = len(postorder)
         self.root = root
-        self._parent = parent
-        self._children = children
-        self._degree = [len(c) + 1 for c in children]
-        self._degree[0] = 0
-        self._degree[root] -= 1
-        self._postorder = tuple(postorder)
+        self.parent = tuple(parent)
+        self.degree = tuple(degree)
+        self.postorder = tuple(postorder)
         self._postorder_parent = tuple(map(parent.__getitem__, postorder))
-
-    @property
-    def postorder(self) -> Tuple[int, ...]:
-        return self._postorder
-
-    def parent(self, v: int) -> Optional[int]:
-        return self._parent[v] or None
-
-    def children(self, v: int) -> Tuple[int, ...]:
-        return tuple(self._children[v])
-
-    def degree(self, v: int) -> int:
-        return self._degree[v]
 
     def edges(self) -> List[Tuple[int, int]]:
         """(child, parent) pairs, sorted by child."""
-        return [(v, p) for v, p in enumerate(self._parent) if p]
+        return [(v, p) for v, p in enumerate(self.parent) if p]
 
     def __repr__(self) -> str:
         return f"RootedTree(n={self.n}, root={self.root})"
@@ -117,7 +98,9 @@ def _check_edges(edges: Iterable[Tuple[int, int]]) -> None:
 
 
 def _orient(us: List[int], vs: List[int], root: int) -> RootedTree:
-    """``build_tree`` of the edges (us[i], vs[i]); ``_check_edges`` runs only to name a bad one."""
+    """``build_tree`` of the edges (us[i], vs[i]); ``_check_edges`` runs only to name a bad one.
+
+    A degree is the length of a neighbour list; the tree keeps no list."""
     ids = us + vs
     if set(map(type, ids)) - {int} or min(ids, default=1) < 1 or any(map(eq, us, vs)):
         _check_edges(zip(us, vs))
@@ -135,6 +118,7 @@ def _orient(us: List[int], vs: List[int], root: int) -> RootedTree:
     for u, v in zip(us, vs):
         children[u].append(v)
         children[v].append(u)
+    degree = list(map(len, children))
     # preorder by a stack that pops the largest child first; its reverse is
     # the postorder with children visited in ascending order.  Each
     # neighbour list loses the parent and is sorted in place as it is popped.
@@ -156,11 +140,12 @@ def _orient(us: List[int], vs: List[int], root: int) -> RootedTree:
                 )
             parent[w] = v
         stack += kids
+    del children, kids  # n + 1 lists that the tree does not keep
     if len(order) != n:
         raise NotATreeError("edge list is disconnected")
     parent[0] = 0
     order.reverse()
-    return RootedTree(root, parent, children, order)
+    return RootedTree(root, parent, degree, order)
 
 
 class MatrixKind:
@@ -241,7 +226,7 @@ class SymmetricTreeMatrix:
     def gershgorin(self) -> Tuple[float, float]:
         """Closed interval containing every eigenvalue."""
         radius = [0.0] * (self.n + 1)
-        for v, (p, w) in enumerate(zip(self.tree._parent, map(abs, map(float, self.edge_weight)))):
+        for v, (p, w) in enumerate(zip(self.tree.parent, map(abs, map(float, self.edge_weight)))):
             radius[v] += w  # each edge at both ends, in the order of its child; the root adds 0.0
             radius[p] += w
         diag, radius = self.diag[1:], radius[1:]
@@ -268,11 +253,11 @@ def build_matrix(tree: RootedTree, kind: str) -> SymmetricTreeMatrix:
         diag: List[Real] = [0] * size
         weight: List[Real] = [1] * size
     elif kind == MatrixKind.LAPLACIAN:
-        diag, weight = tree._degree, [-1] * size
+        diag, weight = tree.degree, [-1] * size
     elif kind == MatrixKind.NORMALIZED_LAPLACIAN:
-        deg = tree._degree
+        deg = tree.degree
         diag = [1] * size
-        weight = [-1.0 / sqrt(deg[v] * deg[p]) if p else 0 for v, p in enumerate(tree._parent)]
+        weight = [-1.0 / sqrt(deg[v] * deg[p]) if p else 0 for v, p in enumerate(tree.parent)]
     else:
         raise DomainError(f"unknown matrix kind {kind!r}")
     weight[0] = weight[tree.root] = 0
@@ -304,25 +289,25 @@ def _sweep(m: SymmetricTreeMatrix, alpha: Real, exact: bool,
     and they keep no value, only their count.  Otherwise, and when the
     closed form is in doubt, that segment is stepped like any other.
 
-    Returns the values (index v, slot 0 spare) and the counts of final
+    Returns the values (index v, slot 0 spare and 0) and the counts of final
     values below -tol, within [-tol, tol] and above tol.
     """
     if exact:
         alpha = _require_exact(m, alpha)
         tol, two, chains = 0, Fraction(2), None
     else:
-        alpha = float(alpha)
-        if not isfinite(alpha):
-            raise DomainError(f"shift alpha must be finite, got {alpha!r}")
         two = 2.0
-    order, parents = m.tree._postorder, m.tree._postorder_parent
+    order, parents = m.tree.postorder, m.tree._postorder_parent
     d, w2 = m.diag, m._w2
     a = [two - two] * len(d)  # the child sum of v, until v's value replaces it
     zero_child: Dict[int, int] = {}
     below = zeros = 0
     segments = iter(chains or [(0, len(order), None)])
-    try:  # only a float sweep converts entries, and only an int or Fraction beyond its range fails
+    try:  # only a float sweep converts, and only an int or Fraction beyond the float range fails
         if not exact:
+            alpha = float(alpha)
+            if not isfinite(alpha):
+                raise DomainError(f"shift alpha must be finite, got {alpha!r}")
             tol = SWEEP_ZERO_TOL * max(1.0, abs(m._dmax - alpha), abs(m._dmin - alpha))
         lo = -tol
         for start, stop, chain in segments:
@@ -356,8 +341,9 @@ def _sweep(m: SymmetricTreeMatrix, alpha: Real, exact: bool,
                 x = a[top] = orbit[0]
                 below += orbit[1] + (x < lo)
                 a[top_parent] += w2[top] / x
-    except OverflowError:
-        raise DomainError("an entry is beyond the float range: sweep the rational matrix exactly") from None
+    except OverflowError:  # alpha is still an int or Fraction if it is the one beyond the range
+        culprit = "an entry" if isinstance(alpha, float) else "the shift alpha"
+        raise DomainError(f"{culprit} is beyond the float range: sweep the rational matrix exactly") from None
     return a, InertiaTriple(below, zeros, len(d) - 1 - below - zeros)
 
 
@@ -493,7 +479,7 @@ def _chain_program(m: SymmetricTreeMatrix) -> List[tuple]:
     ends at a bottom carries the chain's entry, the next holds its vertices.
     """
     tree = m.tree
-    order, deg, d, w2 = tree._postorder, tree._degree, m.diag, m._w2
+    order, deg, d, w2 = tree.postorder, tree.degree, m.diag, m._w2
     # one child: degree 2, or 1 at the root; the first vertex is a leaf
     one_child = bytearray(deg[v] == 2 for v in order)
     one_child[-1] = deg[tree.root] == 1
@@ -508,7 +494,7 @@ def _chain_program(m: SymmetricTreeMatrix) -> List[tuple]:
             end += sum(1 for _ in run)
             if end - 1 - bottom >= MIN_CHAIN:
                 top = order[end - 1]
-                segments += [(start, bottom + 1, (end - 1 - bottom, key[0], key[1], top, tree._parent[top])),
+                segments += [(start, bottom + 1, (end - 1 - bottom, key[0], key[1], top, tree.parent[top])),
                              (bottom + 1, end, None)]
                 start = end
     if segments and start < len(order):
@@ -551,7 +537,7 @@ def _certified_sweep(m: SymmetricTreeMatrix, alpha: Fraction) -> Optional[Tuple[
     ds = [0.0] * len(s) if s == m._w2 else [float(abs(Fraction(f) - x)) for f, x in zip(s, m._w2)]
     u, grow = 2.0**-53, 1.0 + (m.n + 10) * 2.0**-51
     acc, x = [0.0] * len(m.diag), [0.0, *(f - fa for f in d)]
-    for v, p in zip(m.tree._postorder, m.tree._postorder_parent):
+    for v, p in zip(m.tree.postorder, m.tree._postorder_parent):
         y = x[v]
         xv = x[v] = y - acc[v]
         ax = abs(xv)
@@ -564,7 +550,7 @@ def _certified_sweep(m: SymmetricTreeMatrix, alpha: Fraction) -> Optional[Tuple[
     return x[1:], ebound[1:]
 
 
-def diagonalize(m: SymmetricTreeMatrix, alpha: Real, exact: bool = False) -> Dict[int, Real]:
+def diagonalize(m: SymmetricTreeMatrix, alpha: Real, exact: bool = False) -> Tuple[Real, ...]:
     """Final vertex values of the congruence sweep of M - alpha*I.
 
     The sign pattern of the returned values carries the inertia.  The sweep
@@ -572,10 +558,11 @@ def diagonalize(m: SymmetricTreeMatrix, alpha: Real, exact: bool = False) -> Dic
     postorder: a vertex with all (remaining) children nonzero subtracts
     sum(w_c^2 / a_c); a vertex with a zero child v_j instead becomes
     -w_j^2/2 while a(v_j) becomes 2 and the vertex's own parent edge is cut.
-    Exact sweeps return Fraction values, float sweeps floats.
+    The values form a tuple of n + 1 entries indexed by vertex, like the
+    matrix's, with the spare slot 0 holding 0.  Exact sweeps return Fraction
+    values, float sweeps floats.
     """
-    values, _ = _sweep(m, alpha, exact)
-    return dict(zip(range(1, len(values)), values[1:]))
+    return tuple(_sweep(m, alpha, exact)[0])
 
 
 def _inertia(values: List[Real], tol: Real) -> InertiaTriple:
@@ -607,7 +594,7 @@ def _bisect(m: SymmetricTreeMatrix, tol: float, predicate) -> float:
         lo, hi = m.gershgorin()
     except OverflowError:  # an int or Fraction beyond the float range
         raise DomainError("an entry is beyond the float range: bisection needs float entries") from None
-    for _ in range(MAX_BISECT):
+    while True:  # ends within ~2,100 halvings: the bracket's ends meet in floats at the latest
         mid = 0.5 * (lo + hi)
         if hi - lo <= tol or mid == lo or mid == hi:  # mid == lo or hi: no float in between
             break

@@ -24,12 +24,12 @@ def radius(spec, kind, tol=1e-10):
 def test_t_lmn_shapes():
     star = t_lmn(StarlikeSpec(1, 1, 1))
     assert star.n == 4
-    assert star.degree(star.root) == 3
+    assert star.degree[star.root] == 3
     t122 = t_lmn(StarlikeSpec(1, 2, 2))
     assert t122.n == 6
     t = t_lmn(StarlikeSpec(1, 5, 5))
     assert t.n == 12
-    leaf_count = sum(1 for v in range(1, 13) if t.degree(v) == 1)
+    leaf_count = sum(1 for v in range(1, 13) if t.degree[v] == 1)
     assert leaf_count == 3
 
 

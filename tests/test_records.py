@@ -1,4 +1,4 @@
-"""Tests for the records that check their input at construction."""
+"""Tests for the records that check their input at construction, ``_make`` and ``_replace``."""
 
 import pytest
 
@@ -23,6 +23,12 @@ def test_checked_records_refuse_bad_input_and_stay_immutable(record, good, bad, 
         record(**dict(zip(record._fields, bad)))
     rec = record(**dict(zip(record._fields, good)))
     assert rec == record(*good)
+    # the NamedTuple helpers build through the checked constructor too
+    for build in (lambda: rec._replace(**dict(zip(record._fields, bad))), lambda: record._make(bad)):
+        with pytest.raises(exc) as info:
+            build()
+        assert type(info.value) is exc and str(info.value) == message
+    assert type(record._make(good)) is record and record._make(good) == rec == rec._replace()
     fields = ", ".join(f"{name}={value!r}" for name, value in zip(record._fields, good))
     assert repr(rec) == f"{record.__name__}({fields})"
     with pytest.raises(AttributeError):

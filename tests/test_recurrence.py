@@ -409,6 +409,19 @@ def test_zeros_and_poles_type1():
     assert poles[0] == pytest.approx(6.0 - math.sqrt(2), abs=1e-12)
 
 
+def test_eval_answers_pole_inside_the_window_around_a_pole():
+    # type 2, q = 2 and beta = -1/4: the pole at j = 2, where den = 1 - 2^(j - 2) is
+    # -3.47e-10 at 2 + 5e-10, which without the window would give x_j ~ 2.9e9
+    sol = Type2Solution(theta=2.0, theta_prime=1.0, beta=-0.25)
+    assert sol.eval(2.0 + 5e-10) is POLE
+    # type 3: x_1 = 0.5 under x -> 1 - 1/x, whose first pole in [0, 10] is j = 2.5
+    sol = solve(RecurrenceParams(1.0, -1.0), 0.5)
+    _, poles = zeros_and_poles(sol, 0.0, 10.0)
+    assert poles[0] == pytest.approx(2.5, abs=1e-12)
+    for j in (poles[0], poles[0] + 5e-10, poles[0] - 5e-10):
+        assert sol.eval(j) is POLE
+
+
 def test_zeros_and_poles_constant_and_unsupported():
     assert zeros_and_poles(ConstantSolution(0.5), -5.0, 5.0) == ([], [])
     with pytest.raises(NoContinuousExtensionError):

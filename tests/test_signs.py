@@ -394,9 +394,9 @@ def test_double_broom_tree_structure():
     layout = double_broom_layout(b)
     t = layout.tree
     assert t.n == 19
-    assert t.degree(layout.root) == 2
-    assert t.degree(layout.left_star) == 4   # r + 1
-    assert t.degree(layout.right_star) == 3  # R + 1
+    assert t.degree[layout.root] == 2
+    assert t.degree[layout.left_star] == 4   # r + 1
+    assert t.degree[layout.right_star] == 3  # R + 1
     small = DoubleBroom(r=1, q=1, p=1, R=1)
     assert small.n == 9
     assert double_broom_tree(small).n == 9
@@ -449,7 +449,7 @@ def test_star_up_chain_keeps_sigma():
     assert [t.n for t in chain] == [19, 19, 19, 19]
     assert [sigma(t) for t in chain] == [9, 9, 9, 9]
     # final tree: both stars carry 4 pendant 2-paths through one middle vertex
-    degrees = sorted(chain[-1].degree(v) for v in range(1, 20))
+    degrees = sorted(chain[-1].degree[v] for v in range(1, 20))
     assert degrees == [1] * 8 + [2] * 9 + [5, 5]
 
 
@@ -458,7 +458,7 @@ def test_star_up_moves_one_path_pair():
     before = layout.tree
     after = star_up(before, layout.right_star)
     assert after.n == before.n
-    assert after.degree(layout.right_star) == before.degree(layout.right_star) + 1
+    assert after.degree[layout.right_star] == before.degree[layout.right_star] + 1
     removed = set(map(frozenset, (e for e in _undirected(before)))) - set(
         map(frozenset, _undirected(after))
     )

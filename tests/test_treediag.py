@@ -19,6 +19,7 @@ from treespec.limits import StarlikeSpec, t_lmn
 from treespec.oracle import dense_spectrum, random_tree
 from treespec.treediag import (
     MatrixKind,
+    RootedTree,
     SymmetricTreeMatrix,
     _chain_program,
     _inertia,
@@ -42,11 +43,21 @@ def path_tree(n, root=None):
 
 def test_build_tree_small():
     t = build_tree([(1, 2)], root=2)
-    assert t.parent(1) == 2 and t.parent(2) is None
+    assert t.parent[1] == 2 and t.parent[2] == 0
     assert t.postorder == (1, 2)
     star = build_tree([(1, 4), (2, 4), (3, 4)], root=4)
     assert star.postorder == (1, 2, 3, 4)
-    assert star.degree(4) == 3
+    assert star.degree[4] == 3
+
+
+def test_tree_holds_read_only_vertex_tuples():
+    t = build_tree([(1, 4), (2, 4), (3, 2)], root=4)
+    assert t.parent == (0, 4, 4, 2, 0) and t.degree == (0, 1, 2, 1, 2) and t.postorder == (1, 3, 2, 4)
+    for field in (t.parent, t.degree, t.postorder):
+        assert type(field) is tuple
+        with pytest.raises(TypeError):
+            field[1] = 0
+    assert not any(hasattr(RootedTree, name) for name in ("children", "_children", "_parent", "_degree"))
 
 
 def test_build_tree_single_vertex():
@@ -144,14 +155,13 @@ def _shape_edges(shape, n, rng):
 
 
 def _reference_rooting(edges, root):
-    """Sorted recursive-order DFS over neighbour sets: parent, children, postorder."""
+    """Sorted recursive-order DFS over neighbour sets: parent, postorder, degree."""
     n = len(edges) + 1
     adj = {v: set() for v in range(1, n + 1)}
     for u, v in edges:
         adj[u].add(v)
         adj[v].add(u)
     parent = {root: None}
-    children = {}
     postorder = []
     stack = [(root, iter(sorted(adj[root])))]
     while stack:
@@ -163,9 +173,8 @@ def _reference_rooting(edges, root):
                 break
         else:
             stack.pop()
-            children[v] = tuple(sorted(adj[v] - {parent[v]}))
             postorder.append(v)
-    return parent, children, postorder, {v: len(a) for v, a in adj.items()}
+    return parent, postorder, {v: len(a) for v, a in adj.items()}
 
 
 @pytest.mark.parametrize("shape", ["path", "star", "caterpillar", "prufer", "broom"])
@@ -181,12 +190,11 @@ def test_build_tree_matches_reference_dfs(shape):
         rng.shuffle(relabelled)
         for root in {1, n, rng.randrange(1, n + 1)}:
             t = build_tree(relabelled, root=root)
-            parent, children, postorder, degree = _reference_rooting(relabelled, root)
+            parent, postorder, degree = _reference_rooting(relabelled, root)
             assert t.n == n and t.root == root
             assert t.postorder == tuple(postorder)
-            assert [t.parent(v) for v in range(1, n + 1)] == [parent[v] for v in range(1, n + 1)]
-            assert [t.children(v) for v in range(1, n + 1)] == [children[v] for v in range(1, n + 1)]
-            assert [t.degree(v) for v in range(1, n + 1)] == [degree[v] for v in range(1, n + 1)]
+            assert [t.parent[v] for v in range(1, n + 1)] == [parent[v] or 0 for v in range(1, n + 1)]
+            assert [t.degree[v] for v in range(1, n + 1)] == [degree[v] for v in range(1, n + 1)]
             assert t.edges() == sorted((v, p) for v, p in parent.items() if p is not None)
 
 
@@ -306,21 +314,45 @@ def test_dense_round_trip():
 def test_diagonalize_single_vertex():
     t = build_tree([], root=1)
     m = build_matrix(t, MatrixKind.ADJACENCY)
-    assert diagonalize(m, 0.0) == {1: 0.0}
+    assert diagonalize(m, 0.0) == (0, 0.0)
     assert locate(m, 0.0) == (0, 1, 0)
 
 
 def test_diagonalize_p2_zero_child_branch():
     m = build_matrix(path_tree(2), MatrixKind.ADJACENCY)
     values = diagonalize(m, 0.0)
-    assert values == {1: 2.0, 2: -0.5}
+    assert values == (0, 2.0, -0.5)
     assert locate(m, 0.0) == (1, 0, 1)
+
+
+def test_diagonalize_returns_a_vertex_tuple_with_zero_in_slot_0():
+    trees = [random_tree(n, seed=seed) for seed, n in enumerate((1, 2, 5, 9, 30))] + [path_tree(40)]
+    for t in trees:
+        for kind in MatrixKind.ALL:
+            m = build_matrix(t, kind)
+            sweeps = [(alpha, False) for alpha in (-1.0, 0.0, 0.5, 1.0, 2.0)]
+            if m.is_rational:
+                sweeps += [(alpha, True) for alpha in (0, 1, Fraction(1, 3), -2)]
+            for alpha, exact in sweeps:
+                values = diagonalize(m, alpha, exact=exact)
+                assert type(values) is tuple and len(values) == t.n + 1 and values[0] == 0, (t, kind, alpha)
+                if exact:
+                    assert _inertia(values[1:], 0) == locate(m, alpha, exact=True)
+
+
+def test_float_sweep_at_a_shift_beyond_the_float_range_is_a_domain_error():
+    m = build_matrix(build_tree([(1, 2)], root=2), MatrixKind.ADJACENCY)
+    for alpha in (10**400, Fraction(10**400, 3), -(10**400)):
+        for sweep in (locate, diagonalize):
+            with pytest.raises(DomainError, match="the shift alpha is beyond the float range"):
+                sweep(m, alpha)
+    assert locate(m, 10**400, exact=True) == (2, 0, 0)
 
 
 def test_p3_adjacency_inertia_at_one():
     m = build_matrix(path_tree(3), MatrixKind.ADJACENCY)
     assert locate(m, 1.0) == (2, 0, 1)
-    assert len(diagonalize(m, 1.0)) == 3
+    assert len(diagonalize(m, 1.0)) == 4
 
 
 def test_locate_below_gershgorin():
@@ -433,14 +465,15 @@ def test_bisection_stops_when_the_midpoint_stops_moving(monkeypatch):
     import treespec.treediag as td
 
     calls = []
+    sweep = td._sweep
 
     def counted(*args, **kwargs):
         calls.append(args[1])
-        return locate(*args, **kwargs)
+        return sweep(*args, **kwargs)
 
-    monkeypatch.setattr(td, "locate", counted)
+    monkeypatch.setattr(td, "_sweep", counted)
     m = build_matrix(path_tree(3), MatrixKind.ADJACENCY)
-    assert spectral_radius(m, 1e-300) == 1.4142135623377396  # as with all 200 iterations
+    assert spectral_radius(m, 1e-300) == 1.4142135623377396
     assert len(calls) <= 60 and len(set(calls)) == len(calls)
 
 
@@ -557,7 +590,7 @@ def contracted(m, alpha):
 
 
 def fraction_inertia(m, alpha):
-    return _inertia(list(diagonalize(m, Fraction(alpha), exact=True).values()), 0)
+    return _inertia(diagonalize(m, Fraction(alpha), exact=True)[1:], 0)
 
 
 def chain_heavy_edges(shape, a, b):
@@ -768,7 +801,7 @@ def parse_outcome(text, root=None):
         tree = parse_tree_file(text, root=root)
     except TreespecError as exc:
         return type(exc), str(exc)
-    return tree.root, tree._parent, tree.postorder
+    return tree.root, tree.parent, tree.postorder
 
 
 def assert_parses_as_the_line_walker(text, root=None):
