@@ -14,9 +14,11 @@ and matrices with integer/rational entries also support an exact-rational
 sweep (``exact=True``) whose zero test is exact.  ``locate(exact=True)``
 first runs a float sweep with a certified error bound per vertex and falls
 back to the exact sweep only when that bound leaves a sign in doubt.  Each
-bisection finds the chains of its matrix (runs of one-child vertices with
-equal entries) once, and its float sweeps take each chain in one step with
-the closed form of ``chain_orbit``.
+bisection builds one program of its matrix once: the tree without its
+leaves, which fold into their parents when they share a diagonal entry, and
+the chains of what is left (runs of one-child vertices with equal entries).
+Its float sweeps step only that inner tree and take each chain in one step
+with the closed form of ``chain_orbit``.
 """
 
 from __future__ import annotations
@@ -26,9 +28,10 @@ import math
 import re
 import sys
 from fractions import Fraction
-from itertools import groupby
+from collections import Counter
+from itertools import compress, groupby
 from math import inf, isfinite, sqrt
-from operator import add, eq, itemgetter, sub
+from operator import add, countOf, eq, itemgetter, sub
 from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 from .errors import BadIndexError, BadVertexError, DomainError, NotATreeError
@@ -265,17 +268,17 @@ def build_matrix(tree: RootedTree, kind: str) -> SymmetricTreeMatrix:
 
 
 def _sweep(m: SymmetricTreeMatrix, alpha: Real, exact: bool,
-           chains: Optional[Sequence[tuple]] = None) -> Tuple[List[Real], InertiaTriple]:
+           program: Optional[_BisectionProgram] = None) -> Tuple[List[Real], InertiaTriple]:
     """One congruence sweep of M - alpha*I, bottom-up, and its inertia.
 
-    alpha : the shift; each vertex starts at m_vv - alpha.
-    exact : sweep a rational M and alpha in Fractions, with tol = 0; else
-            in floats, with tol = SWEEP_ZERO_TOL * max(1, max_v |m_vv - alpha|)
-            (the largest |m_vv - alpha| sits at the smallest or the largest
-            diagonal entry).  Both read the same lists: in a float sweep each
-            entry is rounded to float where it first meets a float operand.
-    chains: the segment program of ``_chain_program``, read by float sweeps
-            only; None or [] steps every vertex.
+    alpha  : the shift; each vertex starts at m_vv - alpha.
+    exact  : sweep a rational M and alpha in Fractions, with tol = 0; else
+             in floats, with tol = SWEEP_ZERO_TOL * max(1, max_v |m_vv - alpha|)
+             (the largest |m_vv - alpha| sits at the smallest or the largest
+             diagonal entry).  Both read the same lists: in a float sweep each
+             entry is rounded to float where it first meets a float operand.
+    program: the ``_bisection_program`` of M, read by float sweeps only;
+             None steps every vertex.
 
     Vertices are processed in postorder.  A vertex subtracts the sum of
     w_c^2/a_c over its children, added up in postorder.  A vertex with a
@@ -283,18 +286,24 @@ def _sweep(m: SymmetricTreeMatrix, alpha: Real, exact: bool,
     and the vertex's own parent edge is cut (it contributes nothing upward).
     Ties between several zero children go to the smallest vertex index.
     The root's parent is the spare slot 0, which takes its unused term.
-    Above a chain bottom that is nonzero and took no zero-child branch,
-    ``chain_orbit`` gives the chain's top value and the signs
-    below it at once; the next segment, the chain's vertices, is skipped,
-    and they keep no value, only their count.  Otherwise, and when the
-    closed form is in doubt, that segment is stepped like any other.
+    With a program and x_leaf = d_leaf - alpha outside [-tol, tol], the
+    leaves are counted by the sign of x_leaf, each host starts its child sum
+    at S_v / x_leaf, and only the program's order is stepped; the leaves
+    keep no value.  (Within [-tol, tol] every leaf is zero, and every vertex
+    is stepped.)  Above a chain bottom that took no zero-child branch,
+    ``chain_orbit`` gives the chain's top value and the signs below it at
+    once; the next segment, the chain's vertices u_1 .. u_L, is skipped,
+    and they keep no value, only their count.  A zero bottom becomes 2 and
+    u_1 -s/2 by the zero-child branch, which cuts u_2 off from u_1, so
+    the orbit starts afresh at u_2.  Otherwise, and when the closed form is
+    in doubt, that segment is stepped like any other.
 
     Returns the values (index v, slot 0 spare and 0) and the counts of final
     values below -tol, within [-tol, tol] and above tol.
     """
     if exact:
         alpha = _require_exact(m, alpha)
-        tol, two, chains = 0, Fraction(2), None
+        tol, two, program = 0, Fraction(2), None
     else:
         two = 2.0
     order, parents = m.tree.postorder, m.tree._postorder_parent
@@ -302,14 +311,23 @@ def _sweep(m: SymmetricTreeMatrix, alpha: Real, exact: bool,
     a = [two - two] * len(d)  # the child sum of v, until v's value replaces it
     zero_child: Dict[int, int] = {}
     below = zeros = 0
-    segments = iter(chains or [(0, len(order), None)])
+    segments = [(0, len(order), None)]
     try:  # only a float sweep converts, and only an int or Fraction beyond the float range fails
         if not exact:
             alpha = float(alpha)
             if not isfinite(alpha):
                 raise DomainError(f"shift alpha must be finite, got {alpha!r}")
             tol = SWEEP_ZERO_TOL * max(1.0, abs(m._dmax - alpha), abs(m._dmin - alpha))
+            if program is not None:
+                x_leaf = program.leaf_diag - alpha
+                if not -tol <= x_leaf <= tol:
+                    order, parents, segments = program.order, program.parents, program.segments
+                    for v, s in zip(program.hosts, program.sums):
+                        a[v] = s / x_leaf
+                    if x_leaf < 0:
+                        below = program.leaves
         lo = -tol
+        segments = iter(segments)
         for start, stop, chain in segments:
             for v, p in zip(order[start:stop], parents[start:stop]):
                 if v in zero_child:
@@ -332,12 +350,25 @@ def _sweep(m: SymmetricTreeMatrix, alpha: Real, exact: bool,
                     below += 1
                 a[p] += w2[v] / x
             bottom = order[stop - 1]
-            if chain is None or bottom in zero_child or lo <= a[bottom] <= tol:
+            if chain is None or bottom in zero_child:
                 continue
-            length, cd, s, top, top_parent = chain
-            orbit = chain_orbit(cd - alpha, s, a[bottom], length, tol)
+            length, cd, cs, s, top, top_parent = chain
+            shifted, leaf_term = cd - alpha, cs / x_leaf
+            ca, x0 = shifted - leaf_term, a[bottom]  # the chain maps x -> ca - s/x, from x0
+            cut = lo <= x0 <= tol
+            if cut:  # u_1 takes the zero-child branch, and u_2, cut off from it, starts afresh at ca
+                x0, length = ca, length - 2
+                if length < 1 or lo <= x0 <= tol:
+                    continue
+            # what ca carries besides its last rounding, derived in chain_orbit's docstring
+            error = 2.0**-52 * (abs(shifted) + (program.leaves + 2) * abs(leaf_term)) if cs else 0.0
+            orbit = chain_orbit(ca, s, x0, length, tol, error)
             if orbit is not None:
                 next(segments)  # the chain's vertices
+                if cut:  # the bottom becomes 2, u_1 -s/2 < -tol (tol < min(2, s/2) in a trusted orbit)
+                    a[bottom] = two
+                    zeros -= 1
+                    below += 1 + (x0 < lo)
                 x = a[top] = orbit[0]
                 below += orbit[1] + (x < lo)
                 a[top_parent] += w2[top] / x
@@ -353,16 +384,26 @@ def _clear_floor(f: float, margin: float) -> Optional[int]:
     return k if k < math.ceil(f - margin) else None
 
 
-def chain_orbit(a: float, s: float, x0: float, length: int, tol: float) -> Optional[Tuple[float, int]]:
+def chain_orbit(a: float, s: float, x0: float, length: int, tol: float,
+                error: float = 0.0) -> Optional[Tuple[float, int]]:
     """x_L of x_j = a - s/x_{j-1} from x_0 = x0, and how many of x_1 .. x_{L-1} are negative.
 
     This is ``recurrence``'s phi with alpha = a and gamma = -s < 0, in O(1) for
     L = length >= 1; None when the float evaluation cannot be trusted.  The
-    counts are those of the exact orbit from x0 of the a*, s* that a, s
-    round (|a - a*| <= u|a|, |s - s*| <= u s, u = 2^-53).  Each operation
-    errs by at most u relative, each libm call by one ulp <= 2u|result|.
-    Every relative error below is required to be at most 2^-10, so the
-    first-order terms, summed and doubled, bound the whole error.
+    counts are those of the exact orbit from x0 of every a*, s* with
+    |a - a*| <= u|a| + error and |s - s*| <= u s, u = 2^-53: a and s round
+    them, and ``error`` bounds what a carries besides its own rounding (0
+    when a = fl(d - alpha)).  Each operation errs by at most u relative,
+    each libm call by one ulp <= 2u|result|.  Every relative error below is
+    required to be at most 2^-10, so the first-order terms, summed and
+    doubled, bound the whole error.
+      The sweep's chains with leaf children pass a = fl(A - B), where
+    A = fl(d - alpha), B = fl(S/x_leaf), x_leaf = fl(d_leaf - alpha) and S
+    sums the k squared weights of a chain vertex's leaf children.  With K
+    leaves in the tree, S errs by at most K u S: each float w^2 by u and
+    the k - 1 float additions by (k - 1)u; an int or Fraction sum is exact
+    and rounds once in the division.  So B errs from its exact value by
+    (K + 2)u|B|, A by u|A|, and error = 2u(|A| + (K + 2)|B|).
 
     Oscillating family (a^2 < 4s).  With rho = sqrt(s), a = 2 rho cos(phi),
     phi in (0, pi), and omega such that x0 = rho sin(omega)/sin(omega - phi),
@@ -371,21 +412,26 @@ def chain_orbit(a: float, s: float, x0: float, length: int, tol: float) -> Optio
     x_1 .. x_L hold floor(theta_L/pi) - floor(omega/pi) negative terms: the
     sign is constant between consecutive zeros and poles.
       D = (2rho - |a|)(2rho + |a|) = (2 rho sin phi)^2 is computed without
-    cancellation.  Each factor errs by u(2rho + |a| + factor) <= 8u rho,
-    so D by eps_D = 32u rho^2/D + u (required <= 2^-10), y = sqrt(D) by
-    eps_D/2 + u/2 <= 4u/sin^2 + u and a by u.  atan2(y, a) moves by at most
-    |ay|/(a^2 + y^2) (eps_a + eps_y) <= sin(phi) (eps_a + eps_y), plus its
-    ulp: |dphi| <= 13u/sin(phi).  omega = atan2(Y, X), Y = x0 sin(phi),
+    cancellation.  Each factor errs by u(2rho + |a| + factor) + error
+    <= 8u rho + error, so D by eps_D = (32u rho^2 + 4 rho error)/D + u
+    (required <= 2^-10).  With delta = error/rho, y = sqrt(D) errs by
+    eps_D/2 + u/2 <= (4u + delta/2)/sin^2 + u and a by u + error/|a|.
+    atan2(y, a) moves by at most |ay|/(a^2 + y^2) (eps_a + eps_y)
+    = |cos(phi)| sin(phi) (eps_a + eps_y), plus its ulp: |dphi|
+    <= (13u + delta)/sin(phi).  omega = atan2(Y, X), Y = x0 sin(phi),
     X = x0 cos(phi) - rho: |dY|, |dX| - u rho - u|X| <= |x0| (|dphi| + 3u),
     and |X + iY| >= max(|x0|, rho) sin(phi), so |domega| <= (|dX| + |dY|)
-    / |X + iY| + 2 pi u <= 41u/sin^2(phi).  theta_L = L phi + omega and
-    theta_{L-1} = theta_L - phi err by at most (L + 1)|dphi| + |domega|
-    + u(L phi + |theta_L| + |theta_{L-1}|) <= 24Lu/sin + 64u/sin^2 =: E,
+    / |X + iY| + 2 pi u <= (41u + 2 delta)/sin^2(phi).  theta_L
+    = L phi + omega and theta_{L-1} = theta_L - phi err by at most
+    (L + 1)|dphi| + |domega| + u(L phi + |theta_L| + |theta_{L-1}|)
+    <= 24Lu/sin + 64u/sin^2 + ((L + 1)/sin + 2/sin^2) delta =: E,
     and f = theta/pi by E/pi + 2u|f| (pi's rounding, the division); the
     window's ends f +- m round by u|f + m|.  So m = 2(E/pi + 4u|f|) for
     theta_L and theta_{L-1}, whose floors certify the signs of
-    x_1 .. x_{L-1} and of x_L, and omega gets the same with E = 41u/sin^2.  |x_L| <= tol needs |sin theta_L| <= tol/rho, within
-    tol/(2 rho) of an integer in f; that term joins the margin of theta_L.
+    x_1 .. x_{L-1} and of x_L, and omega gets the same with
+    E = (41u + 2 delta)/sin^2.  |x_L| <= tol needs |sin theta_L| <= tol/rho,
+    within tol/(2 rho) of an integer in f; that term joins the margin of
+    theta_L.
     Real fixed points (a^2 > 4s).  r1 = (a + sign(a) sqrt(a^2 - 4s))/2 and
     r2 = s/r1 share a's sign, |r2| < |r1|, and z = (x - r1)/(x - r2) obeys
     z_j = q^j z_0 with q = r2/r1 in (0, 1) (Moebius conjugacy).  x_j has the
@@ -393,8 +439,10 @@ def chain_orbit(a: float, s: float, x0: float, length: int, tol: float) -> Optio
     domain of z -> qz, so at most one term changes side: x_j for j in
     (t - 1, t) with t = log(z_0)/lam, lam = log(1/q), when z_0 > 0; x_j = 0
     at j = t - 1 and has a pole at j = t.  Only t near 1 .. L + 1 matters.
-      With p = |a| - 2rho and P = |a| + 2rho, p P errs by 2uP/p + 3u and its
-    root by eta = uP/p + 2u (required <= 2^-10); r1 by eta + u, r2 by
+      With p = |a| - 2rho and P = |a| + 2rho, p P errs by
+    (2uP + 2 error)/p + 3u (error moves p and P) and its root by
+    eta = (uP + error)/p + 2u (required <= 2^-10); a errs by
+    u + error/|a| <= eta, so r1 by eta + u, r2 by
     eta + 3u, y = sqrt(pP)/|r2| by 2eta + 4u and lam = log1p(y) by
     2eta + 6u, all relative.  x0 - r1 and x0 - r2 err by
     e1 = (eta + u)|r1|/|x0 - r1| + u and e2 = (eta + 3u)|r2|/|x0 - r2| + u
@@ -417,7 +465,7 @@ def chain_orbit(a: float, s: float, x0: float, length: int, tol: float) -> Optio
     big, small = 2 * rho + abs(a), 2 * rho - abs(a)
     if small > 0:
         d = small * big
-        if 32 * u * s > 2.0**-10 * d:
+        if 32 * u * s + 4 * rho * error > 2.0**-10 * d:
             return None
         y = math.sqrt(d)
         phi = math.atan2(y, a)
@@ -425,16 +473,17 @@ def chain_orbit(a: float, s: float, x0: float, length: int, tol: float) -> Optio
         omega = math.atan2(x0 * math.sin(phi), x0 * math.cos(phi) - rho)
         theta = length * phi + omega
         f0, f1, f2 = omega / math.pi, (theta - phi) / math.pi, theta / math.pi
-        e = (24 * length * u / sin + 64 * u / (sin * sin)) / math.pi
-        k0 = _clear_floor(f0, 2 * (41 * u / (sin * sin) / math.pi + 4 * u * abs(f0)))
+        delta = error / rho
+        e = (24 * length * u / sin + 64 * u / (sin * sin) + ((length + 1) / sin + 2 / (sin * sin)) * delta) / math.pi
+        k0 = _clear_floor(f0, 2 * ((41 * u + 2 * delta) / (sin * sin) / math.pi + 4 * u * abs(f0)))
         k1 = _clear_floor(f1, 2 * (e + 4 * u * abs(f1)))
         k2 = _clear_floor(f2, 2 * (e + 4 * u * abs(f2)) + tol / (2 * rho))
         if k0 is None or k1 is None or k2 is None:
             return None
         return rho * math.sin(theta) / math.sin(theta - phi), k1 - k0
-    if small == 0 or u * big > 2.0**-11 * -small:  # eta > 2^-10, or a^2 = 4s
+    if small == 0 or u * big + error > 2.0**-11 * -small:  # eta > 2^-10, or a^2 = 4s
         return None
-    eta = u * big / -small + 2 * u
+    eta = (u * big + error) / -small + 2 * u
     root = math.sqrt(-small * big)
     r1 = math.copysign((abs(a) + root) / 2, a)
     r2 = s / r1
@@ -463,43 +512,85 @@ def chain_orbit(a: float, s: float, x0: float, length: int, tol: float) -> Optio
     return end, negatives - (end < 0)
 
 
-def _chain_program(m: SymmetricTreeMatrix) -> List[tuple]:
-    """The chains of M as a program of postorder segments; [] if it has none.
+class _BisectionProgram(NamedTuple):
+    """What the float sweeps of one bisection step; see ``_bisection_program``."""
 
-    A chain is a run of L >= MIN_CHAIN vertices u_1 .. u_L above a bottom
-    vertex b: u_1 has b as its only child and u_{i+1} has u_i, every u_i has
-    the same diagonal d and the edges b-u_1, ..., u_{L-1}-u_L the same
-    squared weight s.  Its sweep from b's value is the orbit of
-    x -> (d - alpha) - s/x, and its entry is (L, d, s, u_L, parent of u_L).
-    An only child directly precedes its parent in postorder, so a chain is
-    a stretch of one-child vertices with equal keys (d_v, w_c^2 of v's
-    child c).  A bottom is never a chain vertex: where the key changes
-    inside a stretch, the vertex there is stepped and becomes a bottom.
-    The segments (start, stop, chain) cover postorder in order; one that
-    ends at a bottom carries the chain's entry, the next holds its vertices.
+    leaf_diag: Real  # the diagonal entry that every leaf shares
+    leaves: int  # how many leaves fold
+    order: Tuple[int, ...]  # the postorder without its leaves
+    parents: Tuple[int, ...]  # the parent of each vertex of order
+    hosts: Tuple[int, ...]  # the vertices with leaf children, ascending
+    sums: Tuple[Real, ...]  # S_v of each host
+    segments: List[tuple]  # (start, stop, chain) over order
+
+
+def _bisection_program(m: SymmetricTreeMatrix) -> Optional[_BisectionProgram]:
+    """M's inner tree, leaf sums and chains; None if M has no leaf or its leaves' diagonals differ.
+
+    A leaf is a vertex of degree 1 other than the root.  When every leaf has
+    the same diagonal entry d_leaf, every leaf's sweep value is
+    x_leaf = d_leaf - alpha, so a float sweep with x_leaf nonzero counts the
+    leaves at once and starts each host v, a vertex with leaf children, at
+    S_v / x_leaf, where S_v sums the squared weights of its leaf children.
+    It then steps only ``order``, the postorder without the leaves, which
+    always holds the root.
+    A chain is a run of L >= MIN_CHAIN vertices u_1 .. u_L of ``order``
+    above a bottom vertex b: b is the only child of u_1 in ``order``, u_i
+    that of u_{i+1}, and every u_i has the same key (d, S, s): its diagonal
+    entry, its S and the squared weight of the edge to that child.  Its
+    sweep from b's value is the orbit of x -> (d - alpha - S/x_leaf) - s/x,
+    and its entry is (L, d, S, s, u_L, parent of u_L).  An only child
+    directly precedes its parent in ``order``, so a chain is a stretch of
+    one-child vertices with equal keys.  A bottom is never a chain vertex:
+    where the key changes inside a stretch, the vertex there is stepped and
+    becomes a bottom.  The segments cover ``order`` in order; one that ends
+    at a bottom carries the chain's entry, the next holds its vertices.
+    A vertex has a child exactly when its last child directly precedes it
+    in postorder, so the leaves are found through the postorder; the
+    one-child mask is built by vertex and read through ``order`` once.
     """
-    tree = m.tree
-    order, deg, d, w2 = tree.postorder, tree.degree, m.diag, m._w2
-    # one child: degree 2, or 1 at the root; the first vertex is a leaf
-    one_child = bytearray(deg[v] == 2 for v in order)
-    one_child[-1] = deg[tree.root] == 1
+    tree, w2 = m.tree, m._w2
+    postorder, parents, degree, root = tree.postorder, tree._postorder_parent, tree.degree, tree.root
+    if tree.n == 1:  # the root alone: no leaf
+        return None
+    inner = b"\0" + bytes(map(eq, parents, postorder[1:]))  # by position
+    leaf = inner.translate(bytes.maketrans(b"\0\1", b"\1\0"))
+    d = list(m.diag)  # map reads a list faster than a tuple
+    leaf_diag = set(map(d.__getitem__, compress(postorder, leaf)))
+    if len(leaf_diag) != 1:
+        return None
+    order = tuple(compress(postorder, inner))
+    sums: List[Real] = [0] * len(d)
+    for c, p in zip(compress(postorder, leaf), compress(parents, leaf)):
+        sums[p] += w2[c]
+    # by vertex: one child in order when the degree, less the parent edge and the leaf children, is 1
+    only_child = list(map((2).__eq__, degree))
+    only_child[root] = degree[root] == 1
+    leaf_children = Counter(compress(parents, leaf))
+    for p, k in leaf_children.items():
+        only_child[p] = degree[p] - k == 1 + (p != root)
+    one_child = bytes(map(only_child.__getitem__, order))
     segments: List[tuple] = []
     start = 0
     for stretch in re.finditer(b"\x01{%d,}" % MIN_CHAIN, one_child):
-        first, stop = stretch.span()
-        keys = zip(map(d.__getitem__, order[first:stop]), map(w2.__getitem__, order[first - 1:stop - 1]))
+        first, stop = stretch.span()  # first > 0: the first vertex of order has no child there
+        run_order = order[first:stop]
+        keys = zip(map(d.__getitem__, run_order), map(sums.__getitem__, run_order),
+                   map(w2.__getitem__, order[first - 1:stop - 1]))
         end = first
         for key, run in groupby(keys):  # lazily: a path's one stretch would hold n key tuples
             bottom = end - 1 if end == first else end
-            end += sum(1 for _ in run)
+            end += countOf(run, key)  # the run's length: each of its keys equals key
             if end - 1 - bottom >= MIN_CHAIN:
                 top = order[end - 1]
-                segments += [(start, bottom + 1, (end - 1 - bottom, key[0], key[1], top, tree.parent[top])),
+                segments += [(start, bottom + 1, (end - 1 - bottom, *key, top, tree.parent[top])),
                              (bottom + 1, end, None)]
                 start = end
-    if segments and start < len(order):
+    if start < len(order):
         segments.append((start, len(order), None))
-    return segments
+    hosts = tuple(sorted(leaf_children))
+    return _BisectionProgram(leaf_diag.pop(), len(postorder) - len(order), order, tuple(compress(parents, inner)),
+                             hosts, tuple(map(sums.__getitem__, hosts)), segments)
 
 
 def _require_exact(m: SymmetricTreeMatrix, alpha: Real) -> Fraction:
@@ -589,20 +680,26 @@ def _bisect(m: SymmetricTreeMatrix, tol: float, predicate) -> float:
     """Bisect M's Gershgorin interval; each mid whose counts satisfy ``predicate`` becomes the top."""
     if not tol > 0 or tol == inf:
         raise DomainError(f"tol must be positive and finite, got {tol!r}")
-    chains = _chain_program(m)
+    program = _bisection_program(m)
     try:
         lo, hi = m.gershgorin()
     except OverflowError:  # an int or Fraction beyond the float range
         raise DomainError("an entry is beyond the float range: bisection needs float entries") from None
     while True:  # ends within ~2,100 halvings: the bracket's ends meet in floats at the latest
-        mid = 0.5 * (lo + hi)
+        mid = _midpoint(lo, hi)
         if hi - lo <= tol or mid == lo or mid == hi:  # mid == lo or hi: no float in between
             break
-        if predicate(_sweep(m, mid, False, chains)[1]):
+        if predicate(_sweep(m, mid, False, program)[1]):
             hi = mid
         else:
             lo = mid
-    return 0.5 * (lo + hi)
+    return _midpoint(lo, hi)
+
+
+def _midpoint(lo: float, hi: float) -> float:
+    """(lo + hi)/2, halving each end first only where their sum overflows."""
+    mid = 0.5 * (lo + hi)
+    return mid if isfinite(mid) else 0.5 * lo + 0.5 * hi
 
 
 def spectral_radius(m: SymmetricTreeMatrix, tol: float = 1e-10) -> float:

@@ -547,6 +547,22 @@ def test_chain_orbit_agrees_with_the_exact_orbit(a32, s, x16, length, tol):
         check_chain(a32 / 32, s, x16 / 16, length, tol)
 
 
+@settings(max_examples=300, deadline=None)
+@given(st.integers(-96, 96), st.sampled_from((1, 0.25, 2, 0.5625, 1e-4)), st.integers(-64, 64),
+       st.integers(1, 60), st.sampled_from((1e-12, 1e-6, 1e-4, 1e-3)))
+def test_chain_orbit_counts_hold_for_every_a_within_its_error(a32, s, x16, length, error):
+    # a trusted answer is that of the exact orbit of each a* with |a - a*| <= u|a| + error
+    a, x0 = a32 / 32, x16 / 16
+    orbit = chain_orbit(a, s, x0, length, 1e-10, error) if x16 else None
+    if orbit is None:
+        return
+    end, inner = orbit
+    reach = abs(Fraction(a)) * Fraction(2.0**-53) + Fraction(error)
+    for a_star in (Fraction(a) - reach, Fraction(a) + reach):
+        values = exact_chain(a_star, s, x0, length)
+        assert values[-1] != 0 and (end < 0) == (values[-1] < 0), (a, s, x0, length, error)
+        assert inner == sum(v < 0 for v in values[:-1]), (a, s, x0, length, error)
+
 def test_chain_orbit_steps_at_exact_zeros():
     # orbits that hit 0 exactly: a = -1 and a = 1 with s = 1 at j = 1, 4, 7, ...
     # (oscillating, period 3); a = 6, s = 4 from 3/4 at j = 2 (real fixed

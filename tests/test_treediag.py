@@ -17,11 +17,12 @@ from treespec import treediag
 from treespec.errors import BadIndexError, BadVertexError, DomainError, NotATreeError, TreespecError
 from treespec.limits import StarlikeSpec, t_lmn
 from treespec.oracle import dense_spectrum, random_tree
+from treespec.signs import DoubleBroom, double_broom_tree
 from treespec.treediag import (
     MatrixKind,
     RootedTree,
     SymmetricTreeMatrix,
-    _chain_program,
+    _bisection_program,
     _inertia,
     build_matrix,
     build_tree,
@@ -544,7 +545,7 @@ def test_bisection_computes_the_gershgorin_interval_once(monkeypatch):
         return wrapper
 
     monkeypatch.setattr(SymmetricTreeMatrix, "gershgorin", counted(SymmetricTreeMatrix.gershgorin))
-    monkeypatch.setattr(treediag, "_chain_program", counted(_chain_program))
+    monkeypatch.setattr(treediag, "_bisection_program", counted(_bisection_program))
     tree = random_tree(40, seed=3)
     for kind in MatrixKind.ALL:
         m = build_matrix(tree, kind)
@@ -552,7 +553,7 @@ def test_bisection_computes_the_gershgorin_interval_once(monkeypatch):
             answers = []
             for _ in range(2):  # a second bisection on the same matrix repeats the first
                 answers.append(bisect().hex())
-                assert sorted(calls) == [("_chain_program", m), ("gershgorin", m)], kind
+                assert sorted(calls) == [("_bisection_program", m), ("gershgorin", m)], kind
                 calls.clear()
             assert answers[0] == answers[1], kind
 
@@ -585,8 +586,8 @@ def chain_calls(min_chain=None):
 
 
 def contracted(m, alpha):
-    """Counts of the float sweep at alpha that takes M's chains in closed form, as bisection does."""
-    return treediag._sweep(m, alpha, False, _chain_program(m))[1]
+    """Counts of the float sweep at alpha on M's bisection program, as bisection sweeps."""
+    return treediag._sweep(m, alpha, False, _bisection_program(m))[1]
 
 
 def fraction_inertia(m, alpha):
@@ -636,25 +637,40 @@ def test_contracted_counts_equal_the_fraction_sweep(shape, a, b, root, kind, alp
 def test_chain_program_finds_the_runs():
     n = 40
     path = build_tree([(v, v + 1) for v in range(1, n)], root=1)
-    # adjacency: leaf n is the bottom, n - 1 .. 1 the chain; Laplacian: the
-    # root's diagonal 1 ends the run of diagonal-2 vertices one step earlier;
-    # the segment after a chain's entry holds the chain's vertices
-    assert _chain_program(build_matrix(path, MatrixKind.ADJACENCY)) == [
-        (0, 1, (n - 1, 0, 1, 1, 0)), (1, n, None)]
-    assert _chain_program(build_matrix(path, MatrixKind.LAPLACIAN)) == [
-        (0, 1, (n - 2, 2, 1, 2, 1)), (1, n - 1, None), (n - 1, n, None)]
-    for tree in (random_tree(60, seed=2), build_tree([(1, v) for v in range(2, 60)], root=1)):
-        assert not any(_chain_program(build_matrix(tree, MatrixKind.ADJACENCY)))
-    # spider rooted at its centre: one chain per long leg, none for the short one
+    # adjacency: leaf n folds into n - 1, the bottom; n - 2 .. 1 are the
+    # chain, with key (d, S, s) = (0, 0, 1).  Laplacian: the root's diagonal 1
+    # ends the run of diagonal-2 vertices one step earlier.  The segment after
+    # a chain's entry holds the chain's vertices
+    program = _bisection_program(build_matrix(path, MatrixKind.ADJACENCY))
+    assert program.order == tuple(range(n - 1, 0, -1)) and program.parents == (*range(n - 2, 0, -1), 0)
+    assert (program.leaf_diag, program.leaves, program.hosts, program.sums) == (0, 1, (n - 1,), (1,))
+    assert program.segments == [(0, 1, (n - 2, 0, 0, 1, 1, 0)), (1, n - 1, None)]
+    assert _bisection_program(build_matrix(path, MatrixKind.LAPLACIAN)).segments == [
+        (0, 1, (n - 3, 2, 0, 1, 2, 1)), (1, n - 2, None), (n - 2, n - 1, None)]
+    # no chain: a star keeps only its centre, and a random tree has no long run
+    star = _bisection_program(build_matrix(build_tree([(1, v) for v in range(2, 60)], root=1), MatrixKind.ADJACENCY))
+    assert star == (0, 58, (1,), (0,), (1,), (58,), [(0, 1, None)])
+    program = _bisection_program(build_matrix(random_tree(60, seed=2), MatrixKind.ADJACENCY))
+    assert program.segments == [(0, len(program.order), None)]
+    # spider rooted at its centre: one chain per long leg, none for the short
+    # one; each leg's leaf folds into the leg's bottom
     m = build_matrix(t_lmn(StarlikeSpec(2, 30, 45)), MatrixKind.LAPLACIAN)
-    assert sorted(chain[0] for _, _, chain in _chain_program(m) if chain) == [29, 44]
+    assert sorted(chain[0] for _, _, chain in _bisection_program(m).segments if chain) == [28, 43]
+    # hairy caterpillar: spine 1 .. 20 rooted at 1, two leaves on each spine
+    # vertex; 20 is the bottom and 19 .. 1, the root too, one chain of key (0, 2, 1)
+    edges = [(v, v + 1) for v in range(1, 20)] + [(v, 20 + 2 * v - k) for v in range(1, 21) for k in (0, 1)]
+    program = _bisection_program(build_matrix(build_tree(edges, root=1), MatrixKind.ADJACENCY))
+    assert program.order == tuple(range(20, 0, -1)) and program.leaves == 40
+    assert program.hosts == tuple(range(1, 21)) and program.sums == (2,) * 20
+    assert program.segments == [(0, 1, (19, 0, 2, 1, 1, 0)), (1, 20, None)]
 
 
-def test_bisection_contracts_and_keeps_its_results():
+def test_bisection_contracts_and_keeps_its_results(monkeypatch):
     trees = [build_tree(chain_heavy_edges(shape, 60, 7), root=1) for shape in ("path", "spider", "broom")]
     for tree in trees:
         for kind in MatrixKind.ALL:
-            with chain_calls(10**9):  # no chains: every vertex stepped
+            with monkeypatch.context() as patch:  # no program: every vertex stepped
+                patch.setattr(treediag, "_bisection_program", lambda m: None)
                 stepped = [spectral_radius(build_matrix(tree, kind)),
                            kth_eigenvalue(build_matrix(tree, kind), tree.n // 3)]
             with chain_calls() as calls:
@@ -712,6 +728,173 @@ def test_contracted_counts_equal_locate():
                 m = build_matrix(tree, kind)
                 assert [contracted(m, a) for a in alphas] == [locate(m, a) for a in alphas], (tree, kind)
     assert any(calls)
+
+
+# ---------------------------------------------------------------------------
+# leaves folded into their parents
+
+
+def leafy_edges(shape, a, b):
+    """Edges of a tree made mostly of leaves; a >= 0 and b >= 1 size its parts."""
+    if shape == "star":  # a leaves on the centre 1: n = 1 and n = 2 at a = 0 and 1
+        return [(1, v) for v in range(2, a + 2)]
+    if shape == "double star":  # S(a, b): centres 1 and 2 with a and b leaves
+        return [(1, 2)] + [(1, v) for v in range(3, a + 3)] + [(2, v) for v in range(a + 3, a + b + 3)]
+    if shape == "double broom":  # the path 1 .. a + 2 with b leaves at each end
+        end = a + 2
+        return ([(v, v + 1) for v in range(1, end)] + [(1, v) for v in range(end + 1, end + b + 1)]
+                + [(end, v) for v in range(end + b + 1, end + 2 * b + 1)])
+    if shape == "prufer":  # a random tree with a leaf on each of its vertices
+        tree = random_tree(a + 1, seed=b)
+        return tree.edges() + [(v, tree.n + v) for v in range(1, tree.n + 1)]
+    # hairy caterpillar: the spine 1 .. a + 1, each vertex with 1-3 leaves: 3 on
+    # every one when b % 3 == 0, else a count that changes every MIN_CHAIN + 4 vertices
+    spine = a + 1
+    edges = [(v, v + 1) for v in range(1, spine)]
+    for v in range(1, spine + 1):
+        for _ in range(3 - (v // (treediag.MIN_CHAIN + 4) * b) % 3):
+            edges.append((v, len(edges) + 2))
+    return edges
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(("star", "double star", "double broom", "prufer", "hairy caterpillar")),
+       st.integers(0, 40), st.integers(1, 12), st.integers(0, 10**6), st.sampled_from(MatrixKind.ALL),
+       st.integers(-7 * 64, 9 * 64), st.sampled_from((1, 2, treediag.MIN_CHAIN)), st.booleans())
+# every leaf is zero at the leaf diagonal (0, and 1 for the Laplacian): every vertex stepped
+@example("star", 7, 1, 0, MatrixKind.ADJACENCY, 0, 1, False)
+@example("hairy caterpillar", 30, 2, 0, MatrixKind.LAPLACIAN, 64, 2, False)
+# S(4, 4) at 2: vertex 2 with its four folded leaves is zero, and 1 takes the zero-child branch
+@example("double star", 4, 4, 0, MatrixKind.ADJACENCY, 128, 1, False)
+# one leaf's diagonal moved: the leaves differ, and nothing folds
+@example("double broom", 3, 2, 0, MatrixKind.LAPLACIAN, 96, 1, True)
+@example("star", 0, 1, 0, MatrixKind.LAPLACIAN, 0, 1, False)  # n = 1
+@example("star", 1, 1, 0, MatrixKind.ADJACENCY, 64, 1, False)  # n = 2
+@example("star", 1, 1, 1, MatrixKind.NORMALIZED_LAPLACIAN, 32, 1, False)  # n = 2, rooted at the leaf
+# spine 1 .. 20 with 3 leaves each, at 1: the chain's map has a = -1 + 3 = 2 = 2 sqrt(s), and is refused
+@example("hairy caterpillar", 19, 3, 0, MatrixKind.ADJACENCY, 64, treediag.MIN_CHAIN, False)
+def test_program_counts_equal_the_fraction_sweep(shape, a, b, root, kind, alpha64, min_chain, uneven):
+    edges = leafy_edges(shape, a, b)
+    tree = build_tree(edges, root=1 + root % (len(edges) + 1))
+    m = build_matrix(tree, kind)
+    leaves = [v for v in range(1, tree.n + 1) if tree.degree[v] == 1 and v != tree.root]
+    if uneven and len(leaves) > 1:  # a hand-built matrix whose leaves' diagonals differ
+        diag = list(m.diag)
+        diag[leaves[-1]] += 1
+        m = SymmetricTreeMatrix(tree, diag, m.edge_weight)
+        assert _bisection_program(m) is None
+    shift = alpha64 / 64  # the float sweep's shift, exactly a dyadic rational
+    with chain_calls(min_chain):
+        got = contracted(m, shift)
+    want = fraction_inertia(m, shift) if m.is_rational else treediag._sweep(m, shift, False)[1]
+    assert got == want
+    if (shape, a, b, kind, alpha64) == ("double star", 4, 4, MatrixKind.ADJACENCY, 128):
+        assert got == (9, 0, 1)
+
+
+def test_a_refused_hairy_chain_is_stepped():
+    # spine 1 .. 20 rooted at 1, three leaves on each: at alpha = 1, x_leaf = -1 and the
+    # chain 19 .. 1 maps x -> 2 - 1/x, the double root a^2 = 4s that chain_orbit refuses
+    m = build_matrix(build_tree(leafy_edges("hairy caterpillar", 19, 3), root=1), MatrixKind.ADJACENCY)
+    assert [chain[:4] for _, _, chain in _bisection_program(m).segments if chain] == [(19, 0, 3, 1)]
+    with chain_calls() as calls:
+        assert contracted(m, 1.0) == fraction_inertia(m, 1) == locate(m, 1.0)
+    assert calls == [False]
+    with chain_calls() as calls:  # off the double root the same chain is taken in one step
+        assert contracted(m, 0.75) == fraction_inertia(m, Fraction(3, 4))
+    assert calls == [True]
+
+
+def test_leaf_chains_pass_a_bound_on_the_error_of_their_a(monkeypatch):
+    # chain_orbit certifies every a* with |a - a*| <= u|a| + error; the exact a* of a
+    # chain with leaves is (d - alpha) - S*/(d_leaf - alpha), S* the exact sum of
+    # its leaf children's squared weights
+    calls = []
+
+    def recorded(a, s, x0, length, tol, error=0.0):
+        calls.append((a, error))
+        return real(a, s, x0, length, tol, error)
+
+    real = treediag.chain_orbit
+    monkeypatch.setattr(treediag, "chain_orbit", recorded)
+    tree = build_tree(leafy_edges("hairy caterpillar", 40, 3), root=1)
+    leaves = [v for v in range(2, tree.n + 1) if tree.degree[v] == 1]
+    beyond_one_rounding = 0
+    for kind in MatrixKind.ALL:
+        m = build_matrix(tree, kind)
+        (chain,) = [chain for _, _, chain in _bisection_program(m).segments if chain]
+        top, d_leaf = chain[4], Fraction(m.diag[leaves[0]])
+        exact_sum = sum(Fraction(m.edge_weight[c]) ** 2 for c in leaves if tree.parent[c] == top)
+        calls.clear()
+        for alpha in (-2.375, -0.3, 0.1, 0.7, 1.9, 2.6, 4.1, 6.05):
+            start = len(calls)
+            contracted(m, alpha)
+            a_exact = Fraction(chain[1]) - Fraction(alpha) - exact_sum / (d_leaf - Fraction(alpha))
+            for a, error in calls[start:]:
+                miss = abs(Fraction(a) - a_exact) - Fraction(2.0**-53) * abs(Fraction(a))
+                assert error > 0 and miss <= Fraction(error), (kind, alpha)
+                beyond_one_rounding += miss > 0
+        assert len(calls) >= 6, kind
+    assert beyond_one_rounding  # the one rounding that chains without leaves assume would not do
+
+
+def test_a_zero_bottom_starts_the_orbit_at_the_second_chain_vertex():
+    # adjacency paths rooted at 1: leaf n folds into n - 1, whose value -a - 1/(-a)
+    # is 0 at a = +-1; the bottom n - 1 becomes 2, n - 2 takes -1/2, and the
+    # chain runs on from n - 3, which starts afresh at -a.  +-1 are eigenvalues of
+    # P_n when 3 divides n + 1: then the top is zero, and the chain is stepped
+    for n in (40, 41, 100):
+        m = build_matrix(build_tree([(v, v + 1) for v in range(1, n)], root=1), MatrixKind.ADJACENCY)
+        for alpha in (1.0, -1.0):
+            with chain_calls() as calls:
+                assert contracted(m, alpha) == fraction_inertia(m, alpha) == locate(m, alpha), (n, alpha)
+            assert calls == [(n + 1) % 3 != 0], (n, alpha)
+
+
+def reference_bisect(m, tol, predicate):
+    """Bisection as ``_bisect`` runs it, with the midpoint 0.5 * (lo + hi) and every vertex stepped."""
+    lo, hi = m.gershgorin()
+    while True:
+        mid = 0.5 * (lo + hi)
+        if hi - lo <= tol or mid == lo or mid == hi:
+            break
+        if predicate(treediag._sweep(m, mid, False)[1]):
+            hi = mid
+        else:
+            lo = mid
+    return 0.5 * (lo + hi)
+
+
+def test_bisection_answers_equal_the_stepped_reference_bitwise():
+    rng = random.Random(19)
+    trees = [build_tree([(1, v) for v in range(2, 3001)], root=1), build_tree([(1, v) for v in range(2, 3001)], root=2),
+             build_tree(_shape_edges("caterpillar", 1200, rng), root=1),
+             build_tree(leafy_edges("hairy caterpillar", 299, 1), root=1),
+             build_tree(leafy_edges("hairy caterpillar", 249, 2), root=250),
+             random_tree(1500, seed=7), build_tree(leafy_edges("double star", 600, 400), root=1),
+             build_tree(leafy_edges("double broom", 200, 300), root=1),
+             build_tree(_shape_edges("broom", 800, rng), root=1), double_broom_tree(DoubleBroom(30, 20, 25, 40)),
+             t_lmn(StarlikeSpec(1, 300, 300))]
+    for tree in trees:
+        n = tree.n
+        for kind in MatrixKind.ALL:
+            m = build_matrix(tree, kind)
+            got = [spectral_radius(m).hex()] + [kth_eigenvalue(m, k).hex() for k in (1, n // 3, n)]
+            want = [reference_bisect(m, 1e-10, lambda c: c.above == 0).hex()]
+            want += [reference_bisect(m, 1e-10, lambda c: c.below >= k).hex() for k in (1, n // 3, n)]
+            assert got == want, (tree, kind)
+
+
+def test_the_midpoint_of_a_bracket_whose_sum_overflows():
+    m = SymmetricTreeMatrix(build_tree([(1, 2)], root=2), (0, 1e308, 1.5e308), (0, 1.0, 0))
+    assert m.gershgorin() == (1e308 - 1, 1.5e308 + 1) and m.gershgorin()[0] + m.gershgorin()[1] == math.inf
+    assert spectral_radius(m) == pytest.approx(1.5e308, rel=1e-9)
+    assert kth_eigenvalue(m, 1) == pytest.approx(1e308, rel=1e-9)
+    # a finite sum keeps the midpoint 0.5 * (lo + hi), bit for bit: halving the
+    # ends first would round the subnormal 2^-1075 + 2^-1075 to 0
+    assert treediag._midpoint(-3.0, 1e-300) == 0.5 * (-3.0 + 1e-300)
+    assert treediag._midpoint(5e-324, 5e-324) == 5e-324
+    assert treediag._midpoint(-1e308, -1.5e308) == -1.25e308
 
 
 def test_closed_form_spectra_of_a_path_at_1e5():
