@@ -29,7 +29,6 @@ import math
 import os
 import re
 import sys
-from fractions import Fraction
 from typing import List, Optional, Sequence
 
 from .errors import DomainError, PatternNotFoundError, TreespecError
@@ -76,6 +75,8 @@ def _require_finite_output(obj, field: str = "") -> None:
 
 def _parse_shift(text: str, exact: bool):
     """--alpha as a Fraction with --exact, else a float ('p/q' rounded once)."""
+    from fractions import Fraction
+
     try:
         if _RATIONAL_RE.match(text.strip()):
             value = Fraction(text)
@@ -316,9 +317,9 @@ def _cmd_limit(args) -> int:
 def _cmd_random_tree(args) -> int:
     from . import oracle
 
-    edges = oracle.random_tree(args.n, args.seed).edges()
-    if edges:
-        print("\n".join(f"{child} {parent}" for child, parent in edges))
+    parent = oracle.random_parents(args.n, args.seed)
+    if args.n > 1:  # the lines of random_tree(n, seed).edges(), sorted by child
+        print("\n".join([f"{v} {parent[v]}" for v in range(1, args.n)]))
     return 0
 
 

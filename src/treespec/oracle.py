@@ -10,12 +10,13 @@ are drawn uniformly by decoding a random Pruefer sequence.
 from __future__ import annotations
 
 import random
-from heapq import heappop, heappush, heapify
 from math import inf
-from typing import List, NamedTuple, Tuple
+from typing import TYPE_CHECKING, List, NamedTuple, Tuple
 
 from .errors import DomainError, SizeLimitError
-from .treediag import RootedTree, SymmetricTreeMatrix, build_tree
+
+if TYPE_CHECKING:  # imported where it runs, so random-tree loads no tree code
+    from .treediag import RootedTree, SymmetricTreeMatrix
 
 #: dense_spectrum refuses larger instances (misuse guard)
 SIZE_LIMIT = 512
@@ -54,37 +55,47 @@ def dense_spectrum(m: SymmetricTreeMatrix, tol: float = DEFAULT_TOL) -> DenseSpe
 
 
 def random_tree(n: int, seed: int) -> RootedTree:
-    """Uniformly random labeled tree on 1..n, rooted at n.
+    """Uniformly random labeled tree on 1..n, rooted at n: ``random_parents`` oriented."""
+    from .treediag import build_tree
+
+    parent = random_parents(n, seed)
+    return build_tree(enumerate(parent[1:n], 1), root=n)
+
+
+def random_parents(n: int, seed: int) -> List[int]:
+    """Parent list of a uniformly random labeled tree on 1..n rooted at n.
 
     The Pruefer sequence is drawn as n-2 independent
     ``random.Random(seed).randrange(1, n + 1)`` values and decoded
-    smallest-leaf-first, so (n, seed) fully determines the tree.
+    smallest-leaf-first, so (n, seed) fully determines the tree.  Slot v
+    holds the parent of v; slot 0 and the root's slot hold 0.
     """
     if n < 1:
         raise DomainError("n must be positive")
-    if n == 1:
-        return build_tree([], root=1)
-    if n == 2:
-        return build_tree([(1, 2)], root=2)
     rng = random.Random(seed)
-    seq = [rng.randrange(1, n + 1) for _ in range(n - 2)]
-    return build_tree(_prufer_to_edges(seq, n), root=n)
+    return _prufer_parents([rng.randrange(1, n + 1) for _ in range(n - 2)], n)
 
 
-def _prufer_to_edges(seq: List[int], n: int) -> List[Tuple[int, int]]:
+def _prufer_parents(seq: List[int], n: int) -> List[int]:
+    """Decode a Pruefer sequence of n-2 values in 1..n in O(n).
+
+    Each removed leaf's partner is its parent in the tree rooted at n.  The
+    next leaf is the partner when it has just become a leaf below the scan
+    pointer ``ptr`` (every smaller vertex is removed or inner), else the
+    first degree-1 vertex past ``ptr``; a removed leaf never lies past it.
+    """
     degree = [1] * (n + 1)
     for s in seq:
         degree[s] += 1
-    leaves = [v for v in range(1, n + 1) if degree[v] == 1]
-    heapify(leaves)
-    edges: List[Tuple[int, int]] = []
+    parent = [0] * (n + 1)
+    ptr = leaf = degree.index(1, 1)
     for s in seq:
-        leaf = heappop(leaves)
-        edges.append((leaf, s))
+        parent[leaf] = s
         degree[s] -= 1
-        if degree[s] == 1:
-            heappush(leaves, s)
-    u = heappop(leaves)
-    v = heappop(leaves)
-    edges.append((u, v))
-    return edges
+        if degree[s] == 1 and s < ptr:
+            leaf = s
+        else:
+            ptr = leaf = degree.index(1, ptr + 1)
+    if n > 1:
+        parent[leaf] = n
+    return parent

@@ -30,10 +30,10 @@ from itertools import islice
 from typing import TYPE_CHECKING, Iterator, List, NamedTuple, Optional, Tuple
 
 from .errors import DomainError, OutOfDomainError, PatternNotFoundError, PreconditionViolatedError
-from .treediag import InertiaTriple, MatrixKind, RootedTree, _sweep, build_matrix, build_tree
 
-if TYPE_CHECKING:  # imported where they run, so mlas and broom do not load recurrence
+if TYPE_CHECKING:  # imported where they run: mlas loads neither, broom no recurrence
     from .recurrence import OrbitResult, RecurrenceParams
+    from .treediag import InertiaTriple, RootedTree
 
 
 class _Pendant(NamedTuple):
@@ -364,6 +364,8 @@ def double_broom_layout(b: DoubleBroom) -> BroomLayout:
     """Deterministic labeling: left pendants 1..2r (leaf, inner pairs), left
     path 2r+1..2r+2q star-first, root, right path root+1.. adjacent-first,
     right pendants last (inner, leaf pairs)."""
+    from .treediag import build_tree
+
     edges: List[Tuple[int, int]] = []
     left_star = 2 * b.r + 1
     for i in range(b.r):
@@ -433,6 +435,8 @@ def double_broom_sigma(b: DoubleBroom) -> BroomSigma:
     value is positive; the congruence sweep cross-checks the count (and is
     the fallback when the hypotheses fail).
     """
+    from .treediag import MatrixKind, _sweep, build_matrix
+
     layout = double_broom_layout(b)
     n = b.n
     d = 2 - Fraction(2, n)
@@ -483,6 +487,8 @@ def star_up(tree: RootedTree, star: int) -> RootedTree:
     preserved: the two removed path vertices become the new pendant 2-path.
     The neighbours come from ``tree.parent`` in O(n), which the rebuild costs anyway.
     """
+    from .treediag import build_tree
+
     n = tree.n
     if not (1 <= star <= n):
         raise PreconditionViolatedError(f"star vertex {star} outside 1..{n}")

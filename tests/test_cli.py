@@ -404,11 +404,11 @@ FOOTPRINTS = {
                {"treediag"}),
     "radius": (["radius", "--tree", "{p40}", "--matrix", "laplacian"], {"treediag"}),
     "eigen": (["eigen", "--tree", "{p4}", "--matrix", "adjacency", "--k", "3"], {"treediag"}),
-    "mlas": (["mlas", "--n", "19", "--direct"], {"signs", "treediag"}),
+    "mlas": (["mlas", "--n", "19", "--direct"], {"signs"}),
     "broom": (["broom", "--r", "3", "--q", "4", "--p", "2", "--rr", "3"], {"signs", "treediag"}),
     "limit": (["limit", "--family", "adjacency", "--n-max", "17"],
               {"limits", "treediag"}),
-    "random-tree": (["random-tree", "--n", "50", "--seed", "1"], {"oracle", "treediag"}),
+    "random-tree": (["random-tree", "--n", "50", "--seed", "1"], {"oracle"}),
 }
 
 
@@ -424,16 +424,18 @@ def test_each_subcommand_imports_only_its_modules(tmp_path, command):
         "with contextlib.redirect_stdout(io.StringIO()):",
         f"    code = run({argv!r})",
         "print(json.dumps([code, sorted(m for m in sys.modules if m.startswith('treespec')),"
-        " 'numpy' in sys.modules, 'dataclasses' in sys.modules]))",
+        " 'numpy' in sys.modules, 'dataclasses' in sys.modules, 'fractions' in sys.modules]))",
     ])
     out = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
     assert out.returncode == 0, out.stderr
-    code, loaded, numpy_loaded, dataclasses_loaded = json.loads(out.stdout)
+    code, loaded, numpy_loaded, dataclasses_loaded, fractions_loaded = json.loads(out.stdout)
     assert code == 0
     assert set(loaded) == {"treespec", "treespec.cli", "treespec.errors"} | {
         f"treespec.{name}" for name in modules}
     assert not numpy_loaded
     assert not dataclasses_loaded
+    if command == "random-tree":
+        assert not fractions_loaded
 
 
 def test_matrix_choices_are_the_matrix_kinds():

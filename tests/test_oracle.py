@@ -1,11 +1,16 @@
 """Tests for the dense spectral oracle and the seeded random tree generator."""
 
 import math
+import random
+from heapq import heapify, heappop, heappush
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from treespec.cli import run
 from treespec.errors import DomainError, SizeLimitError
-from treespec.oracle import SIZE_LIMIT, dense_spectrum, random_tree
+from treespec.oracle import SIZE_LIMIT, _prufer_parents, dense_spectrum, random_tree
 from treespec.treediag import MatrixKind, SymmetricTreeMatrix, build_matrix, build_tree, locate
 
 
@@ -137,3 +142,78 @@ def test_random_tree_covers_all_shapes():
         t = random_tree(3, seed=seed)
         seen.add(tuple(sorted(tuple(sorted(e)) for e in t.edges())))
     assert len(seen) == 3
+
+
+def heap_prufer_edges(seq, n):
+    """Reference decoding: pop the smallest leaf from a heap and join it to the
+    next sequence value; the last two leaves form the last edge (n >= 2)."""
+    degree = [1] * (n + 1)
+    for s in seq:
+        degree[s] += 1
+    leaves = [v for v in range(1, n + 1) if degree[v] == 1]
+    heapify(leaves)
+    edges = []
+    for s in seq:
+        leaf = heappop(leaves)
+        edges.append((leaf, s))
+        degree[s] -= 1
+        if degree[s] == 1:
+            heappush(leaves, s)
+    u = heappop(leaves)
+    v = heappop(leaves)
+    edges.append((u, v))
+    return edges
+
+
+def heap_prufer_parents(seq, n):
+    """The heap decoding as a parent list: each leaf maps to its partner, and
+    the last pair's smaller vertex to n."""
+    parent = [0] * (n + 1)
+    if n > 1:
+        *pairs, (u, v) = heap_prufer_edges(seq, n)
+        for leaf, partner in pairs:
+            parent[leaf] = partner
+        parent[min(u, v)] = n
+    return parent
+
+
+@st.composite
+def prufer_sequences(draw):
+    n = draw(st.integers(1, 300))
+    return draw(st.lists(st.integers(1, n), min_size=max(n - 2, 0), max_size=max(n - 2, 0))), n
+
+
+@settings(max_examples=300, deadline=None)
+@given(prufer_sequences())
+@example(([], 1))
+@example(([], 2))
+@example(([2], 3))
+@example(([4] * 6, 8))  # a star
+@example((list(range(2, 10)), 10))  # a path, increasing
+@example((list(range(8, 0, -1)), 10))  # a path, decreasing
+@example(([5, 1, 1, 2, 2], 7))  # partners fall below the scan pointer twice
+def test_linear_decoding_equals_the_heap_decoding(case):
+    seq, n = case
+    assert _prufer_parents(seq, n) == heap_prufer_parents(seq, n)
+
+
+def test_partners_below_the_pointer():
+    # 3->5, 4->1, 5->1, 1->2, 6->2, 2->7: vertices 1 and 2 become leaves behind the scan
+    assert _prufer_parents([5, 1, 1, 2, 2], 7) == [0, 2, 7, 5, 1, 1, 2, 0]
+
+
+@pytest.mark.parametrize("n, seed", [(1, 0), (2, 5), (3, 1), (4, 2), (17, 3), (300, 4), (5000, 5)])
+def test_random_tree_is_the_heap_decoding_oriented(n, seed):
+    rng = random.Random(seed)
+    seq = [rng.randrange(1, n + 1) for _ in range(n - 2)]
+    want = build_tree(heap_prufer_edges(seq, n) if n > 1 else [], root=n)
+    got = random_tree(n, seed)
+    assert (got.parent, got.degree, got.postorder) == (want.parent, want.degree, want.postorder)
+    assert got.root == n
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 50, 50000])
+def test_cli_prints_the_edges_of_random_tree(capsys, n):
+    assert run(["random-tree", "--n", str(n), "--seed", "7"]) == 0
+    want = "".join(f"{child} {parent}\n" for child, parent in random_tree(n, 7).edges())
+    assert capsys.readouterr().out == want
