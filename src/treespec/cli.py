@@ -42,6 +42,9 @@ _RATIONAL_RE = re.compile(r"^[+-]?\d+(/\d+)?$")
 #: a negative number argparse would take for an option: "-4/19", "-1e-3", "-inf"
 _NEGATIVE_VALUE_RE = re.compile(r"^-(\.?\d|inf$|infinity$|nan$)", re.IGNORECASE)
 
+#: lines of random-tree per write: the output is never held whole
+_LINES_PER_WRITE = 65536
+
 #: argparse dests whose option is spelled differently
 _OPTION_OF = {"eval_j": "--eval", "j_from": "--from", "j_to": "--to"}
 
@@ -318,8 +321,13 @@ def _cmd_random_tree(args) -> int:
     from . import oracle
 
     parent = oracle.random_parents(args.n, args.seed)
-    if args.n > 1:  # the lines of random_tree(n, seed).edges(), sorted by child
-        print("\n".join([f"{v} {parent[v]}" for v in range(1, args.n)]))
+    # the lines of random_tree(n, seed).edges(), sorted by child, a block at a time
+    for start in range(1, args.n, _LINES_PER_WRITE):
+        block = range(start, min(start + _LINES_PER_WRITE, args.n))
+        sys.stdout.write("\n".join([f"{v} {parent[v]}" for v in block]))
+        # a write of its own, as print makes: on an unbuffered stdout (python -u) a
+        # closed pipe cuts a block short without an error, and this write raises one
+        sys.stdout.write("\n")
     return 0
 
 

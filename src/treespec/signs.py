@@ -33,7 +33,7 @@ from .errors import DomainError, OutOfDomainError, PatternNotFoundError, Precond
 
 if TYPE_CHECKING:  # imported where they run: mlas loads neither, broom no recurrence
     from .recurrence import OrbitResult, RecurrenceParams
-    from .treediag import InertiaTriple, RootedTree
+    from .treediag import InertiaTriple, RootedTree, SymmetricTreeMatrix
 
 
 class _Pendant(NamedTuple):
@@ -364,28 +364,21 @@ def double_broom_layout(b: DoubleBroom) -> BroomLayout:
     """Deterministic labeling: left pendants 1..2r (leaf, inner pairs), left
     path 2r+1..2r+2q star-first, root, right path root+1.. adjacent-first,
     right pendants last (inner, leaf pairs)."""
-    from .treediag import build_tree
+    from .treediag import _orient
 
-    edges: List[Tuple[int, int]] = []
-    left_star = 2 * b.r + 1
-    for i in range(b.r):
-        leaf, inner = 1 + 2 * i, 2 + 2 * i
-        edges.append((leaf, inner))
-        edges.append((inner, left_star))
-    for v in range(left_star, left_star + 2 * b.q - 1):
-        edges.append((v, v + 1))
-    root = 2 * b.r + 2 * b.q + 1
-    edges.append((root - 1, root))
+    n, left_star = b.n, 2 * b.r + 1
+    root = left_star + 2 * b.q
     right_star = root + 2 * b.p
-    edges.append((root, root + 1))
-    for v in range(root + 1, right_star):
-        edges.append((v, v + 1))
-    for i in range(b.R):
-        inner = right_star + 1 + 2 * i
-        leaf = inner + 1
-        edges.append((right_star, inner))
-        edges.append((inner, leaf))
-    return BroomLayout(build_tree(edges, root=root), root, left_star, right_star)
+    parent = [0] * (n + 1)  # by vertex; slot 0 and the root go below
+    parent[1:left_star:2] = range(2, left_star, 2)  # leaf -> inner
+    parent[2:left_star:2] = [left_star] * b.r  # inner -> star
+    parent[left_star:root] = range(left_star + 1, root + 1)
+    parent[root + 1:right_star + 1] = range(root, right_star)
+    parent[right_star + 1::2] = [right_star] * b.R
+    parent[right_star + 2::2] = range(right_star + 1, n, 2)
+    del parent[root], parent[0]  # now the parent of each vertex in children
+    children = [*range(1, root), *range(root + 1, n + 1)]
+    return BroomLayout(_orient(children, parent, root), root, left_star, right_star)
 
 
 def double_broom_tree(b: DoubleBroom) -> RootedTree:
@@ -433,24 +426,76 @@ def double_broom_sigma(b: DoubleBroom) -> BroomSigma:
     When the side-counting hypotheses hold, the root value equals
     2/n - 1/b_{2q}(r) - 1/b_{2p}(R) and sigma is r+R+q+p plus one when that
     value is positive; the congruence sweep cross-checks the count (and is
-    the fallback when the hypotheses fail).
+    the fallback when the hypotheses fail).  The sweep is the certified float
+    sweep of ``locate(exact=True)``, and b_{2q}, b_{2p} come from ``_scan``:
+    the formula's interval must meet the root's and give the sweep's count.
+    Where a sign is in doubt, the exact sweep and ``b_at`` decide, and the
+    formula must equal the root value.
     """
-    from .treediag import MatrixKind, _sweep, build_matrix
+    from .treediag import MatrixKind, _certified_sweep, build_matrix
 
     layout = double_broom_layout(b)
-    n = b.n
-    d = 2 - Fraction(2, n)
     lap = build_matrix(layout.tree, MatrixKind.LAPLACIAN)
+    d = 2 - Fraction(2, b.n)
+    hypotheses = _broom_hypotheses(b)
+    certified = _certified_sweep(lap, d)
+    if certified is not None:
+        result = _certified_sigma(b, layout.root, *certified, hypotheses)
+        if result is not None:
+            return result
+    return _exact_sigma(b, layout.root, lap, d, hypotheses)
+
+
+def _certified_sigma(b: DoubleBroom, root: int, values: List[float], errors: List[float],
+                     hypotheses: bool) -> Optional[BroomSigma]:
+    """The split from a certified sweep (values and bounds of vertices 1..n); None on doubt.
+
+    The formula's interval is exact arithmetic on the scan's: b in [x - e, x + e]
+    with |x| > e gives |1/b - 1/x| <= e / (|x| (|x| - e)).  It is in doubt when
+    a scan stops before its index or the interval holds 0.
+    """
+    from .treediag import InertiaTriple
+
+    n = b.n
+    below = sum(x < 0 for x in values)
+    inertia = InertiaTriple(below, 0, n - below)
+    x_root, e_root = Fraction(values[root - 1]), Fraction(errors[root - 1])
+    if hypotheses:
+        centre, radius = Fraction(2, n), Fraction(0)
+        for side, j in ((b.r, 2 * b.q), (b.R, 2 * b.p)):
+            term = next(islice(_scan(PendantConfig(n, side)), j - 1, None), None)
+            if term is None:
+                return None
+            x, e = map(Fraction, term)
+            centre -= 1 / x
+            radius += e / (abs(x) * (abs(x) - e))
+        if abs(centre) <= radius:
+            return None
+        predicted = b.r + b.R + b.q + b.p + (centre > 0)
+        if abs(centre - x_root) > radius + e_root or predicted != inertia.above:
+            raise RuntimeError(
+                f"side counting disagrees with the sweep for {b}: "
+                f"formula {float(centre)} +- {float(radius):.3g} vs root {float(x_root)} +- "
+                f"{float(e_root):.3g}, predicted {predicted} vs above {inertia.above}"
+            )
+    sign = RootSign.POSITIVE if x_root > 0 else RootSign.NEGATIVE
+    return BroomSigma(sigma=inertia.above, root_sign=sign, hypotheses_met=hypotheses, inertia=inertia)
+
+
+def _exact_sigma(b: DoubleBroom, root: int, lap: SymmetricTreeMatrix, d: Fraction,
+                 hypotheses: bool) -> BroomSigma:
+    """The split from the exact sweep, with the formula from ``b_at``."""
+    from .treediag import _sweep
+
+    n = b.n
     values, inertia = _sweep(lap, d, True)
-    root_value = values[layout.root]
+    root_value = values[root]
     if root_value > 0:
         sign = RootSign.POSITIVE
     elif root_value < 0:
         sign = RootSign.NEGATIVE
     else:
         sign = RootSign.ZERO
-
-    hypotheses = _broom_hypotheses(b)
     if hypotheses:
         try:
             formula = (
@@ -461,20 +506,14 @@ def double_broom_sigma(b: DoubleBroom) -> BroomSigma:
         except (PatternNotFoundError, ZeroDivisionError):
             hypotheses = False
         else:
-            half = b.r + b.R + b.q + b.p
-            predicted = half + (1 if formula > 0 else 0)
+            predicted = b.r + b.R + b.q + b.p + (formula > 0)
             if formula != root_value or predicted != inertia.above:
                 raise RuntimeError(
                     f"side counting disagrees with the sweep for {b}: "
                     f"formula {formula} vs root {root_value}, "
                     f"predicted {predicted} vs above {inertia.above}"
                 )
-    return BroomSigma(
-        sigma=inertia.above,
-        root_sign=sign,
-        hypotheses_met=hypotheses,
-        inertia=inertia,
-    )
+    return BroomSigma(sigma=inertia.above, root_sign=sign, hypotheses_met=hypotheses, inertia=inertia)
 
 
 def star_up(tree: RootedTree, star: int) -> RootedTree:

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from treespec import cli
 from treespec.cli import run
 from treespec.errors import DomainError, SizeLimitError
 from treespec.oracle import SIZE_LIMIT, _prufer_parents, dense_spectrum, random_tree
@@ -217,3 +218,11 @@ def test_cli_prints_the_edges_of_random_tree(capsys, n):
     assert run(["random-tree", "--n", str(n), "--seed", "7"]) == 0
     want = "".join(f"{child} {parent}\n" for child, parent in random_tree(n, 7).edges())
     assert capsys.readouterr().out == want
+
+
+def test_cli_writes_random_tree_lines_in_blocks(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "_LINES_PER_WRITE", 4)
+    for n in range(1, 15):  # n - 1 lines: none, part of a block, whole blocks and a rest
+        assert run(["random-tree", "--n", str(n), "--seed", "7"]) == 0
+        want = "".join(f"{child} {parent}\n" for child, parent in random_tree(n, 7).edges())
+        assert capsys.readouterr().out == want

@@ -10,14 +10,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import treespec.signs as signs_module
+from treespec import treediag
 from treespec.errors import DomainError, OutOfDomainError, PatternNotFoundError, PreconditionViolatedError
 from treespec.recurrence import RecurrenceParams, iterate, solve, zeros_and_poles
 from treespec.signs import (
+    BroomSigma,
     DoubleBroom,
     PendantConfig,
     RootSign,
     _b_pairs,
     _b_power,
+    _broom_hypotheses,
     _scan,
     b_at,
     b_sequence,
@@ -430,6 +434,95 @@ def test_double_broom_sigma_fallback():
     result = double_broom_sigma(DoubleBroom(r=4, q=1, p=1, R=1))
     assert not result.hypotheses_met
     assert result.sigma == result.inertia.above
+
+
+#: 7 * 7 * 8 * 8 = 3,136 brooms, 1,531 of them outside the side-counting hypotheses
+BROOM_GRID = [DoubleBroom(r, q, p, R) for r in range(1, 8) for R in range(1, 8)
+              for q in range(1, 9) for p in range(1, 9)]
+
+
+def _exact_root_and_inertia(b):
+    layout = double_broom_layout(b)
+    lap = build_matrix(layout.tree, MatrixKind.LAPLACIAN)
+    values, inertia = treediag._sweep(lap, 2 - Fraction(2, b.n), True)
+    return values[layout.root], inertia
+
+
+@pytest.fixture(scope="module")
+def broom_grid_reference():
+    """The split of each grid broom from the exact sweep's inertia and root value."""
+    reference = {}
+    for b in BROOM_GRID:
+        root_value, inertia = _exact_root_and_inertia(b)
+        sign = RootSign.POSITIVE if root_value > 0 else RootSign.NEGATIVE if root_value < 0 else RootSign.ZERO
+        reference[b] = BroomSigma(inertia.above, sign, _broom_hypotheses(b), inertia)
+    assert sum(not r.hypotheses_met for r in reference.values()) == 1531
+    # 2 - 2/n (n odd) is no algebraic integer, so no eigenvalue of an integer matrix
+    assert RootSign.ZERO not in {r.root_sign for r in reference.values()}
+    return reference
+
+
+def _count_exact_sweeps(monkeypatch):
+    calls, sweep = [], treediag._sweep
+    monkeypatch.setattr(treediag, "_sweep", lambda *args: calls.append(args) or sweep(*args))
+    return calls
+
+
+def test_double_broom_sigma_certified_on_a_grid(monkeypatch, broom_grid_reference):
+    def exact_sweep(*args):
+        raise AssertionError("the certified sweep left a sign in doubt")
+
+    monkeypatch.setattr(treediag, "_sweep", exact_sweep)  # every grid broom is certified in floats
+    for b in BROOM_GRID:
+        assert double_broom_sigma(b) == broom_grid_reference[b], b
+
+
+def test_double_broom_sigma_exact_path_on_a_grid(monkeypatch, broom_grid_reference):
+    monkeypatch.setattr(treediag, "_certified_sweep", lambda m, alpha: None)
+    calls = _count_exact_sweeps(monkeypatch)
+    for b in BROOM_GRID:
+        assert double_broom_sigma(b) == broom_grid_reference[b], b
+    assert len(calls) == len(BROOM_GRID)
+
+
+@pytest.mark.parametrize("doubt", [
+    lambda terms: ((x, abs(x) * 0.999) for x, _ in terms),  # the formula's interval holds 0
+    lambda terms: islice(terms, 2),  # a sign in doubt at b_3
+], ids=["interval-holds-zero", "scan-stops-early"])
+def test_double_broom_sigma_doubtful_formula_goes_exact(monkeypatch, broom_grid_reference, doubt):
+    monkeypatch.setattr(signs_module, "_scan", lambda cfg: doubt(_scan(cfg)))
+    calls = _count_exact_sweeps(monkeypatch)
+    brooms = [b for b in BROOM_GRID[::7] if b.q > 1 and b.p > 1]
+    for b in brooms:
+        assert double_broom_sigma(b) == broom_grid_reference[b], b
+    assert len(calls) == sum(broom_grid_reference[b].hypotheses_met for b in brooms) > 0
+
+
+def test_double_broom_cross_check_catches_a_shifted_scan(monkeypatch):
+    b = DoubleBroom(r=3, q=2, p=2, R=2)
+    # b_4 moves from 4.45 and 2.62 to 5.45 and 3.62: the formula keeps its
+    # sign, and so the predicted count, but leaves the root's interval
+    monkeypatch.setattr(signs_module, "_scan", lambda cfg: ((x + 1.0, e) for x, e in _scan(cfg)))
+    with pytest.raises(RuntimeError, match="side counting disagrees"):
+        double_broom_sigma(b)
+
+
+def test_double_broom_exact_check_catches_a_shifted_b_at(monkeypatch):
+    monkeypatch.setattr(treediag, "_certified_sweep", lambda m, alpha: None)
+    monkeypatch.setattr(signs_module, "b_at", lambda cfg, j: b_at(cfg, j) + 1)
+    with pytest.raises(RuntimeError, match="side counting disagrees"):
+        double_broom_sigma(DoubleBroom(r=3, q=2, p=2, R=2))
+
+
+def test_double_broom_root_value_is_the_formula_exactly():
+    brooms = [b for b in BROOM_GRID if max(b.r, b.R) <= 4 and max(b.q, b.p) <= 5 and _broom_hypotheses(b)]
+    assert len(brooms) > 100
+    for b in brooms:
+        root_value, inertia = _exact_root_and_inertia(b)
+        left, right = b_at(PendantConfig(b.n, b.r), 2 * b.q), b_at(PendantConfig(b.n, b.R), 2 * b.p)
+        formula = Fraction(2, b.n) - 1 / left - 1 / right
+        assert formula == root_value, b
+        assert inertia.above == b.r + b.R + b.q + b.p + (formula > 0)
 
 
 # ---------------------------------------------------------------------------
