@@ -10,6 +10,7 @@ are drawn uniformly by decoding a random Pruefer sequence.
 from __future__ import annotations
 
 import random
+from itertools import islice, repeat
 from math import inf
 from typing import TYPE_CHECKING, List, NamedTuple, Tuple
 
@@ -72,8 +73,11 @@ def random_parents(n: int, seed: int) -> List[int]:
     """
     if n < 1:
         raise DomainError("n must be positive")
+    # randrange(1, n + 1) is 1 plus the first getrandbits(k) below n, k = n.bit_length();
+    # drawn in C here, the same stream (the generator is not used afterwards)
     rng = random.Random(seed)
-    return _prufer_parents([rng.randrange(1, n + 1) for _ in range(n - 2)], n)
+    draws = filter(n.__gt__, map(rng.getrandbits, repeat(n.bit_length())))
+    return _prufer_parents([s + 1 for s in islice(draws, max(n - 2, 0))], n)
 
 
 def _prufer_parents(seq: List[int], n: int) -> List[int]:

@@ -363,22 +363,34 @@ class BroomLayout(NamedTuple):
 def double_broom_layout(b: DoubleBroom) -> BroomLayout:
     """Deterministic labeling: left pendants 1..2r (leaf, inner pairs), left
     path 2r+1..2r+2q star-first, root, right path root+1.. adjacent-first,
-    right pendants last (inner, leaf pairs)."""
-    from .treediag import _orient
+    right pendants last (inner, leaf pairs).
+
+    The tree is written down directly, as ``build_tree`` would orient it:
+    its postorder is 1..root-1, the right pendant pairs leaf first, the
+    right path from its star back to root+1, and the root."""
+    from .treediag import RootedTree
 
     n, left_star = b.n, 2 * b.r + 1
     root = left_star + 2 * b.q
     right_star = root + 2 * b.p
-    parent = [0] * (n + 1)  # by vertex; slot 0 and the root go below
-    parent[1:left_star:2] = range(2, left_star, 2)  # leaf -> inner
+    ids = list(range(n + 1))  # one int object per vertex, shared by parent and postorder
+    parent = [0] * (n + 1)  # by vertex; slot 0 and the root hold 0
+    parent[1:left_star:2] = ids[2:left_star:2]  # leaf -> inner
     parent[2:left_star:2] = [left_star] * b.r  # inner -> star
-    parent[left_star:root] = range(left_star + 1, root + 1)
-    parent[root + 1:right_star + 1] = range(root, right_star)
+    parent[left_star:root] = ids[left_star + 1:root + 1]
+    parent[root + 1:right_star + 1] = ids[root:right_star]
     parent[right_star + 1::2] = [right_star] * b.R
-    parent[right_star + 2::2] = range(right_star + 1, n, 2)
-    del parent[root], parent[0]  # now the parent of each vertex in children
-    children = [*range(1, root), *range(root + 1, n + 1)]
-    return BroomLayout(_orient(children, parent, root), root, left_star, right_star)
+    parent[right_star + 2::2] = ids[right_star + 1:n:2]
+    degree = [2] * (n + 1)
+    degree[0] = 0
+    degree[1:left_star:2] = [1] * b.r  # the leaves
+    degree[right_star + 2::2] = [1] * b.R
+    degree[left_star], degree[right_star] = b.r + 1, b.R + 1
+    pendants = [0] * (2 * b.R)
+    pendants[::2] = ids[right_star + 2::2]
+    pendants[1::2] = ids[right_star + 1:n:2]
+    postorder = ids[1:root] + pendants + ids[right_star:root - 1:-1]
+    return BroomLayout(RootedTree(root, parent, degree, postorder), root, left_star, right_star)
 
 
 def double_broom_tree(b: DoubleBroom) -> RootedTree:

@@ -407,7 +407,7 @@ FOOTPRINTS = {
     "mlas": (["mlas", "--n", "19", "--direct"], {"signs"}),
     "broom": (["broom", "--r", "3", "--q", "4", "--p", "2", "--rr", "3"], {"signs", "treediag"}),
     "limit": (["limit", "--family", "adjacency", "--n-max", "17"],
-              {"limits", "treediag"}),
+              {"limits", "treediag", "_mobius"}),
     "random-tree": (["random-tree", "--n", "50", "--seed", "1"], {"oracle"}),
 }
 

@@ -203,7 +203,13 @@ def test_partners_below_the_pointer():
     assert _prufer_parents([5, 1, 1, 2, 2], 7) == [0, 2, 7, 5, 1, 1, 2, 0]
 
 
-@pytest.mark.parametrize("n, seed", [(1, 0), (2, 5), (3, 1), (4, 2), (17, 3), (300, 4), (5000, 5)])
+#: where randrange's rejection loop runs most (n = 2^k + 1) and least (n = 2^k)
+REJECTION_CASES = [(n, seed) for n in (2, 3, 4, 5, 8, 9, 64, 65, 1024, 1025) for seed in range(6)]
+
+
+@pytest.mark.parametrize("n, seed", [(1, 0), (2, 5), (3, 1), (4, 2), (17, 3), (300, 4), (5000, 5)]
+                         + [case for case in REJECTION_CASES
+                            if case not in {(2, 5), (3, 1), (4, 2)}])
 def test_random_tree_is_the_heap_decoding_oriented(n, seed):
     rng = random.Random(seed)
     seq = [rng.randrange(1, n + 1) for _ in range(n - 2)]

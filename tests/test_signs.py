@@ -406,6 +406,21 @@ def test_double_broom_tree_structure():
     assert double_broom_tree(small).n == 9
 
 
+@pytest.mark.parametrize("r, R", [(1, 1), (1, 4), (4, 1), (3, 3), (6, 2)])
+def test_double_broom_layout_is_the_oriented_tree(r, R):
+    """The closed-form layout equals build_tree's orientation of its edges (DoubleBroom
+    needs r, q, p, R >= 1, so r = 0 and R = 0 do not arise)."""
+    for q in (1, 2, 5):
+        for p in (1, 3, 4):
+            layout = double_broom_layout(DoubleBroom(r=r, q=q, p=p, R=R))
+            got = layout.tree
+            edges = [(v, u) for v, u in enumerate(got.parent) if u]
+            want = treediag.build_tree(edges, root=layout.root)
+            assert (got.n, got.root, got.parent, got.degree, got.postorder, got._postorder_parent) == (
+                want.n, want.root, want.parent, want.degree, want.postorder, want._postorder_parent)
+            assert type(got.parent) is tuple and type(got.postorder) is tuple
+
+
 def test_double_broom_sigma_example():
     result = double_broom_sigma(DoubleBroom(r=3, q=2, p=2, R=2))
     assert result.sigma == 9
