@@ -28,10 +28,8 @@ import math
 import re
 import sys
 from fractions import Fraction
-from collections import Counter
-from itertools import compress, groupby
 from math import inf, isfinite, sqrt
-from operator import add, countOf, eq, itemgetter, sub
+from operator import add, eq, itemgetter, sub
 from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 from .errors import BadIndexError, BadVertexError, DomainError, NotATreeError
@@ -545,52 +543,46 @@ def _bisection_program(m: SymmetricTreeMatrix) -> Optional[_BisectionProgram]:
     where the key changes inside a stretch, the vertex there is stepped and
     becomes a bottom.  The segments cover ``order`` in order; one that ends
     at a bottom carries the chain's entry, the next holds its vertices.
-    A vertex has a child exactly when its last child directly precedes it
-    in postorder, so the leaves are found through the postorder; the
-    one-child mask is built by vertex and read through ``order`` once.
+    Every child precedes its parent in the postorder, so one pass over it
+    has each vertex's S, children in ``order`` and key when it reaches it.
     """
-    tree, w2 = m.tree, m._w2
-    postorder, parents, degree, root = tree.postorder, tree._postorder_parent, tree.degree, tree.root
+    tree, d, w2 = m.tree, m.diag, m._w2
+    degree, root = tree.degree, tree.root
     if tree.n == 1:  # the root alone: no leaf
         return None
-    inner = b"\0" + bytes(map(eq, parents, postorder[1:]))  # by position
-    leaf = inner.translate(bytes.maketrans(b"\0\1", b"\1\0"))
-    d = list(m.diag)  # map reads a list faster than a tuple
-    leaf_diag = set(map(d.__getitem__, compress(postorder, leaf)))
-    if len(leaf_diag) != 1:
-        return None
-    order = tuple(compress(postorder, inner))
+    leaf_diag = d[tree.postorder[0]]  # the postorder starts at a leaf
     sums: List[Real] = [0] * len(d)
-    for c, p in zip(compress(postorder, leaf), compress(parents, leaf)):
-        sums[p] += w2[c]
-    # by vertex: one child in order when the degree, less the parent edge and the leaf children, is 1
-    only_child = list(map((2).__eq__, degree))
-    only_child[root] = degree[root] == 1
-    leaf_children = Counter(compress(parents, leaf))
-    for p, k in leaf_children.items():
-        only_child[p] = degree[p] - k == 1 + (p != root)
-    one_child = bytes(map(only_child.__getitem__, order))
-    segments: List[tuple] = []
-    start = 0
-    for stretch in re.finditer(b"\x01{%d,}" % MIN_CHAIN, one_child):
-        first, stop = stretch.span()  # first > 0: the first vertex of order has no child there
-        run_order = order[first:stop]
-        keys = zip(map(d.__getitem__, run_order), map(sums.__getitem__, run_order),
-                   map(w2.__getitem__, order[first - 1:stop - 1]))
-        end = first
-        for key, run in groupby(keys):  # lazily: a path's one stretch would hold n key tuples
-            bottom = end - 1 if end == first else end
-            end += countOf(run, key)  # the run's length: each of its keys equals key
-            if end - 1 - bottom >= MIN_CHAIN:
-                top = order[end - 1]
-                segments += [(start, bottom + 1, (end - 1 - bottom, *key, top, tree.parent[top])),
-                             (bottom + 1, end, None)]
-                start = end
-    if start < len(order):
-        segments.append((start, len(order), None))
-    hosts = tuple(sorted(leaf_children))
-    return _BisectionProgram(leaf_diag.pop(), len(postorder) - len(order), order, tuple(compress(parents, inner)),
-                             hosts, tuple(map(sums.__getitem__, hosts)), segments)
+    children = [0] * len(d)  # by vertex: its children in order
+    order, parents, hosts, segments = [], [], [], []
+    start = bottom = 0
+    key = None  # the key of the run that ends at order[-1]; None where order[-1] has no one child
+    for v, p in zip(tree.postorder, tree._postorder_parent):
+        if degree[v] == 1 and v != root:
+            if d[v] != leaf_diag:
+                return None
+            sums[p] += w2[v]
+            continue
+        c = children[v]  # final: every child of v precedes it
+        if c < degree[v] - (v != root):  # the children not in order are leaves
+            hosts.append(v)
+        k = (d[v], sums[v], w2[order[-1]]) if c == 1 else None  # the one child is order[-1]
+        if k != key:  # the run that ends at order[-1], if any, ends for good
+            i = len(order)
+            if key is not None and i - 1 - bottom >= MIN_CHAIN:
+                segments += [(start, bottom + 1, (i - 1 - bottom, *key, order[-1], parents[-1])), (bottom + 1, i, None)]
+                start = i
+            bottom, key = i - (key is None), k  # a stretch starts on v's child; a new key makes v the bottom
+        children[p] += 1
+        order.append(v)
+        parents.append(p)
+    i = len(order)
+    if key is not None and i - 1 - bottom >= MIN_CHAIN:  # the last run ends at the root
+        segments += [(start, bottom + 1, (i - 1 - bottom, *key, root, 0)), (bottom + 1, i, None)]
+    elif start < i:
+        segments.append((start, i, None))
+    hosts.sort()
+    return _BisectionProgram(leaf_diag, tree.n - len(order), tuple(order), tuple(parents), tuple(hosts),
+                             tuple(map(sums.__getitem__, hosts)), segments)
 
 
 def _require_exact(m: SymmetricTreeMatrix, alpha: Real) -> Fraction:

@@ -3,9 +3,11 @@
 import math
 import random
 import re
+from collections import Counter
 from contextlib import contextmanager
 from fractions import Fraction
-from itertools import accumulate
+from itertools import accumulate, compress, groupby
+from operator import countOf, eq
 
 import numpy as np
 import pytest
@@ -594,6 +596,59 @@ def fraction_inertia(m, alpha):
     return _inertia(diagonalize(m, Fraction(alpha), exact=True)[1:], 0)
 
 
+def reference_program(m):
+    """``_bisection_program`` as a byte mask, a regex and ``groupby`` find it.
+
+    A vertex has a child exactly when its last child directly precedes it in
+    postorder, so the leaves are found through the postorder; the one-child
+    mask is built by vertex and read through ``order`` once, and each
+    stretch of at least MIN_CHAIN one-child vertices is split where its key
+    changes.
+    """
+    tree, w2 = m.tree, m._w2
+    postorder, parents, degree, root = tree.postorder, tree._postorder_parent, tree.degree, tree.root
+    if tree.n == 1:
+        return None
+    inner = b"\0" + bytes(map(eq, parents, postorder[1:]))  # by position
+    leaf = inner.translate(bytes.maketrans(b"\0\1", b"\1\0"))
+    d = list(m.diag)
+    leaf_diag = set(map(d.__getitem__, compress(postorder, leaf)))
+    if len(leaf_diag) != 1:
+        return None
+    order = tuple(compress(postorder, inner))
+    sums = [0] * len(d)
+    for c, p in zip(compress(postorder, leaf), compress(parents, leaf)):
+        sums[p] += w2[c]
+    only_child = list(map((2).__eq__, degree))
+    only_child[root] = degree[root] == 1
+    leaf_children = Counter(compress(parents, leaf))
+    for p, k in leaf_children.items():
+        only_child[p] = degree[p] - k == 1 + (p != root)
+    one_child = bytes(map(only_child.__getitem__, order))
+    segments = []
+    start = 0
+    for stretch in re.finditer(b"\x01{%d,}" % treediag.MIN_CHAIN, one_child):
+        first, stop = stretch.span()
+        run_order = order[first:stop]
+        keys = zip(map(d.__getitem__, run_order), map(sums.__getitem__, run_order),
+                   map(w2.__getitem__, order[first - 1:stop - 1]))
+        end = first
+        for key, run in groupby(keys):
+            bottom = end - 1 if end == first else end
+            end += countOf(run, key)
+            if end - 1 - bottom >= treediag.MIN_CHAIN:
+                top = order[end - 1]
+                segments += [(start, bottom + 1, (end - 1 - bottom, *key, top, tree.parent[top])),
+                             (bottom + 1, end, None)]
+                start = end
+    if start < len(order):
+        segments.append((start, len(order), None))
+    hosts = tuple(sorted(leaf_children))
+    return treediag._BisectionProgram(leaf_diag.pop(), len(postorder) - len(order), order,
+                                      tuple(compress(parents, inner)), hosts, tuple(map(sums.__getitem__, hosts)),
+                                      segments)
+
+
 def chain_heavy_edges(shape, a, b):
     """Edges of a tree made mostly of degree-2 runs; a, b >= 1 size its parts."""
     if shape == "path":
@@ -625,12 +680,19 @@ def chain_heavy_edges(shape, a, b):
 # rooted at 3, the centre 5 takes the zero-child branch at alpha = 0 and is
 # the bottom of the chain 5 -> 3: that chain must be stepped, not contracted
 @example("spider", 1, 1, 2, MatrixKind.ADJACENCY, Fraction(0), 1)
+# adjacency paths rooted at the end 1: leaf n folds into n - 1, the bottom, and
+# n - 2 .. 1 are one run, whose top is the root; n = 40, and runs of
+# MIN_CHAIN - 1 and MIN_CHAIN vertices
+@example("path", 20, 20, 0, MatrixKind.ADJACENCY, Fraction(1, 2), treediag.MIN_CHAIN)
+@example("path", 8, 9, 0, MatrixKind.ADJACENCY, Fraction(1, 2), treediag.MIN_CHAIN)
+@example("path", 9, 9, 0, MatrixKind.ADJACENCY, Fraction(1, 2), treediag.MIN_CHAIN)
 def test_contracted_counts_equal_the_fraction_sweep(shape, a, b, root, kind, alpha, min_chain):
     edges = chain_heavy_edges(shape, a, b)
     tree = build_tree(edges, root=1 + root % (len(edges) + 1))
     shift = float(alpha)  # the float sweep's shift, exactly a dyadic rational
     with chain_calls(min_chain):
         m = build_matrix(tree, kind)
+        assert _bisection_program(m) == reference_program(m)
         assert contracted(m, shift) == fraction_inertia(m, shift)
 
 
@@ -647,6 +709,11 @@ def test_chain_program_finds_the_runs():
     assert program.segments == [(0, 1, (n - 2, 0, 0, 1, 1, 0)), (1, n - 1, None)]
     assert _bisection_program(build_matrix(path, MatrixKind.LAPLACIAN)).segments == [
         (0, 1, (n - 3, 2, 0, 1, 2, 1)), (1, n - 2, None), (n - 2, n - 1, None)]
+    # squared weights that underflow to 0.0: n - 1 is still the host, of the sum 0.0,
+    # and the chain's key (0, 0, 0.0) equals what the spare slot 0 holds above the root
+    tiny = SymmetricTreeMatrix(path, [0] * (n + 1), [0, 0] + [1e-200] * (n - 1))
+    assert _bisection_program(tiny) == reference_program(tiny) == (
+        0, 1, program.order, program.parents, (n - 1,), (0.0,), [(0, 1, (n - 2, 0, 0, 0.0, 1, 0)), (1, n - 1, None)])
     # no chain: a star keeps only its centre, and a random tree has no long run
     star = _bisection_program(build_matrix(build_tree([(1, v) for v in range(2, 60)], root=1), MatrixKind.ADJACENCY))
     assert star == (0, 58, (1,), (0,), (1,), (58,), [(0, 1, None)])
@@ -760,31 +827,42 @@ def leafy_edges(shape, a, b):
 @settings(max_examples=200, deadline=None)
 @given(st.sampled_from(("star", "double star", "double broom", "prufer", "hairy caterpillar")),
        st.integers(0, 40), st.integers(1, 12), st.integers(0, 10**6), st.sampled_from(MatrixKind.ALL),
-       st.integers(-7 * 64, 9 * 64), st.sampled_from((1, 2, treediag.MIN_CHAIN)), st.booleans())
+       st.integers(-7 * 64, 9 * 64), st.sampled_from((1, 2, treediag.MIN_CHAIN)),
+       st.sampled_from(("as built", "uneven", "mixed")))
 # every leaf is zero at the leaf diagonal (0, and 1 for the Laplacian): every vertex stepped
-@example("star", 7, 1, 0, MatrixKind.ADJACENCY, 0, 1, False)
-@example("hairy caterpillar", 30, 2, 0, MatrixKind.LAPLACIAN, 64, 2, False)
+@example("star", 7, 1, 0, MatrixKind.ADJACENCY, 0, 1, "as built")
+@example("hairy caterpillar", 30, 2, 0, MatrixKind.LAPLACIAN, 64, 2, "as built")
 # S(4, 4) at 2: vertex 2 with its four folded leaves is zero, and 1 takes the zero-child branch
-@example("double star", 4, 4, 0, MatrixKind.ADJACENCY, 128, 1, False)
+@example("double star", 4, 4, 0, MatrixKind.ADJACENCY, 128, 1, "as built")
 # one leaf's diagonal moved: the leaves differ, and nothing folds
-@example("double broom", 3, 2, 0, MatrixKind.LAPLACIAN, 96, 1, True)
-@example("star", 0, 1, 0, MatrixKind.LAPLACIAN, 0, 1, False)  # n = 1
-@example("star", 1, 1, 0, MatrixKind.ADJACENCY, 64, 1, False)  # n = 2
-@example("star", 1, 1, 1, MatrixKind.NORMALIZED_LAPLACIAN, 32, 1, False)  # n = 2, rooted at the leaf
+@example("double broom", 3, 2, 0, MatrixKind.LAPLACIAN, 96, 1, "uneven")
+@example("star", 0, 1, 0, MatrixKind.LAPLACIAN, 0, 1, "as built")  # n = 1
+@example("star", 1, 1, 0, MatrixKind.ADJACENCY, 64, 1, "as built")  # n = 2
+@example("star", 1, 1, 1, MatrixKind.NORMALIZED_LAPLACIAN, 32, 1, "as built")  # n = 2, rooted at the leaf
 # spine 1 .. 20 with 3 leaves each, at 1: the chain's map has a = -1 + 3 = 2 = 2 sqrt(s), and is refused
-@example("hairy caterpillar", 19, 3, 0, MatrixKind.ADJACENCY, 64, treediag.MIN_CHAIN, False)
-def test_program_counts_equal_the_fraction_sweep(shape, a, b, root, kind, alpha64, min_chain, uneven):
+@example("hairy caterpillar", 19, 3, 0, MatrixKind.ADJACENCY, 64, treediag.MIN_CHAIN, "as built")
+# the leaves' diagonals 1.0, Fraction(1) and 1 are equal: they fold, with the first leaf's 1.0
+@example("star", 7, 1, 0, MatrixKind.LAPLACIAN, 32, 1, "mixed")
+def test_program_counts_equal_the_fraction_sweep(shape, a, b, root, kind, alpha64, min_chain, leaf_diags):
     edges = leafy_edges(shape, a, b)
     tree = build_tree(edges, root=1 + root % (len(edges) + 1))
     m = build_matrix(tree, kind)
     leaves = [v for v in range(1, tree.n + 1) if tree.degree[v] == 1 and v != tree.root]
-    if uneven and len(leaves) > 1:  # a hand-built matrix whose leaves' diagonals differ
+    if leaf_diags != "as built" and len(leaves) > 1:  # a hand-built matrix
         diag = list(m.diag)
-        diag[leaves[-1]] += 1
+        if leaf_diags == "uneven":  # the leaves' diagonals differ
+            diag[leaves[-1]] += 1
+        else:  # the leaves' diagonals as a float, a Fraction and an int in turn
+            for i, v in enumerate(leaves):
+                diag[v] = (float, Fraction, int)[i % 3](diag[v])
         m = SymmetricTreeMatrix(tree, diag, m.edge_weight)
-        assert _bisection_program(m) is None
+        assert (_bisection_program(m) is None) == (leaf_diags == "uneven")
     shift = alpha64 / 64  # the float sweep's shift, exactly a dyadic rational
     with chain_calls(min_chain):
+        program = _bisection_program(m)
+        assert program == reference_program(m)
+        if program is not None:
+            assert program.leaf_diag is m.diag[tree.postorder[0]]
         got = contracted(m, shift)
     want = fraction_inertia(m, shift) if m.is_rational else treediag._sweep(m, shift, False)[1]
     assert got == want
@@ -874,7 +952,12 @@ def test_bisection_answers_equal_the_stepped_reference_bitwise():
              random_tree(1500, seed=7), build_tree(leafy_edges("double star", 600, 400), root=1),
              build_tree(leafy_edges("double broom", 200, 300), root=1),
              build_tree(_shape_edges("broom", 800, rng), root=1), double_broom_tree(DoubleBroom(30, 20, 25, 40)),
-             t_lmn(StarlikeSpec(1, 300, 300))]
+             t_lmn(StarlikeSpec(1, 300, 300)),
+             # one chain whose top is the root, and a root inside a chain; legs of
+             # MIN_CHAIN - 1 .. MIN_CHAIN + 1 vertices, whose runs above the leaf
+             # and the bottom are two shorter, and runs of that many
+             path_tree(3000, root=1), path_tree(3000, root=1500),
+             t_lmn(StarlikeSpec(15, 16, 17)), t_lmn(StarlikeSpec(17, 18, 19))]
     for tree in trees:
         n = tree.n
         for kind in MatrixKind.ALL:
