@@ -296,6 +296,11 @@ def local_behavior(params: RecurrenceParams, t: Real) -> LocalBehavior:
 # extension at real j (integer j >= 1 reproduces the orbit), POLE within POLE_TOL of an asymptote
 
 
+def _require_number(j: float) -> None:
+    if j != j:  # a nan j, the only value unequal to itself
+        raise DomainError(f"closed form needs a number j, got {j!r}")
+
+
 class ConstantSolution(NamedTuple):
     """x_j = theta for all j (x_1 was a fixed point)."""
 
@@ -303,6 +308,7 @@ class ConstantSolution(NamedTuple):
     theta: float
 
     def eval(self, j: float) -> Union[float, Pole]:
+        _require_number(j)
         return self.theta
 
 
@@ -314,6 +320,7 @@ class Type1Solution(NamedTuple):
     beta: float
 
     def eval(self, j: float) -> Union[float, Pole]:
+        _require_number(j)
         den = self.beta + j
         if abs(den) <= POLE_TOL:
             return POLE
@@ -356,10 +363,10 @@ class Type2Solution(NamedTuple):
         """beta*q^j + 1; from logarithms once q or q^j leaves the float range."""
         q, sign = self.base, math.copysign(1.0, self.beta)
         if q < 0.0:
-            jr = round(j)
-            if abs(j - jr) > POLE_TOL:
+            if abs(j) == math.inf or abs(j - round(j)) > POLE_TOL:
                 raise NoContinuousExtensionError("theta/theta' < 0: solution defined only at integer j")
-            j, sign = jr, -sign if jr % 2 else sign
+            j = round(j)
+            sign = -sign if j % 2 else sign
         if sys.float_info.min <= abs(q) <= sys.float_info.max:
             try:
                 return self.beta * (math.exp(j * math.log(q)) if q > 0.0 else q ** j) + 1.0
@@ -371,13 +378,14 @@ class Type2Solution(NamedTuple):
             return sign * math.inf
 
     def eval(self, j: float) -> Union[float, Pole]:
+        _require_number(j)
         self._require_normal()
         if self.base > 0.0 and self.beta < 0.0:
             pole_j = math.log(-1.0 / self.beta) / self._log_base
             if abs(j - pole_j) <= POLE_TOL:
                 return POLE
         den = self._den(j)
-        if math.isnan(den):  # a nan j
+        if math.isnan(den):  # j * log q is nan: an infinite j where q is 1
             raise DomainError(f"closed form is not finite at j = {j!r}: a float overflowed")
         if den == 0.0:
             return POLE
@@ -402,6 +410,7 @@ class Type3Solution(NamedTuple):
     omega: float
 
     def eval(self, j: float) -> Union[float, Pole]:
+        _require_number(j)
         arg = j * self.phi_angle + self.omega
         # distance in j to the nearest solution of arg = pi/2 (mod pi)
         u = (arg - math.pi / 2.0) / math.pi
@@ -426,12 +435,12 @@ class AlternatingSolution(NamedTuple):
     gamma: float
 
     def eval(self, j: float) -> Union[float, Pole]:
-        jr = round(j)
-        if abs(j - jr) > POLE_TOL:
+        _require_number(j)
+        if abs(j) == math.inf or abs(j - round(j)) > POLE_TOL:
             raise NoContinuousExtensionError(
                 "alternating solution is defined only at integer j"
             )
-        return self.x1 if int(jr) % 2 == 1 else self.gamma / self.x1
+        return self.x1 if round(j) % 2 == 1 else self.gamma / self.x1
 
 
 ClosedFormSolution = Union[ConstantSolution, Type1Solution, Type2Solution, Type3Solution, AlternatingSolution]

@@ -27,13 +27,13 @@ import math
 from enum import Enum
 from fractions import Fraction
 from itertools import islice
-from typing import TYPE_CHECKING, Iterator, List, NamedTuple, Optional, Tuple
+from typing import TYPE_CHECKING, Callable, Iterator, NamedTuple, Optional, Sequence, Tuple
 
 from .errors import DomainError, OutOfDomainError, PatternNotFoundError, PreconditionViolatedError
 
 if TYPE_CHECKING:  # imported where they run: mlas loads neither, broom no recurrence
     from .recurrence import OrbitResult, RecurrenceParams
-    from .treediag import InertiaTriple, RootedTree, SymmetricTreeMatrix
+    from .treediag import InertiaTriple, RootedTree
 
 
 class _Pendant(NamedTuple):
@@ -421,13 +421,9 @@ class BroomSigma(NamedTuple):
 
 def _broom_hypotheses(b: DoubleBroom) -> bool:
     n = b.n
-    limit = (n - 1) // 4
-    if not (b.r < limit and b.R < limit):
-        return False
-    if not (in_domain(n, b.r) and in_domain(n, b.R)):
-        return False
-    return (
-        2 * b.q <= mlas_lower_bound(PendantConfig(n, b.r))
+    return (  # r, R < (n - 1) // 4 puts both in the k_0 domain: n >= 9 and r <= n // 4
+        max(b.r, b.R) < (n - 1) // 4
+        and 2 * b.q <= mlas_lower_bound(PendantConfig(n, b.r))
         and 2 * b.p <= mlas_lower_bound(PendantConfig(n, b.R))
     )
 
@@ -439,12 +435,11 @@ def double_broom_sigma(b: DoubleBroom) -> BroomSigma:
     2/n - 1/b_{2q}(r) - 1/b_{2p}(R) and sigma is r+R+q+p plus one when that
     value is positive; the congruence sweep cross-checks the count (and is
     the fallback when the hypotheses fail).  The sweep is the certified float
-    sweep of ``locate(exact=True)``, and b_{2q}, b_{2p} come from ``_scan``:
-    the formula's interval must meet the root's and give the sweep's count.
-    Where a sign is in doubt, the exact sweep and ``b_at`` decide, and the
-    formula must equal the root value.
+    sweep of ``locate(exact=True)``, and b_{2q}, b_{2p} come from ``_scan``.
+    Where a sign is in doubt, the exact sweep and ``b_at`` rerun the rule with
+    intervals of radius 0; an orbit that is 0 by b_j fails the hypotheses.
     """
-    from .treediag import MatrixKind, _certified_sweep, build_matrix
+    from .treediag import MatrixKind, _certified_sweep, _sweep, build_matrix
 
     layout = double_broom_layout(b)
     lap = build_matrix(layout.tree, MatrixKind.LAPLACIAN)
@@ -452,79 +447,54 @@ def double_broom_sigma(b: DoubleBroom) -> BroomSigma:
     hypotheses = _broom_hypotheses(b)
     certified = _certified_sweep(lap, d)
     if certified is not None:
-        result = _certified_sigma(b, layout.root, *certified, hypotheses)
+        result = _broom_split(b, layout.root, certified[0], certified[1][layout.root - 1], hypotheses,
+                              lambda cfg, j: next(islice(_scan(cfg), j - 1, None), None))
         if result is not None:
             return result
-    return _exact_sigma(b, layout.root, lap, d, hypotheses)
+    values = _sweep(lap, d, True)[0][1:]
+    try:  # b_at raises where the exact orbit is 0 before b_j
+        result = _broom_split(b, layout.root, values, 0, hypotheses, lambda cfg, j: (b_at(cfg, j), 0))
+    except PatternNotFoundError:
+        result = None
+    return result or _broom_split(b, layout.root, values, 0, False, None)
 
 
-def _certified_sigma(b: DoubleBroom, root: int, values: List[float], errors: List[float],
-                     hypotheses: bool) -> Optional[BroomSigma]:
-    """The split from a certified sweep (values and bounds of vertices 1..n); None on doubt.
+def _broom_split(b: DoubleBroom, root: int, values: Sequence, e_root: float, hypotheses: bool,
+                 term: Optional[Callable[[PendantConfig, int], Optional[tuple]]]) -> Optional[BroomSigma]:
+    """The split from sweep values of vertices 1..n, the root's bound e_root and b_j as ``term``.
 
-    The formula's interval is exact arithmetic on the scan's: b in [x - e, x + e]
-    with |x| > e gives |1/b - 1/x| <= e / (|x| (|x| - e)).  It is in doubt when
-    a scan stops before its index or the interval holds 0.
+    ``term`` gives b_j as (x, e) with |b_j - x| <= e, or None; with |x| > e,
+    |1/b_j - 1/x| <= e / (|x| (|x| - e)), summed in exact arithmetic.  The
+    formula's interval must meet the root's; it is in doubt (None) when it holds
+    0, or a term is None or may be 0.  For odd n no sweep value at 2 - 2/n is 0
+    (2 - 2/n is no algebraic integer), so the root has a sign.
     """
     from .treediag import InertiaTriple
 
     n = b.n
     below = sum(x < 0 for x in values)
     inertia = InertiaTriple(below, 0, n - below)
-    x_root, e_root = Fraction(values[root - 1]), Fraction(errors[root - 1])
+    x_root, e_root = Fraction(values[root - 1]), Fraction(e_root)
     if hypotheses:
         centre, radius = Fraction(2, n), Fraction(0)
         for side, j in ((b.r, 2 * b.q), (b.R, 2 * b.p)):
-            term = next(islice(_scan(PendantConfig(n, side)), j - 1, None), None)
-            if term is None:
+            t = term(PendantConfig(n, side), j)
+            if t is None or not abs(t[0]) > t[1]:  # no b_j, or one that may be 0
                 return None
-            x, e = map(Fraction, term)
+            x, e = map(Fraction, t)
             centre -= 1 / x
             radius += e / (abs(x) * (abs(x) - e))
-        if abs(centre) <= radius:
+        meets = abs(centre - x_root) <= radius + e_root
+        if meets and abs(centre) <= radius:
             return None
         predicted = b.r + b.R + b.q + b.p + (centre > 0)
-        if abs(centre - x_root) > radius + e_root or predicted != inertia.above:
+        if not meets or predicted != inertia.above:
             raise RuntimeError(
                 f"side counting disagrees with the sweep for {b}: "
                 f"formula {float(centre)} +- {float(radius):.3g} vs root {float(x_root)} +- "
                 f"{float(e_root):.3g}, predicted {predicted} vs above {inertia.above}"
             )
     sign = RootSign.POSITIVE if x_root > 0 else RootSign.NEGATIVE
-    return BroomSigma(sigma=inertia.above, root_sign=sign, hypotheses_met=hypotheses, inertia=inertia)
-
-
-def _exact_sigma(b: DoubleBroom, root: int, lap: SymmetricTreeMatrix, d: Fraction,
-                 hypotheses: bool) -> BroomSigma:
-    """The split from the exact sweep, with the formula from ``b_at``."""
-    from .treediag import _sweep
-
-    n = b.n
-    values, inertia = _sweep(lap, d, True)
-    root_value = values[root]
-    if root_value > 0:
-        sign = RootSign.POSITIVE
-    elif root_value < 0:
-        sign = RootSign.NEGATIVE
-    else:
-        sign = RootSign.ZERO
-    if hypotheses:
-        try:
-            formula = (
-                Fraction(2, n)
-                - 1 / b_at(PendantConfig(n, b.r), 2 * b.q)
-                - 1 / b_at(PendantConfig(n, b.R), 2 * b.p)
-            )
-        except (PatternNotFoundError, ZeroDivisionError):
-            hypotheses = False
-        else:
-            predicted = b.r + b.R + b.q + b.p + (formula > 0)
-            if formula != root_value or predicted != inertia.above:
-                raise RuntimeError(
-                    f"side counting disagrees with the sweep for {b}: "
-                    f"formula {formula} vs root {root_value}, "
-                    f"predicted {predicted} vs above {inertia.above}"
-                )
     return BroomSigma(sigma=inertia.above, root_sign=sign, hypotheses_met=hypotheses, inertia=inertia)
 
 

@@ -517,7 +517,7 @@ class _BisectionProgram(NamedTuple):
     leaves: int  # how many leaves fold
     order: Tuple[int, ...]  # the postorder without its leaves
     parents: Tuple[int, ...]  # the parent of each vertex of order
-    hosts: Tuple[int, ...]  # the vertices with leaf children, ascending
+    hosts: Tuple[int, ...]  # the vertices with leaf children, in postorder
     sums: Tuple[Real, ...]  # S_v of each host
     segments: List[tuple]  # (start, stop, chain) over order
 
@@ -580,7 +580,6 @@ def _bisection_program(m: SymmetricTreeMatrix) -> Optional[_BisectionProgram]:
         segments += [(start, bottom + 1, (i - 1 - bottom, *key, root, 0)), (bottom + 1, i, None)]
     elif start < i:
         segments.append((start, i, None))
-    hosts.sort()
     return _BisectionProgram(leaf_diag, tree.n - len(order), tuple(order), tuple(parents), tuple(hosts),
                              tuple(map(sums.__getitem__, hosts)), segments)
 

@@ -200,6 +200,13 @@ def test_mlas_at_scale_keeps_its_output(capsys):
 def test_mlas_table_bounds(capsys):
     code, _, err = invoke(capsys, "mlas", "--n", "19", "--table", "9")
     assert code == 2 and "floor(n/4)" in err
+    # the other counts and steps of the commands have lower bounds too
+    assert invoke(capsys, "random-tree", "--n", "0", "--seed", "1")[:2] == (3, "")
+    orbit = ["--alpha", "1", "--gamma", "2", "--x1", "1", "--from", "0", "--to", "1"]
+    for argv, option in ((["plot-data", *orbit, "--step", "0"], "--step"),
+                         (["limit", "--family", "adjacency", "--n-max", "0"], "--n-max")):
+        code, out, err = invoke(capsys, *argv)
+        assert (code, out) == (2, "") and option in err
 
 
 def test_mlas_out_of_domain(capsys):

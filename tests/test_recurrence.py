@@ -206,6 +206,12 @@ def test_backward_orbit_errors_name_their_start():
             call()
         assert str(exc.value) == message
     assert reverse_initial(p, 0, 2) == 1 and forbidden_initials(p, 1) == [1]
+    # counts and ranges below their bounds
+    sol = solve(RecurrenceParams(1.0, -0.25), 0.3)
+    for call in (lambda: iterate(p, 2, 0), lambda: forbidden_initials(p, 0),
+                 lambda: reverse_initial(p, 2, 0), lambda: zeros_and_poles(sol, 1, 1)):
+        with pytest.raises(DomainError):
+            call()
 
 
 def test_forbidden_initial_orbit_dies_at_predicted_step():
@@ -227,6 +233,8 @@ def test_iterate_fixed_point_and_zero_hit():
     float_orbit = iterate(RecurrenceParams(2.0, -1.0), 0.75, 10)
     assert float_orbit.hit_zero_step == 4
     assert len(float_orbit.values) == 4
+    # a zero on the last requested term
+    assert iterate(RecurrenceParams(1, -1), 1, 2) == ((Fraction(1), Fraction(0)), 2)
 
 
 def test_float_orbit_matches_reference_rule():
@@ -290,6 +298,25 @@ def test_type2_eval_overflow_is_domain_error():
         zeros_and_poles(sol, 0.0, 10.0)
     # a zero denominator is still a pole (q = -2, integer j only)
     assert Type2Solution(theta=2.0, theta_prime=-1.0, beta=-1.0).eval(0.0) is POLE
+
+
+def test_eval_at_a_non_finite_j():
+    sols = [solve(RecurrenceParams(*params), x1) for params, x1 in [
+        ((3.0, -2.0), 2.0),  # the fixed point 2: constant
+        ((2.0, -1.0), 3.0),  # type1
+        ((3.0, -2.0), 3.0),  # type2, q = 2
+        ((1.0, 2.0), 5.0),  # type2, q = -2: integer j only
+        ((1.0, -1.0), 3.0),  # type3
+        ((0.0, -5.0), 5.0),  # alternating: integer j only
+    ]]
+    assert [sol.variant for sol in sols] == ["constant", "type1", "type2", "type2", "type3", "alternating"]
+    for sol in sols:
+        with pytest.raises(DomainError, match="needs a number j, got nan"):
+            sol.eval(math.nan)
+    for sol in (sols[3], sols[5]):
+        for j in (math.inf, -math.inf):
+            with pytest.raises(NoContinuousExtensionError, match="only at integer j"):
+                sol.eval(j)
 
 
 def test_type2_fixed_point_below_the_float_range_is_domain_error():

@@ -529,6 +529,22 @@ def test_double_broom_exact_check_catches_a_shifted_b_at(monkeypatch):
         double_broom_sigma(DoubleBroom(r=3, q=2, p=2, R=2))
 
 
+@pytest.mark.parametrize("term", ["raises", "zero"])
+def test_double_broom_exact_path_without_b_at_drops_the_hypotheses(monkeypatch, term):
+    def b_at_failing(cfg, j):
+        if term == "zero":
+            return Fraction(0)
+        raise PatternNotFoundError(f"b sequence hit zero before index {j}")
+
+    b = DoubleBroom(r=3, q=2, p=2, R=2)
+    monkeypatch.setattr(treediag, "_certified_sweep", lambda m, alpha: None)
+    monkeypatch.setattr(signs_module, "b_at", b_at_failing)
+    result = double_broom_sigma(b)
+    _, inertia = _exact_root_and_inertia(b)
+    assert not result.hypotheses_met and _broom_hypotheses(b)
+    assert result.sigma == inertia.above and tuple(result.inertia) == tuple(inertia)
+
+
 def test_double_broom_root_value_is_the_formula_exactly():
     brooms = [b for b in BROOM_GRID if max(b.r, b.R) <= 4 and max(b.q, b.p) <= 5 and _broom_hypotheses(b)]
     assert len(brooms) > 100
@@ -642,6 +658,9 @@ def test_domain_checks():
                 else:
                     with pytest.raises(OutOfDomainError, match="outside"):
                         fn(cfg)
+    for fn in (r0, phi_n):
+        with pytest.raises(OutOfDomainError, match=">= 3"):
+            fn(2)
 
 
 def test_star_up_preconditions():
@@ -659,3 +678,9 @@ def test_star_up_preconditions():
     assert full.tree.n == 19
     with pytest.raises(PreconditionViolatedError):
         star_up(full.tree, full.left_star)
+    for star in (0, 20):
+        with pytest.raises(PreconditionViolatedError, match="outside 1..19"):
+            star_up(layout.tree, star)
+    # on the path 1 .. 4 the two vertices after star 1 end at the leaf 4
+    with pytest.raises(PreconditionViolatedError, match="anchor 4 must not be a leaf"):
+        star_up(build_tree([(1, 2), (2, 3), (3, 4)], root=1), 1)

@@ -223,6 +223,8 @@ def test_build_matrix_kinds():
         lap.diag[1] = 5  # read-only tuples
     with pytest.raises(TypeError):
         lap.edge_weight[1] = 5
+    with pytest.raises(DomainError, match="unknown matrix kind 'bogus'"):
+        build_matrix(p3, "bogus")
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
@@ -643,7 +645,7 @@ def reference_program(m):
                 start = end
     if start < len(order):
         segments.append((start, len(order), None))
-    hosts = tuple(sorted(leaf_children))
+    hosts = tuple(v for v in order if v in leaf_children)
     return treediag._BisectionProgram(leaf_diag.pop(), len(postorder) - len(order), order,
                                       tuple(compress(parents, inner)), hosts, tuple(map(sums.__getitem__, hosts)),
                                       segments)
@@ -728,7 +730,7 @@ def test_chain_program_finds_the_runs():
     edges = [(v, v + 1) for v in range(1, 20)] + [(v, 20 + 2 * v - k) for v in range(1, 21) for k in (0, 1)]
     program = _bisection_program(build_matrix(build_tree(edges, root=1), MatrixKind.ADJACENCY))
     assert program.order == tuple(range(20, 0, -1)) and program.leaves == 40
-    assert program.hosts == tuple(range(1, 21)) and program.sums == (2,) * 20
+    assert program.hosts == program.order and program.sums == (2,) * 20
     assert program.segments == [(0, 1, (19, 0, 2, 1, 1, 0)), (1, 20, None)]
 
 
