@@ -31,7 +31,7 @@ import re
 import sys
 from typing import List, Optional, Sequence
 
-from .errors import DomainError, PatternNotFoundError, TreespecError
+from .errors import DomainError, TreespecError
 
 #: the --matrix choices: treediag.MatrixKind.ALL, restated so that the parser
 #: needs no treediag (tests pin the two together)
@@ -251,23 +251,20 @@ def _cmd_eigen(args) -> int:
 def _mlas_row(n: int, r: int, direct: bool) -> dict:
     """The report, b_{2k0+2} and b_{2k0+3}, and mlas_direct with --direct.
 
-    mlas_direct's scan shows b_1 .. b_{mlas_direct+1} nonzero, so it also
-    serves as the proof that b_{2k0+2} may be powered to.  P / Q of ints is
-    correctly rounded: the floats need no gcd.
+    b_{2k0+2} = P / Q is powered to directly: no b_j is 0 (signs' module
+    docstring proves it), so neither is P, and b_{2k0+3} follows in one step.
+    P / Q of ints is correctly rounded, so the floats need no gcd; a Fraction
+    would take one of two 81,600-bit integers at n = 8014.
     """
     from . import signs
 
     cfg = signs.PendantConfig(n, r)
     row = _fields(signs.build_report(cfg))
-    j = 2 * row["k0"] + 2
-    found = signs.mlas_direct(cfg) if direct else -1
-    p, q = signs._b_pair(cfg, j, found + 1)
-    if p == 0:
-        raise PatternNotFoundError(f"b sequence hit zero before index {j + 1}")
+    p, q = signs._b_power(cfg, 2 * row["k0"] + 2)
     row["b_2k0_2"] = p / q
     row["b_2k0_3"] = (2 * p - n * q) / (n * p)
     if direct:
-        row["mlas_direct"] = found
+        row["mlas_direct"] = signs.mlas_direct(cfg)
     return row
 
 

@@ -385,8 +385,9 @@ class Type2Solution(NamedTuple):
             if abs(j - pole_j) <= POLE_TOL:
                 return POLE
         den = self._den(j)
-        if math.isnan(den):  # j * log q is nan: an infinite j where q is 1
-            raise DomainError(f"closed form is not finite at j = {j!r}: a float overflowed")
+        if math.isnan(den):  # an infinite j where q is 1: nothing overflowed
+            raise DomainError(f"closed form is undefined at j = {j!r}: q = theta/theta' is 1, "
+                              f"so j * log q is {j!r} * 0")
         if den == 0.0:
             return POLE
         if math.isinf(den):

@@ -19,6 +19,18 @@ certified: the signs of b_j come from a float scan with a certified error
 bound, falling back to exact rational arithmetic where a sign is in doubt,
 and exact b_j from integer pairs.  The trigonometric phase/period formulas
 are float.
+
+No b_j is 0, for any n >= 3 and r >= 0, so every b_j is defined and may be
+reached by powering (_b_power).  phi has the inverse psi(t) = n/(2 - nt), so
+b_{k+1} = 0 exactly when b_1 = psi^k(0).  Take p an odd prime dividing n, or
+p = 2 when n = 2^a (a >= 2).  For odd p, nt lies in pZ_p for t in the p-adic
+integers Z_p, so 2 - nt is a unit and psi maps Z_p into itself; for p = 2,
+psi(t) = 2^(a-1)/(1 - 2^(a-1) t) maps Z_2 into 2^(a-1) Z_2.  Either set holds
+0, so v_p(psi^k(0)) >= 0 for every k.  But b_1 = N/(nc) with
+c = n^2 + 2n - 4 and N = (2 - n)c + 4rn(n - 1):
+  - p odd: N = -8 and c = -4 (mod p), so v_p(b_1) = -v_p(n) < 0;
+  - p = 2: v_2(c) = 2, v_2((2 - n)c) = 3 and v_2(4rn(n - 1)) >= a + 2 > 3,
+    so v_2(b_1) = 3 - (a + 2) = 1 - a < 0.
 """
 
 from __future__ import annotations
@@ -102,14 +114,12 @@ def b_sequence(cfg: PendantConfig, count: int, exact: bool = False) -> OrbitResu
 def _b_pairs(cfg: PendantConfig) -> Iterator[Tuple[int, int]]:
     """b_1, b_2, ... as unreduced integer pairs (P, Q), b_j = P/Q, Q > 0.
 
-    One step, 2/n - Q/P = (2P - nQ)/(nP), takes no gcd.  Stops after a zero term.
+    One step, 2/n - Q/P = (2P - nQ)/(nP), takes no gcd.
     """
     n = cfg.n
     p, q = cfg.b1.numerator, cfg.b1.denominator
     while True:
         yield p, q
-        if p == 0:
-            return
         p, q = 2 * p - n * q, n * p
         if q < 0:
             p, q = -p, -q
@@ -150,9 +160,9 @@ def _scan(cfg: PendantConfig) -> Iterator[Tuple[float, float]]:
 def _b_power(cfg: PendantConfig, j: int) -> Tuple[int, int]:
     """(P_j, Q_j) of _b_pairs, found as M^(j-1) (P_1, Q_1) with M = [[2, -n], [n, 0]].
 
-    Valid only when b_1 .. b_{j-1} are nonzero.  M^k = a M + c I, since
-    M^2 = 2M - n^2 I, so a square is (2a(a + c), (c - na)(c + na)), two big
-    products, and a step (2a + c, -n^2 a).  _b_pairs flips signs to keep
+    Valid at every j, since no b_j is 0 (see the module docstring).
+    M^k = a M + c I, since M^2 = 2M - n^2 I, so a square is
+    (2a(a + c), (c - na)(c + na)), two big products, and a step (2a + c, -n^2 a).  _b_pairs flips signs to keep
     Q > 0; M is linear, so one flip at the end gives the same pair.
     """
     n = cfg.n
@@ -166,25 +176,11 @@ def _b_power(cfg: PendantConfig, j: int) -> Tuple[int, int]:
     return (p, q) if q > 0 else (-p, -q)
 
 
-def _b_pair(cfg: PendantConfig, j: int, nonzero: int = 0) -> Tuple[int, int]:
-    """(P_j, Q_j) of _b_pairs: powered once b_1 .. b_{j-1} are shown nonzero.
-
-    b_1 .. b_nonzero are known nonzero; the scan shows the rest, and when a
-    sign is in doubt the exact walk decides.
-    """
-    if nonzero >= j - 1 or sum(1 for _ in islice(_scan(cfg), j - 1)) == j - 1:
-        return _b_power(cfg, j)
-    pair = next(islice(_b_pairs(cfg), j - 1, None), None)
-    if pair is None:
-        raise PatternNotFoundError(f"b sequence hit zero before index {j}")
-    return pair
-
-
 def b_at(cfg: PendantConfig, j: int) -> Fraction:
     """Exact value of b_j (1-based)."""
     if j < 1:
         raise DomainError("count must be positive")
-    return Fraction(*_b_pair(cfg, j))
+    return Fraction(*_b_power(cfg, j))
 
 
 def r0(n: int) -> Fraction:
@@ -265,8 +261,8 @@ def mlas_direct(cfg: PendantConfig, j_max: Optional[int] = None) -> int:
     The signs come from the certified float scan; if one is in doubt before
     the answer, the exact walk of integer pairs rescans from b_1.  Returns
     (first positive odd index) - 1.  Raises PatternNotFoundError when
-    b_1 > 0 (no alternating prefix exists), when the scan exhausts ``j_max``
-    (default 4n), or when the orbit hits zero.
+    b_1 > 0 (no alternating prefix exists) or when the scan exhausts ``j_max``
+    (default 4n).
     """
     limit = 4 * cfg.n if j_max is None else j_max
     if cfg.b1 > 0:
@@ -276,8 +272,6 @@ def mlas_direct(cfg: PendantConfig, j_max: Optional[int] = None) -> int:
     for terms in ((x for x, _ in _scan(cfg)), (p for p, _ in _b_pairs(cfg))):
         j = 0
         for j, v in enumerate(islice(terms, max(limit, 0)), 1):
-            if v == 0:  # only an exact term is 0
-                raise PatternNotFoundError(f"b_{j}(n={cfg.n}, r={cfg.r}) = 0: orbit terminates")
             if j % 2 == 1 and v > 0:
                 return j - 1
         if j >= limit:
@@ -401,7 +395,6 @@ def double_broom_tree(b: DoubleBroom) -> RootedTree:
 class RootSign(Enum):
     NEGATIVE = "negative"
     POSITIVE = "positive"
-    ZERO = "zero"
 
 
 class BroomSigma(NamedTuple):
@@ -437,7 +430,7 @@ def double_broom_sigma(b: DoubleBroom) -> BroomSigma:
     the fallback when the hypotheses fail).  The sweep is the certified float
     sweep of ``locate(exact=True)``, and b_{2q}, b_{2p} come from ``_scan``.
     Where a sign is in doubt, the exact sweep and ``b_at`` rerun the rule with
-    intervals of radius 0; an orbit that is 0 by b_j fails the hypotheses.
+    intervals of radius 0, which decide it.
     """
     from .treediag import MatrixKind, _certified_sweep, _sweep, build_matrix
 
@@ -452,22 +445,19 @@ def double_broom_sigma(b: DoubleBroom) -> BroomSigma:
         if result is not None:
             return result
     values = _sweep(lap, d, True)[0][1:]
-    try:  # b_at raises where the exact orbit is 0 before b_j
-        result = _broom_split(b, layout.root, values, 0, hypotheses, lambda cfg, j: (b_at(cfg, j), 0))
-    except PatternNotFoundError:
-        result = None
-    return result or _broom_split(b, layout.root, values, 0, False, None)
+    return _broom_split(b, layout.root, values, 0, hypotheses, lambda cfg, j: (b_at(cfg, j), 0))
 
 
 def _broom_split(b: DoubleBroom, root: int, values: Sequence, e_root: float, hypotheses: bool,
-                 term: Optional[Callable[[PendantConfig, int], Optional[tuple]]]) -> Optional[BroomSigma]:
+                 term: Callable[[PendantConfig, int], Optional[tuple]]) -> Optional[BroomSigma]:
     """The split from sweep values of vertices 1..n, the root's bound e_root and b_j as ``term``.
 
-    ``term`` gives b_j as (x, e) with |b_j - x| <= e, or None; with |x| > e,
+    ``term`` gives b_j as (x, e) with |b_j - x| <= e < |x|, or None; then
     |1/b_j - 1/x| <= e / (|x| (|x| - e)), summed in exact arithmetic.  The
     formula's interval must meet the root's; it is in doubt (None) when it holds
-    0, or a term is None or may be 0.  For odd n no sweep value at 2 - 2/n is 0
-    (2 - 2/n is no algebraic integer), so the root has a sign.
+    0 or a term is None.  For odd n no sweep value at 2 - 2/n is 0
+    (2 - 2/n is no algebraic integer), so the root has a sign, and the exact
+    sweep with exact terms (e = 0; no b_j is 0) is never in doubt.
     """
     from .treediag import InertiaTriple
 
@@ -479,7 +469,7 @@ def _broom_split(b: DoubleBroom, root: int, values: Sequence, e_root: float, hyp
         centre, radius = Fraction(2, n), Fraction(0)
         for side, j in ((b.r, 2 * b.q), (b.R, 2 * b.p)):
             t = term(PendantConfig(n, side), j)
-            if t is None or not abs(t[0]) > t[1]:  # no b_j, or one that may be 0
+            if t is None:
                 return None
             x, e = map(Fraction, t)
             centre -= 1 / x

@@ -319,6 +319,17 @@ def test_eval_at_a_non_finite_j():
                 sol.eval(j)
 
 
+def test_type2_eval_at_an_infinite_j_where_q_is_1_names_the_cause():
+    # solve never builds theta = theta' as type2; by hand, j * log q is inf * 0
+    sol = Type2Solution(1.0, 1.0, 0.5)
+    assert sol.base == 1.0 and sol.eval(7.0) == 1.0
+    for j in (math.inf, -math.inf):
+        with pytest.raises(DomainError) as exc:
+            sol.eval(j)
+        assert str(exc.value) == (f"closed form is undefined at j = {j!r}: "
+                                  f"q = theta/theta' is 1, so j * log q is {j!r} * 0")
+
+
 def test_type2_fixed_point_below_the_float_range_is_domain_error():
     # float gamma has |gamma| > ZERO_TOL, so -gamma/theta stays nonzero; an
     # exact gamma or delta can round to 0.0

@@ -7,13 +7,13 @@ from itertools import islice
 from types import SimpleNamespace
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import treespec.signs as signs_module
 from treespec import treediag
 from treespec.errors import DomainError, OutOfDomainError, PatternNotFoundError, PreconditionViolatedError
-from treespec.recurrence import RecurrenceParams, iterate, solve, zeros_and_poles
+from treespec.recurrence import RecurrenceParams, forbidden_initials, solve, zeros_and_poles
 from treespec.signs import (
     BroomSigma,
     DoubleBroom,
@@ -92,26 +92,48 @@ def test_b_at_matches_fraction_orbit():
             b_at(PendantConfig(19, 2), j)
 
 
-def test_b_orbit_zero_is_reported():
-    # a PendantConfig orbit that reaches zero is not known, so start at b = n/2,
-    # whose next term is 0
-    n = 40
-    start = SimpleNamespace(n=n, r=0, b1=Fraction(n, 2))
-    assert list(_b_pairs(start)) == [(20, 1), (0, 800)]
-    assert iterate(RecurrenceParams(Fraction(2, n), Fraction(-1)), start.b1, 5).hit_zero_step == 2
-    assert b_at(start, 2) == 0
-    # the scan cannot certify the zero b_2, so b_at(start, 3) takes the exact walk
-    assert [x for x, _ in islice(_scan(start), 5)] == [20.0]
-    with pytest.raises(PatternNotFoundError, match="^b sequence hit zero before index 3$"):
-        b_at(start, 3)
-    # b_1 = 2n/(4 - n^2) < 0 gives b_2 = n/2 and b_3 = 0
-    before = SimpleNamespace(n=n, r=0, b1=Fraction(2 * n, 4 - n * n))
-    assert len(list(islice(_scan(before), 5))) == 2
-    with pytest.raises(PatternNotFoundError) as exc:
-        mlas_direct(before)
-    assert str(exc.value) == "b_3(n=40, r=0) = 0: orbit terminates"
-    with pytest.raises(PatternNotFoundError, match="^b sequence hit zero before index 4$"):
-        b_at(before, 4)
+def _p_adic_prime(n):
+    """The smallest odd prime dividing n, or 2 when n is a power of 2."""
+    odd = n >> _valuation(n, 2)
+    if odd == 1:
+        return 2
+    return next((p for p in range(3, math.isqrt(odd) + 1, 2) if odd % p == 0), odd)
+
+
+def _valuation(k, p):
+    v = 0
+    while k % p == 0:
+        k, v = k // p, v + 1
+    return v
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(3, 10**6).flatmap(lambda n: st.tuples(st.just(n), st.integers(0, n))))
+@example((4, 0))
+@example((4, 1))
+@example((8, 2))
+@example((4096, 1))
+@example((4096, 4096))
+@example((3, 0))
+@example((5, 1))
+@example((7919, 1979))
+@example((999983, 3))
+@example((8014, 2))
+def test_b1_is_no_forbidden_initial(nr):
+    # b_{k+1} = 0 iff b_1 = psi^k(0), and every psi^k(0) is a p-adic integer
+    # (the signs module docstring), while b_1 is not
+    n, r = nr
+    b1, p = PendantConfig(n, r).b1, _p_adic_prime(n)
+    v = _valuation(b1.numerator, p) - _valuation(b1.denominator, p)
+    assert v == (1 - _valuation(n, 2) if p == 2 else -_valuation(n, p)) < 0
+    assert b1 not in forbidden_initials(RecurrenceParams(Fraction(2, n), Fraction(-1)), 40)
+
+
+def test_no_exact_b_j_is_zero():
+    # the exact walk over mlas_direct's 4n-term window, r one past the k_0 domain's n // 4
+    for n in range(3, 121):
+        for r in range(n // 4 + 2):
+            assert all(p for p, _ in islice(_b_pairs(PendantConfig(n, r)), 4 * n)), (n, r)
 
 
 # ---------------------------------------------------------------------------
@@ -469,11 +491,11 @@ def broom_grid_reference():
     reference = {}
     for b in BROOM_GRID:
         root_value, inertia = _exact_root_and_inertia(b)
-        sign = RootSign.POSITIVE if root_value > 0 else RootSign.NEGATIVE if root_value < 0 else RootSign.ZERO
+        # 2 - 2/n (n odd) is no algebraic integer, so no eigenvalue of an integer matrix
+        assert root_value != 0, b
+        sign = RootSign.POSITIVE if root_value > 0 else RootSign.NEGATIVE
         reference[b] = BroomSigma(inertia.above, sign, _broom_hypotheses(b), inertia)
     assert sum(not r.hypotheses_met for r in reference.values()) == 1531
-    # 2 - 2/n (n odd) is no algebraic integer, so no eigenvalue of an integer matrix
-    assert RootSign.ZERO not in {r.root_sign for r in reference.values()}
     return reference
 
 
@@ -527,22 +549,6 @@ def test_double_broom_exact_check_catches_a_shifted_b_at(monkeypatch):
     monkeypatch.setattr(signs_module, "b_at", lambda cfg, j: b_at(cfg, j) + 1)
     with pytest.raises(RuntimeError, match="side counting disagrees"):
         double_broom_sigma(DoubleBroom(r=3, q=2, p=2, R=2))
-
-
-@pytest.mark.parametrize("term", ["raises", "zero"])
-def test_double_broom_exact_path_without_b_at_drops_the_hypotheses(monkeypatch, term):
-    def b_at_failing(cfg, j):
-        if term == "zero":
-            return Fraction(0)
-        raise PatternNotFoundError(f"b sequence hit zero before index {j}")
-
-    b = DoubleBroom(r=3, q=2, p=2, R=2)
-    monkeypatch.setattr(treediag, "_certified_sweep", lambda m, alpha: None)
-    monkeypatch.setattr(signs_module, "b_at", b_at_failing)
-    result = double_broom_sigma(b)
-    _, inertia = _exact_root_and_inertia(b)
-    assert not result.hypotheses_met and _broom_hypotheses(b)
-    assert result.sigma == inertia.above and tuple(result.inertia) == tuple(inertia)
 
 
 def test_double_broom_root_value_is_the_formula_exactly():
