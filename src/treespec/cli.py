@@ -388,15 +388,15 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser(
         "limit", help="starlike spectral radius convergence table",
         description="Spectral radius of T(1, n, n) and its gap to the limit, n = 1..N. A row "
-                    "whose gap is below 100 * max(tol, the float sweep's resolution) takes the gap "
-                    "from the centre equation, to 1e-12 relative; the rest bisect within tol (or "
-                    "the resolution, where larger). A "
-                    "gap below the normal float range (adjacency n >= 1468, Laplacian n >= 581) "
-                    "exits 3.")
+                    "takes the gap from the centre equation wherever its bound is at most 1e-12 "
+                    "relative (adjacency n >= 17, Laplacian n >= 7, whatever tol); the rest bisect "
+                    "within tol. A gap below the normal float range (adjacency n >= 1468, "
+                    "Laplacian n >= 581) exits 3.")
     p.add_argument("--family", choices=("adjacency", "laplacian"), required=True)
     p.add_argument("--n-max", dest="n_max", type=int, required=True)
     p.add_argument("--tol", type=float, default=None,
-                   help="bisection tolerance (default 1e-10 adjacency, 1e-9 Laplacian)")
+                   help="bisection tolerance of the rows the centre equation does not answer "
+                        "(default 1e-10 adjacency, 1e-9 Laplacian)")
     p.set_defaults(func=_cmd_limit, formats=("csv", "json"))
 
     p = sub.add_parser("random-tree", help="seeded uniform random labeled tree")

@@ -29,12 +29,9 @@ a few w/s^2 at most while w <= 2.4: slope = (2n + 16 + 8w/s)/s bounds it.
 Where L = 2 delta slope <= 2^-6 and the last step moves by at most E
 delta, the iterate lies within E(1 + 4L) of the root.
 
-A row returns that delta when its bound is at most 1e-12 relative and
-delta < 100 max(tol, r), r = SWEEP_ZERO_TOL max(1, |d - lambda_inf|) over
-the diagonal entries d: the float sweep's resolution (2.1e-10 adjacency,
-3.4e-10 Laplacian), below which a bisected radius is noise.  Every other
-row bisects T_{1,n,n} within tol by inertia, and its gap is the constant
-minus that radius.  A gap below the normal float range (Laplacian
+A row returns that delta when its bound is at most 1e-12 relative.  Every
+other row bisects T_{1,n,n} within tol by inertia, and its gap is the
+constant minus that radius.  A gap below the normal float range (Laplacian
 n_arm >= 581, adjacency n_arm >= 1468) raises DomainError.
 """
 
@@ -46,7 +43,7 @@ from typing import List, NamedTuple, Optional, Tuple
 
 from ._mobius import U, type2_offset
 from .errors import DomainError, OutOfDomainError
-from .treediag import SWEEP_ZERO_TOL, MatrixKind, RootedTree, build_matrix, build_tree, spectral_radius
+from .treediag import MatrixKind, RootedTree, build_matrix, build_tree, spectral_radius
 
 #: 2 + sqrt(5), within u of it
 _TWO_PLUS_SQRT5 = 2.0 + math.sqrt(5.0)
@@ -113,13 +110,10 @@ class _Family(NamedTuple):
     limit: float  # lambda_inf as the command prints it: radius = limit - gap
     hi: float  # w at the limit is hi + lo, within 2^-105 of it
     lo: float
-    resolution: float  # SWEEP_ZERO_TOL * max(1, |d - lambda_inf|) over the diagonal entries d
 
 
-_ADJACENCY = _Family(MatrixKind.ADJACENCY, shearer_constant(), 2.0581710272714924,
-                     -1.2008095778424995e-16, SWEEP_ZERO_TOL * shearer_constant())  # d = 0
-_LAPLACIAN = _Family(MatrixKind.LAPLACIAN, guo_constant(), 2.3829757679062373,
-                     1.64226551074538e-16, SWEEP_ZERO_TOL * (guo_constant() - 1.0))  # d = 1, 2, 3
+_ADJACENCY = _Family(MatrixKind.ADJACENCY, shearer_constant(), 2.0581710272714924, -1.2008095778424995e-16)
+_LAPLACIAN = _Family(MatrixKind.LAPLACIAN, guo_constant(), 2.3829757679062373, 1.64226551074538e-16)
 
 
 def _limit_gap(family: _Family, n_arm: int, tol: float) -> float:
@@ -132,7 +126,7 @@ def _limit_gap(family: _Family, n_arm: int, tol: float) -> float:
         delta, bound = solved
         if delta < sys.float_info.min:
             raise DomainError(f"n_arm = {n_arm}: the gap to the limit is below the normal float range")
-        if bound <= 1e-12 and delta < 100 * max(tol, family.resolution):
+        if bound <= 1e-12:
             return delta
     return family.limit - spectral_radius(build_matrix(t_lmn(spec), family.kind), tol)
 
@@ -198,8 +192,8 @@ def _gap_step(family: _Family, delta: float, n_arm: int) -> Optional[Tuple[float
 def adjacency_limit_gap(n_arm: int, tol: float = 1e-10) -> float:
     """sqrt(2 + sqrt(5)) minus the adjacency spectral radius of T_{1,n,n}.
 
-    From the centre equation where bisection within tol cannot resolve it,
-    else bisected; see the module docstring."""
+    From the centre equation where its bound is at most 1e-12 relative, else
+    bisected within tol; see the module docstring."""
     return _limit_gap(_ADJACENCY, n_arm, tol)
 
 

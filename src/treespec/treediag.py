@@ -9,16 +9,17 @@ of M relative to the shift alpha.  Bisection over that count yields the
 spectral radius or any individual eigenvalue.
 
 One sweep function, ``_sweep``, runs over plain Python lists for both
-arithmetics: float sweeps count values within a relative threshold as zero,
-and matrices with integer/rational entries also support an exact-rational
-sweep (``exact=True``) whose zero test is exact.  ``locate(exact=True)``
-first runs a float sweep with a certified error bound per vertex and falls
-back to the exact sweep only when that bound leaves a sign in doubt.  Each
-bisection builds one program of its matrix once: the tree without its
-leaves, which fold into their parents when they share a diagonal entry, and
-the chains of what is left (runs of one-child vertices with equal entries).
-Its float sweeps step only that inner tree and take each chain in one step
-with the closed form of ``chain_orbit``.
+arithmetics: float sweeps count values within a relative threshold as zero
+(bisection's within ``pivmin``), and matrices with integer/rational entries
+also support an exact-rational sweep (``exact=True``) with an exact zero
+test.  ``locate(exact=True)`` first runs a float sweep with a certified
+error bound per vertex and falls back to the exact sweep only when that
+bound leaves a sign in doubt.  Each bisection builds one program of its
+matrix once: the tree without its leaves, which fold into their parents
+when they share a diagonal entry, and the chains of what is left (runs of
+one-child vertices with equal entries).  Its float sweeps step only that
+inner tree and take each chain in one step with the closed form of
+``chain_orbit``.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ from .errors import BadIndexError, BadVertexError, DomainError, NotATreeError
 
 Real = Union[int, float, Fraction]
 
-#: relative zero threshold of the float sweep
+#: relative zero threshold of float ``locate`` and ``diagonalize``
 SWEEP_ZERO_TOL = 1e-10
 
 #: shortest chain that bisection sweeps in closed form; shorter ones are stepped
@@ -265,18 +266,20 @@ def build_matrix(tree: RootedTree, kind: str) -> SymmetricTreeMatrix:
     return SymmetricTreeMatrix(tree, diag, weight)
 
 
-def _sweep(m: SymmetricTreeMatrix, alpha: Real, exact: bool,
-           program: Optional[_BisectionProgram] = None) -> Tuple[List[Real], InertiaTriple]:
+def _sweep(m: SymmetricTreeMatrix, alpha: Real, exact: bool, program: Optional[_BisectionProgram] = None,
+           pivmin: Optional[float] = None) -> Tuple[List[Real], InertiaTriple]:
     """One congruence sweep of M - alpha*I, bottom-up, and its inertia.
 
     alpha  : the shift; each vertex starts at m_vv - alpha.
     exact  : sweep a rational M and alpha in Fractions, with tol = 0; else
-             in floats, with tol = SWEEP_ZERO_TOL * max(1, max_v |m_vv - alpha|)
-             (the largest |m_vv - alpha| sits at the smallest or the largest
-             diagonal entry).  Both read the same lists: in a float sweep each
-             entry is rounded to float where it first meets a float operand.
+             in floats, with tol = pivmin, or without it SWEEP_ZERO_TOL *
+             max(1, max_v |m_vv - alpha|), at the smallest or the largest
+             m_vv.  Both read the same lists: in a float sweep each entry
+             is rounded to float where it first meets a float operand.
     program: the ``_bisection_program`` of M, read by float sweeps only;
              None steps every vertex.
+    pivmin : bisection's zero bound, LAPACK dstebz's PIVMIN
+             2^-1022 max(1, max w^2) times K, the largest degree.
 
     Vertices are processed in postorder.  A vertex subtracts the sum of
     w_c^2/a_c over its children, added up in postorder.  A vertex with a
@@ -294,7 +297,16 @@ def _sweep(m: SymmetricTreeMatrix, alpha: Real, exact: bool,
     and they keep no value, only their count.  A zero bottom becomes 2 and
     u_1 -s/2 by the zero-child branch, which cuts u_2 off from u_1, so
     the orbit starts afresh at u_2.  Otherwise, and when the closed form is
-    in doubt, that segment is stepped like any other.
+    in doubt or its top value is a zero, that segment is stepped like any
+    other.
+      Bisection passes pivmin.  A value that divides then exceeds
+    2^-1022 max(1, max w^2) K, so each term w^2/x is below 2^1022/K, a
+    vertex's sum of at most K terms below 2^1022, and every value finite
+    while each |d_v - alpha| < 2^1023; with x == 0 as the test, a subnormal
+    x divides to inf, and two such children of opposite sign give nan.  A
+    value within pivmin counted as zero moves one diagonal entry by at most
+    pivmin, and with each rounding pushed into an entry (Kahan's argument
+    for Sturm counts) the counts are the exact inertia of a nearby matrix.
 
     Returns the values (index v, slot 0 spare and 0) and the counts of final
     values below -tol, within [-tol, tol] and above tol.
@@ -315,7 +327,7 @@ def _sweep(m: SymmetricTreeMatrix, alpha: Real, exact: bool,
             alpha = float(alpha)
             if not isfinite(alpha):
                 raise DomainError(f"shift alpha must be finite, got {alpha!r}")
-            tol = SWEEP_ZERO_TOL * max(1.0, abs(m._dmax - alpha), abs(m._dmin - alpha))
+            tol = SWEEP_ZERO_TOL * max(1.0, abs(m._dmax - alpha), abs(m._dmin - alpha)) if pivmin is None else pivmin
             if program is not None:
                 x_leaf = program.leaf_diag - alpha
                 if not -tol <= x_leaf <= tol:
@@ -360,13 +372,13 @@ def _sweep(m: SymmetricTreeMatrix, alpha: Real, exact: bool,
                     continue
             # what ca carries besides its last rounding, derived in chain_orbit's docstring
             error = 2.0**-52 * (abs(shifted) + (program.leaves + 2) * abs(leaf_term)) if cs else 0.0
-            orbit = chain_orbit(ca, s, x0, length, tol, error)
-            if orbit is not None:
+            orbit = chain_orbit(ca, s, x0, length, error)
+            if orbit is not None and not lo <= orbit[0] <= tol:
                 next(segments)  # the chain's vertices
-                if cut:  # the bottom becomes 2, u_1 -s/2 < -tol (tol < min(2, s/2) in a trusted orbit)
+                if cut:  # counted as stepped: the bottom becomes 2, u_1 -s/2, and u_2 is x0
                     a[bottom] = two
-                    zeros -= 1
-                    below += 1 + (x0 < lo)
+                    zeros += (-s / two >= lo) - (two > tol)
+                    below += (-s / two < lo) + (x0 < lo)
                 x = a[top] = orbit[0]
                 below += orbit[1] + (x < lo)
                 a[top_parent] += w2[top] / x
@@ -382,8 +394,7 @@ def _clear_floor(f: float, margin: float) -> Optional[int]:
     return k if k < math.ceil(f - margin) else None
 
 
-def chain_orbit(a: float, s: float, x0: float, length: int, tol: float,
-                error: float = 0.0) -> Optional[Tuple[float, int]]:
+def chain_orbit(a: float, s: float, x0: float, length: int, error: float = 0.0) -> Optional[Tuple[float, int]]:
     """x_L of x_j = a - s/x_{j-1} from x_0 = x0, and how many of x_1 .. x_{L-1} are negative.
 
     This is ``recurrence``'s phi with alpha = a and gamma = -s < 0, in O(1) for
@@ -427,9 +438,7 @@ def chain_orbit(a: float, s: float, x0: float, length: int, tol: float,
     window's ends f +- m round by u|f + m|.  So m = 2(E/pi + 4u|f|) for
     theta_L and theta_{L-1}, whose floors certify the signs of
     x_1 .. x_{L-1} and of x_L, and omega gets the same with
-    E = (41u + 2 delta)/sin^2.  |x_L| <= tol needs |sin theta_L| <= tol/rho,
-    within tol/(2 rho) of an integer in f; that term joins the margin of
-    theta_L.
+    E = (41u + 2 delta)/sin^2.
     Real fixed points (a^2 > 4s).  r1 = (a + sign(a) sqrt(a^2 - 4s))/2 and
     r2 = s/r1 share a's sign, |r2| < |r1|, and z = (x - r1)/(x - r2) obeys
     z_j = q^j z_0 with q = r2/r1 in (0, 1) (Moebius conjugacy).  x_j has the
@@ -446,19 +455,14 @@ def chain_orbit(a: float, s: float, x0: float, length: int, tol: float,
     e1 = (eta + u)|r1|/|x0 - r1| + u and e2 = (eta + 3u)|r2|/|x0 - r2| + u
     (each required <= 1/2, where |log(1 + e)| <= 2|e|), so log(z_0) errs by
     2(e1 + e2 + u) + 2u|log z_0| and t by E = that/lam + |t|(2eta + 7u);
-    m = 2(E + 2u|t|).  While tol <= |r2|/2, |x| <= tol keeps
-    |(x - r1)(x - r2)| >= s/4 and |d log z/dx| <= 4 sqrt(pP)/s, so
-    |x_L| <= tol needs |t - L - 1| <= 4 tol sqrt(pP)/(lam s): a term of
-    the margin.  With z_0 <= 0, or t below 1, |x_L| > |r2| >= 2 tol.
+    m = 2(E + 2u|t|).  None where r2 underflows to 0.
 
     In both families floor(f) is trusted when [f - m, f + m] holds no
-    integer.  The sweep's zero-child branch replaces a zero x_j by 2 and
-    x_{j+1} by -s/2, the signs of x_j = 0+- and x_{j+1} = -+inf; with
-    tol < min(2, s/2) those values stay outside [-tol, tol], so a zero
-    inside the chain leaves the counts of the exact orbit.
+    integer, so x_L is nonzero in every such orbit.  The exact sweep's
+    zero-child branch replaces a zero x_j by 2 and x_{j+1} by -s/2, the
+    signs of x_j = 0+- and x_{j+1} = -+inf, so a zero inside the chain
+    leaves the counts of the exact orbit.
     """
-    if not tol < min(2.0, s / 2):
-        return None
     u, rho = 2.0**-53, math.sqrt(s)
     big, small = 2 * rho + abs(a), 2 * rho - abs(a)
     if small > 0:
@@ -475,7 +479,7 @@ def chain_orbit(a: float, s: float, x0: float, length: int, tol: float,
         e = (24 * length * u / sin + 64 * u / (sin * sin) + ((length + 1) / sin + 2 / (sin * sin)) * delta) / math.pi
         k0 = _clear_floor(f0, 2 * ((41 * u + 2 * delta) / (sin * sin) / math.pi + 4 * u * abs(f0)))
         k1 = _clear_floor(f1, 2 * (e + 4 * u * abs(f1)))
-        k2 = _clear_floor(f2, 2 * (e + 4 * u * abs(f2)) + tol / (2 * rho))
+        k2 = _clear_floor(f2, 2 * (e + 4 * u * abs(f2)))
         if k0 is None or k1 is None or k2 is None:
             return None
         return rho * math.sin(theta) / math.sin(theta - phi), k1 - k0
@@ -485,7 +489,7 @@ def chain_orbit(a: float, s: float, x0: float, length: int, tol: float,
     root = math.sqrt(-small * big)
     r1 = math.copysign((abs(a) + root) / 2, a)
     r2 = s / r1
-    if x0 == r1 or x0 == r2 or not 2 * tol <= abs(r2):
+    if x0 == r1 or x0 == r2 or not r2:
         return None
     e1 = (eta + u) * abs(r1 / (x0 - r1)) + u
     e2 = (eta + 3 * u) * abs(r2 / (x0 - r2)) + u
@@ -498,7 +502,7 @@ def chain_orbit(a: float, s: float, x0: float, length: int, tol: float,
         log_z = math.log(z0)
         t = log_z / lam
         err = (2 * (e1 + e2 + u) + 2 * u * abs(log_z)) / lam + abs(t) * (2 * eta + 7 * u)
-        m = 2 * (err + 2 * u * abs(t)) + 4 * tol * root / (lam * s)
+        m = 2 * (err + 2 * u * abs(t))
         if 1 - m <= t <= length + 1 + m:
             k = _clear_floor(t, m)
             if k is None:
@@ -674,13 +678,14 @@ def _bisect(m: SymmetricTreeMatrix, tol: float, predicate) -> float:
     program = _bisection_program(m)
     try:
         lo, hi = m.gershgorin()
+        pivmin = 2.0**-1022 * max(1.0, float(max(m._w2))) * max(m.tree.degree)  # see _sweep
     except OverflowError:  # an int or Fraction beyond the float range
         raise DomainError("an entry is beyond the float range: bisection needs float entries") from None
     while True:  # ends within ~2,100 halvings: the bracket's ends meet in floats at the latest
         mid = _midpoint(lo, hi)
         if hi - lo <= tol or mid == lo or mid == hi:  # mid == lo or hi: no float in between
             break
-        if predicate(_sweep(m, mid, False, program)[1]):
+        if predicate(_sweep(m, mid, False, program, pivmin)[1]):
             hi = mid
         else:
             lo = mid

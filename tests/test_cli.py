@@ -235,6 +235,50 @@ def test_limit_csv(capsys):
     assert all(g > 0 for g in gaps) and gaps == sorted(gaps, reverse=True)
 
 
+# bisection's float sweeps count only values within pivmin as zero; with a zero
+# band of 1e-10 times the diagonal's scale, these three answered wrongly with exit 0
+
+
+def test_star_laplacian_radius_to_tol(capsys, tmp_path):
+    # the band was 3e-6 wide here and stopped the bisection 3e-6 below n = 30000
+    star = tmp_path / "star.txt"
+    star.write_text("".join(f"1 {v}\n" for v in range(2, 30001)))
+    code, out, _ = invoke(capsys, "radius", "--tree", str(star), "--matrix", "laplacian",
+                          "--root", "1", "--tol", "1e-10")
+    assert code == 0 and abs(json.loads(out)["radius"] - 30000) <= 1e-10
+
+
+def test_path_laplacian_eigenvalue_zero_below_the_band(capsys, tmp_path):
+    # the band stopped the bisection 1e-11 above the eigenvalue 0; tol 1e-300 is not
+    # reached either, as the bracket's ends meet in floats first
+    path = tmp_path / "p20.txt"
+    path.write_text("".join(f"{v} {v + 1}\n" for v in range(1, 20)))
+    code, out, _ = invoke(capsys, "eigen", "--tree", str(path), "--matrix", "laplacian",
+                          "--k", "1", "--tol", "1e-300")
+    assert code == 0 and abs(json.loads(out)["eigenvalue"]) <= 1e-15
+
+
+def test_limit_rows_to_tol_1e_14(capsys):
+    # the band kept every row up to n_arm = 32 bisected, and 4.6e-11 off
+    import numpy as np
+
+    from treespec.limits import _ADJACENCY, StarlikeSpec, _centre_gap, shearer_constant, t_lmn
+    from treespec.treediag import MatrixKind, build_matrix
+
+    code, out, _ = invoke(capsys, "limit", "--family", "adjacency", "--n-max", "32", "--tol", "1e-14")
+    assert code == 0
+    gaps = [float(line.split(",")[2]) for line in out.split()[1:]]
+    assert len(gaps) == 32 and all(a > b > 0 for a, b in zip(gaps, gaps[1:]))
+    for n_arm, gap in enumerate(gaps, 1):
+        solved = _centre_gap(_ADJACENCY, n_arm)
+        if solved is not None:
+            assert abs(gap - solved[0]) <= 1e-14, n_arm
+        else:  # bisected: within tol of eigvalsh, which errs by n u g at most
+            m = build_matrix(t_lmn(StarlikeSpec(1, n_arm, n_arm)), MatrixKind.ADJACENCY)
+            bound = 1e-14 + m.n * 2.0**-53 * max(map(abs, m.gershgorin()))
+            assert abs(shearer_constant() - gap - np.linalg.eigvalsh(m.dense())[-1]) <= bound, n_arm
+
+
 def test_random_tree_output(capsys):
     code, out, _ = invoke(capsys, "random-tree", "--n", "6", "--seed", "42")
     assert code == 0
@@ -520,7 +564,7 @@ def test_golden_output(capsys, tmp_path, command):
     golden = {
         "broom": "6ba2ffb175c89fea4e33a9ceb96c0f9f68e363d62b50a1dd41adb1183c8b2233",
         "eigen": "8e3cc12f3c3fc74d803092c195a7ad7839375126effec22a7b55a48e8a167d54",
-        "limit": "bae736ed519b9aac0dfe75a0d3a95db070d01f30b13243cb6c5906992ef3c398",
+        "limit": "1d1c19115a41bd0bc90b25a2c3dfc8678b5a56ed2392d5fe3857156af919ad53",
         "locate": "b5be19cf069255d6af2509158a902d375ce0a0fd8d2d2c7234590c97badadd96",
         "mlas": "719658a752fe8040a9bc54cbefe2399f2615307114470836114e0d518e0bfb3f",
         "plot-data": "a3e7c8c9eff3fa848b8bf6360ca61d54d392774899cc9708d409350a9ae6d1bc",

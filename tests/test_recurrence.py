@@ -564,14 +564,14 @@ def exact_chain(a, s, x0, length):
     return values
 
 
-def check_chain(a, s, x0, length, tol=1e-10):
+def check_chain(a, s, x0, length):
     """chain_orbit against exact_chain; True when the closed form was trusted."""
-    orbit = chain_orbit(a, s, x0, length, tol)
+    orbit = chain_orbit(a, s, x0, length)
     if orbit is None:
         return False
     end, inner = orbit
     values = exact_chain(a, s, x0, length)
-    assert abs(values[-1]) > tol and (end < 0) == (values[-1] < 0), (a, s, x0, length)
+    assert values[-1] != 0 and (end < 0) == (values[-1] < 0), (a, s, x0, length)
     assert inner == sum(v < 0 for v in values[:-1]), (a, s, x0, length)
     assert end == pytest.approx(float(values[-1]), rel=1e-6), (a, s, x0, length)
     return True
@@ -579,10 +579,10 @@ def check_chain(a, s, x0, length, tol=1e-10):
 
 @settings(max_examples=300, deadline=None)
 @given(st.integers(-96, 96), st.sampled_from((1, 0.25, 2, 0.5625, 1e-4)), st.integers(-64, 64),
-       st.integers(1, 60), st.sampled_from((1e-10, 1e-5)))
-def test_chain_orbit_agrees_with_the_exact_orbit(a32, s, x16, length, tol):
+       st.integers(1, 60))
+def test_chain_orbit_agrees_with_the_exact_orbit(a32, s, x16, length):
     if x16:
-        check_chain(a32 / 32, s, x16 / 16, length, tol)
+        check_chain(a32 / 32, s, x16 / 16, length)
 
 
 @settings(max_examples=300, deadline=None)
@@ -591,7 +591,7 @@ def test_chain_orbit_agrees_with_the_exact_orbit(a32, s, x16, length, tol):
 def test_chain_orbit_counts_hold_for_every_a_within_its_error(a32, s, x16, length, error):
     # a trusted answer is that of the exact orbit of each a* with |a - a*| <= u|a| + error
     a, x0 = a32 / 32, x16 / 16
-    orbit = chain_orbit(a, s, x0, length, 1e-10, error) if x16 else None
+    orbit = chain_orbit(a, s, x0, length, error) if x16 else None
     if orbit is None:
         return
     end, inner = orbit
@@ -615,7 +615,7 @@ def test_chain_orbit_steps_at_exact_zeros():
         trusted = 0
         for length in range(1, 50):
             if length in zeros or length - 1 in zeros:
-                assert chain_orbit(a, s, x0, length, 1e-10) is None, (a, s, x0, length)
+                assert chain_orbit(a, s, x0, length) is None, (a, s, x0, length)
             else:
                 trusted += check_chain(a, s, x0, length)
         assert trusted >= 10 or a * a > 4 * s, (a, s, x0)
@@ -627,14 +627,14 @@ def test_chain_orbit_counts_both_families():
     rng = random.Random(17)
     for _ in range(200):
         alpha, length = rng.uniform(-2.5, 2.5), rng.randint(1, 400)
-        orbit = chain_orbit(-alpha, 1.0, -alpha, length, 1e-10)
+        orbit = chain_orbit(-alpha, 1.0, -alpha, length)
         if orbit is None:
             continue
         eigs = [2 * math.cos(k * math.pi / (length + 2)) for k in range(1, length + 2)]
         below = sum(e < alpha for e in eigs)
         assert orbit[1] + (orbit[0] < 0) + (-alpha < 0) == below, (alpha, length)
-    for bad in ((1.0, 1.0, 0.5, 3, 1.0), (2.0, 1.0, 0.5, 3, 1e-10), (-2.0, 1.0, 0.5, 3, 1e-10)):
-        assert chain_orbit(*bad) is None  # tol >= s/2, and the double root a^2 = 4s
+    for bad in ((2.0, 1.0, 0.5, 3), (-2.0, 1.0, 0.5, 3), (4.0, 5e-324, 1.0, 3), (4.0, 0.0, 1.0, 3)):
+        assert chain_orbit(*bad) is None  # the double root a^2 = 4s, and r2 = s/r1 underflowed to 0
 
 
 # ---------------------------------------------------------------------------
