@@ -29,7 +29,7 @@ import math
 import os
 import re
 import sys
-from typing import List, Optional, Sequence
+from typing import Optional, Sequence
 
 from .errors import DomainError, TreespecError
 
@@ -130,29 +130,36 @@ def _fields(obj) -> dict:
     return {_RENAMED.get(key, key): value for key, value in obj._asdict().items()}
 
 
-def _print(args, rows: List[dict], header: Sequence[str] = ()) -> None:
+def _print(args, rows: list, header: Sequence[str] = ()) -> None:
     """Print rows in the chosen format: JSON lines, CSV or ``key: value`` text.
 
-    CSV prints ``header`` (default: the keys of the first row), then one line
-    per row.  Every format renders all rows before it prints, and rendering
-    stops at the first inf or nan; only then are the rows walked to name its
-    field in the DomainError, since a walk of every row costs about as much
-    as rendering it.
+    CSV prints ``header`` over tuple rows, or the keys of dict rows over their
+    values: scalars ("" for an empty one), one ``%s`` template per row, which
+    writes a float as _fmt does.  Every format renders all rows before it
+    prints.  JSON and text stop at an inf or nan, CSV is searched for one;
+    only then are the rows walked to name its field in the DomainError,
+    since a walk of every row costs about as much as rendering it.
     """
     fmt = args.format or args.formats[0]
+    if fmt == "csv" and not header:
+        header, rows = tuple(rows[0]), [tuple(row.values()) for row in rows]
     try:
         if fmt == "json":
             lines = [json.dumps(row, default=str, allow_nan=False) for row in rows]
         elif fmt == "csv":
-            lines = [",".join(header or rows[0])]
-            lines += [",".join(map(_fmt, row.values())) for row in rows]
+            line = ",".join(["%s"] * len(header))
+            lines = [",".join(header)] + [line % row for row in rows]
         else:
             lines = [f"{key}: {_fmt(value)}" for row in rows for key, value in row.items()]
     except ValueError:
         for row in rows:
             _require_finite_output(row)
         raise
-    print("\n".join(lines))
+    text = "\n".join(lines)
+    if fmt == "csv" and ("inf" in text or "nan" in text):
+        for row in rows:
+            _require_finite_output(dict(zip(header, row)))
+    print(text)
 
 
 def _cmd_solve(args) -> int:
@@ -201,14 +208,16 @@ def _cmd_plot_data(args) -> int:
     params = recurrence.RecurrenceParams(args.alpha, args.gamma)
     sol = recurrence.solve(params, args.x1)
     _require_finite_output(_fields(sol))
-    rows = []
-    for i in range(int(span + 1e-9) + 1):
-        j = args.j_from + i * args.step
-        if j > args.j_to + 1e-12:
-            break
-        value = sol.eval(j)
-        pole = isinstance(value, recurrence.Pole)
-        rows.append({"j": j, "value": None if pole else value, "is_pole": int(pole)})
+    # j = from + i*step up to --to within the rounding of the ends, ulp(from) + ulp(to): in
+    # steps for the count (at most half of one, as a step within them places no sample), and
+    # past --to for the last j
+    ends = math.ulp(args.j_from) + math.ulp(args.j_to)
+    count = int(span + 1e-9 + min(ends / args.step, 0.5)) + 1
+    js = [args.j_from + i * args.step for i in range(count)]
+    while js and js[-1] > args.j_to + 1e-12 + ends:
+        js.pop()
+    pole = recurrence.POLE
+    rows = [(j, "", 1) if value is pole else (j, value, 0) for j, value in zip(js, sol.sample(js))]
     _print(args, rows, header=("j", "value", "is_pole"))
     return 0
 

@@ -28,7 +28,7 @@ import math
 import sys
 from enum import Enum
 from fractions import Fraction
-from typing import Iterator, List, NamedTuple, Optional, Tuple, Union
+from typing import Iterator, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 from .errors import (
     DomainError,
@@ -241,20 +241,17 @@ def iterate(params: RecurrenceParams, x1: Real, count: int) -> OrbitResult:
         raise DomainError("count must be positive")
     if _is_zero(x1):
         raise DomainError("initial value x1 must be nonzero")
-    if _is_exact(params.alpha, params.gamma, x1):
-        values: List[Real] = [Fraction(x1)]
-        alpha: Real = Fraction(params.alpha)
-        gamma: Real = Fraction(params.gamma)
-    else:
-        values = [float(x1)]
-        alpha = float(params.alpha)
-        gamma = float(params.gamma)
+    exact = _is_exact(params.alpha, params.gamma, x1)
+    num = Fraction if exact else float
+    x, alpha, gamma = num(x1), num(params.alpha), num(params.gamma)
+    values: List[Real] = [x]
     for j in range(1, count):
-        prev = values[-1]
-        if _is_zero(prev):
+        # _is_zero inline: its isinstance test is an ABC check for every float term
+        if (x == 0) if exact else (-ZERO_TOL <= x <= ZERO_TOL):
             return OrbitResult(tuple(values), hit_zero_step=j)
-        values.append(alpha + gamma / prev)
-    if _is_zero(values[-1]):
+        x = alpha + gamma / x
+        values.append(x)
+    if _is_zero(x):
         return OrbitResult(tuple(values), hit_zero_step=count)
     return OrbitResult(tuple(values))
 
@@ -292,39 +289,50 @@ def local_behavior(params: RecurrenceParams, t: Real) -> LocalBehavior:
 
 
 # ---------------------------------------------------------------------------
-# closed forms: a family is named by its ``variant``; its eval(j) evaluates the continuous
-# extension at real j (integer j >= 1 reproduces the orbit), POLE within POLE_TOL of an asymptote
+# closed forms: a family is named by its ``variant``; its sample(js) evaluates the continuous
+# extension at each real j of a sequence (integer j >= 1 reproduces the orbit), POLE within
+# POLE_TOL of an asymptote, in one loop that computes what does not depend on j once, and
+# raises at the first j that fails a check; eval(j) is the sample of the one point j
 
 
-def _require_number(j: float) -> None:
-    if j != j:  # a nan j, the only value unequal to itself
-        raise DomainError(f"closed form needs a number j, got {j!r}")
+def _not_a_number(j: float) -> DomainError:
+    return DomainError(f"closed form needs a number j, got {j!r}")
+
+
+def _eval(sol: ClosedFormSolution, j: float) -> Union[float, Pole]:
+    return sol.sample((j,))[0]
 
 
 class ConstantSolution(NamedTuple):
     """x_j = theta for all j (x_1 was a fixed point)."""
 
     variant = "constant"
+    eval = _eval
     theta: float
 
-    def eval(self, j: float) -> Union[float, Pole]:
-        _require_number(j)
-        return self.theta
+    def sample(self, js: Sequence[float]) -> List[Union[float, Pole]]:
+        for j in js:
+            if j != j:  # a nan j, the only value unequal to itself
+                raise _not_a_number(j)
+        return [self.theta] * len(js)
 
 
 class Type1Solution(NamedTuple):
     """Double-root family: x_j = theta * (1 + 1/(beta + j)), theta = alpha/2."""
 
     variant = "type1"
+    eval = _eval
     theta: float
     beta: float
 
-    def eval(self, j: float) -> Union[float, Pole]:
-        _require_number(j)
-        den = self.beta + j
-        if abs(den) <= POLE_TOL:
-            return POLE
-        return self.theta * (1.0 + 1.0 / den)
+    def sample(self, js: Sequence[float]) -> List[Union[float, Pole]]:
+        theta, beta, out = self.theta, self.beta, []
+        for j in js:
+            if j != j:
+                raise _not_a_number(j)
+            den = beta + j
+            out.append(POLE if abs(den) <= POLE_TOL else theta * (1.0 + 1.0 / den))
+        return out
 
 
 class Type2Solution(NamedTuple):
@@ -332,11 +340,12 @@ class Type2Solution(NamedTuple):
 
     theta, theta_prime are the fixed points (theta the larger), and
     q = theta/theta_prime.  The continuous extension exists only for q > 0;
-    for q < 0 only integer j are meaningful.  eval and zeros_and_poles raise
+    for q < 0 only integer j are meaningful.  sample and zeros_and_poles raise
     DomainError when theta, theta' or beta overflowed, or beta underflowed.
     """
 
     variant = "type2"
+    eval = _eval
     theta: float
     theta_prime: float
     beta: float
@@ -359,40 +368,43 @@ class Type2Solution(NamedTuple):
         if abs(self.beta) < sys.float_info.min:
             raise DomainError(f"{self!r}: beta underflowed below the normal float range")
 
-    def _den(self, j: float) -> float:
-        """beta*q^j + 1; from logarithms once q or q^j leaves the float range."""
-        q, sign = self.base, math.copysign(1.0, self.beta)
-        if q < 0.0:
-            if abs(j) == math.inf or abs(j - round(j)) > POLE_TOL:
-                raise NoContinuousExtensionError("theta/theta' < 0: solution defined only at integer j")
-            j = round(j)
-            sign = -sign if j % 2 else sign
-        if sys.float_info.min <= abs(q) <= sys.float_info.max:
-            try:
-                return self.beta * (math.exp(j * math.log(q)) if q > 0.0 else q ** j) + 1.0
-            except OverflowError:
-                pass
-        try:
-            return sign * math.exp(math.log(abs(self.beta)) + j * self._log_base) + 1.0
-        except OverflowError:
-            return sign * math.inf
-
-    def eval(self, j: float) -> Union[float, Pole]:
-        _require_number(j)
+    def sample(self, js: Sequence[float]) -> List[Union[float, Pole]]:
+        """The denominator beta*q^j + 1 comes from logarithms once q or q^j leaves the float range."""
+        if not js:
+            return []
+        if js[0] != js[0]:  # the first j's own check comes before the family's
+            raise _not_a_number(js[0])
         self._require_normal()
-        if self.base > 0.0 and self.beta < 0.0:
-            pole_j = math.log(-1.0 / self.beta) / self._log_base
+        theta, theta_prime, beta, q, log_q = self.theta, self.theta_prime, self.beta, self.base, self._log_base
+        pole_j = math.log(-1.0 / beta) / log_q if q > 0.0 and beta < 0.0 else math.nan
+        normal = sys.float_info.min <= abs(q) <= sys.float_info.max
+        sign, log_beta, out = math.copysign(1.0, beta), math.log(abs(beta)), []
+        for j in js:
+            if j != j:
+                raise _not_a_number(j)
             if abs(j - pole_j) <= POLE_TOL:
-                return POLE
-        den = self._den(j)
-        if math.isnan(den):  # an infinite j where q is 1: nothing overflowed
-            raise DomainError(f"closed form is undefined at j = {j!r}: q = theta/theta' is 1, "
-                              f"so j * log q is {j!r} * 0")
-        if den == 0.0:
-            return POLE
-        if math.isinf(den):
-            return self.theta
-        return self.theta + (self.theta_prime - self.theta) / den
+                out.append(POLE)
+                continue
+            k, s = j, sign
+            if q < 0.0:
+                if abs(j) == math.inf or abs(j - round(j)) > POLE_TOL:
+                    raise NoContinuousExtensionError("theta/theta' < 0: solution defined only at integer j")
+                k = round(j)
+                s = -sign if k % 2 else sign
+            try:
+                den = beta * (math.exp(k * log_q) if q > 0.0 else q ** k) + 1.0 if normal else None
+            except OverflowError:
+                den = None
+            if den is None:
+                try:
+                    den = s * math.exp(log_beta + k * log_q) + 1.0
+                except OverflowError:
+                    den = s * math.inf
+            if math.isnan(den):  # an infinite j where q is 1: nothing overflowed
+                raise DomainError(f"closed form is undefined at j = {j!r}: q = theta/theta' is 1, "
+                                  f"so j * log q is {j!r} * 0")
+            out.append(POLE if den == 0.0 else theta if math.isinf(den) else theta + (theta_prime - theta) / den)
+        return out
 
 
 class Type3Solution(NamedTuple):
@@ -400,29 +412,34 @@ class Type3Solution(NamedTuple):
 
     rho = sqrt(-gamma) > 0, phi_angle in (0, pi), omega normalized into
     (-pi/2, pi/2] (tan is pi-periodic, so the representative is free).
-    eval raises DomainError where the phase j*phi + omega carries a rounding
+    sample raises DomainError where the phase j*phi + omega carries a rounding
     error, |j| ulp(phi) + ulp(j*phi + omega), above POLE_TOL*phi: there the
     pole test would be decided by rounding (|j| up to 1e6 stays well below).
     """
 
     variant = "type3"
+    eval = _eval
     rho: float
     phi_angle: float
     omega: float
 
-    def eval(self, j: float) -> Union[float, Pole]:
-        _require_number(j)
-        arg = j * self.phi_angle + self.omega
-        # distance in j to the nearest solution of arg = pi/2 (mod pi)
-        u = (arg - math.pi / 2.0) / math.pi
-        if not math.isfinite(u):  # an overflowed phi or omega, or a huge j
-            raise DomainError(f"closed form is not finite at j = {j!r}: a float overflowed")
-        if abs(j) * math.ulp(self.phi_angle) + math.ulp(arg) > POLE_TOL * self.phi_angle:
-            raise DomainError(f"phase j*phi + omega at j = {j!r} is below float resolution")
-        dist_j = abs(u - round(u)) * math.pi / self.phi_angle
-        if dist_j <= POLE_TOL:
-            return POLE
-        return self.rho * (math.cos(self.phi_angle) - math.sin(self.phi_angle) * math.tan(arg))
+    def sample(self, js: Sequence[float]) -> List[Union[float, Pole]]:
+        rho, phi, omega = self.rho, self.phi_angle, self.omega
+        turn = phi if abs(phi) < math.inf else 0.0  # an infinite phi fails the test of u at every j
+        cos_phi, sin_phi, ulp_phi, resolution = math.cos(turn), math.sin(turn), math.ulp(phi), POLE_TOL * phi
+        pi, half_pi, isfinite, ulp, tan, out = math.pi, math.pi / 2.0, math.isfinite, math.ulp, math.tan, []
+        for j in js:
+            if j != j:
+                raise _not_a_number(j)
+            arg = j * phi + omega
+            # distance in j to the nearest solution of arg = pi/2 (mod pi)
+            u = (arg - half_pi) / pi
+            if not isfinite(u):  # an overflowed phi or omega, or a huge j
+                raise DomainError(f"closed form is not finite at j = {j!r}: a float overflowed")
+            if abs(j) * ulp_phi + ulp(arg) > resolution:
+                raise DomainError(f"phase j*phi + omega at j = {j!r} is below float resolution")
+            out.append(POLE if abs(u - round(u)) * pi / phi <= POLE_TOL else rho * (cos_phi - sin_phi * tan(arg)))
+        return out
 
 
 class AlternatingSolution(NamedTuple):
@@ -432,16 +449,19 @@ class AlternatingSolution(NamedTuple):
     """
 
     variant = "alternating"
+    eval = _eval
     x1: float
     gamma: float
 
-    def eval(self, j: float) -> Union[float, Pole]:
-        _require_number(j)
-        if abs(j) == math.inf or abs(j - round(j)) > POLE_TOL:
-            raise NoContinuousExtensionError(
-                "alternating solution is defined only at integer j"
-            )
-        return self.x1 if round(j) % 2 == 1 else self.gamma / self.x1
+    def sample(self, js: Sequence[float]) -> List[Union[float, Pole]]:
+        out = []
+        for j in js:
+            if j != j:
+                raise _not_a_number(j)
+            if abs(j) == math.inf or abs(j - round(j)) > POLE_TOL:
+                raise NoContinuousExtensionError("alternating solution is defined only at integer j")
+            out.append(self.x1 if round(j) % 2 == 1 else self.gamma / self.x1)
+        return out
 
 
 ClosedFormSolution = Union[ConstantSolution, Type1Solution, Type2Solution, Type3Solution, AlternatingSolution]

@@ -72,6 +72,44 @@ def test_plot_data_marks_poles(capsys):
     assert pole_row[1] == ""
 
 
+def test_plot_data_keeps_the_last_sample_of_a_large_j_grid(capsys):
+    # --from and --to round by up to ulp(from) + ulp(to) (3e-8 here, 1.2e-8 steps), more
+    # than the 1e-9 slack that (to - from)/step once had: the last sample was dropped
+    orbit = ["--alpha", "1", "--gamma", "-0.25", "--x1", "0.36"]
+    code, out, err = invoke(capsys, "plot-data", *orbit, "--from", "89720000", "--to", "89720005.02",
+                            "--step", "2.51")
+    assert (code, err) == (0, "")
+    assert [line.split(",")[0] for line in out.splitlines()] == [
+        "j", "89720000.0", "89720002.51", "89720005.02"]
+    # ulp(from) above ulp(to): the last j lands 2 ulp(to) past --to
+    code, out, _ = invoke(capsys, "plot-data", *orbit, "--from", "-65921.9", "--to", "19878.1",
+                          "--step", "2860")
+    lines = out.splitlines()
+    assert code == 0 and len(lines) == 32 and lines[-1].startswith("19878.100000000006,")
+    # a step below the rounding of the ends adds no sample
+    code, out, _ = invoke(capsys, "plot-data", *orbit, "--from", "1", "--to", "1", "--step", "5e-324")
+    assert (code, out) == (0, "j,value,is_pole\n1.0,0.36,0\n")
+
+
+def test_plot_data_type2_pole_and_constant_digest(capsys):
+    # sha256 over (exit code, stdout) of each argv, without and with --format csv: type 2
+    # (q = 2) through its pole at j = 3, type 2 without one, and the constant solutions at
+    # a type-2 and at the type-1 fixed point; recorded before sample(js) replaced eval(j)
+    argv_set = [
+        ["--alpha", "3", "--gamma", "-2", "--x1", "0.6666666666666666", "--from", "0", "--to", "5",
+         "--step", "0.25"],
+        ["--alpha", "3", "--gamma", "-2", "--x1", "0.5", "--from", "-2", "--to", "4", "--step", "0.5"],
+        ["--alpha", "3", "--gamma", "-2", "--x1", "2", "--from", "-1", "--to", "2", "--step", "0.75"],
+        ["--alpha", "1", "--gamma", "-0.25", "--x1", "0.5", "--from", "0", "--to", "2", "--step", "0.5"],
+    ]
+    digest = hashlib.sha256()
+    for argv in argv_set:
+        for flag in ([], ["--format", "csv"]):
+            code, out, _ = invoke(capsys, *flag, "plot-data", *argv)
+            digest.update(f"{code}\n{out}".encode())
+    assert digest.hexdigest() == "84a76e5f7b80cf24d64fe7b167d6306ab57c2aa1c3cf5ebdda4ee5b1dfeef92a"
+
+
 def test_locate_exact(capsys, p3_file):
     code, out, _ = invoke(
         capsys, "locate", "--tree", p3_file, "--matrix", "laplacian",
@@ -649,7 +687,14 @@ def test_printer_rejects_non_finite_values_in_every_format(capsys):
         flat = [{"n": 1, "x": 0.5}, {"n": 2, "x": -math.inf}]
         with pytest.raises(DomainError, match=r"computed x is not finite \(-inf\)"):
             _print(SimpleNamespace(format=fmt, formats=(fmt,)), flat)
+    # CSV tuple rows are named by their header
+    csv = SimpleNamespace(format="csv", formats=("csv",))
+    with pytest.raises(DomainError, match=r"computed value is not finite \(nan\)"):
+        _print(csv, [(0.5, 1.0, 0), (1.0, math.nan, 0)], header=("j", "value", "is_pole"))
     assert capsys.readouterr().out == ""
+    # text that reads "inf" or "nan" without being a float prints
+    _print(csv, [("infinite", "nano", 1)], header=("inf", "nan", "n"))
+    assert capsys.readouterr().out == "inf,nan,n\ninfinite,nano,1\n"
 
 
 def test_plot_data_failure_prints_no_partial_table(capsys):

@@ -18,6 +18,7 @@ from treespec.errors import (
 from treespec.recurrence import (
     DELTA_TOL,
     POLE,
+    POLE_TOL,
     ZERO_TOL,
     AlternatingSolution,
     ConstantSolution,
@@ -432,6 +433,160 @@ def test_closed_form_matches_iteration():
                 continue
             worst = max(worst, abs(got - ref) / max(1.0, abs(ref)))
     assert worst <= 1e-9
+
+
+# ---------------------------------------------------------------------------
+# sample(js) against the per-point evaluators it replaced
+
+
+def _reference_type2_den(sol, j):
+    q, sign = sol.base, math.copysign(1.0, sol.beta)
+    if q < 0.0:
+        if abs(j) == math.inf or abs(j - round(j)) > POLE_TOL:
+            raise NoContinuousExtensionError("theta/theta' < 0: solution defined only at integer j")
+        j = round(j)
+        sign = -sign if j % 2 else sign
+    if sys.float_info.min <= abs(q) <= sys.float_info.max:
+        try:
+            return sol.beta * (math.exp(j * math.log(q)) if q > 0.0 else q ** j) + 1.0
+        except OverflowError:
+            pass
+    try:
+        return sign * math.exp(math.log(abs(sol.beta)) + j * sol._log_base) + 1.0
+    except OverflowError:
+        return sign * math.inf
+
+
+def reference_eval(sol, j):
+    """The closed form at one j as each family's eval computed it before sample(js):
+    every value that does not depend on j is recomputed for each j."""
+    if j != j:
+        raise DomainError(f"closed form needs a number j, got {j!r}")
+    if sol.variant == "constant":
+        return sol.theta
+    if sol.variant == "type1":
+        den = sol.beta + j
+        if abs(den) <= POLE_TOL:
+            return POLE
+        return sol.theta * (1.0 + 1.0 / den)
+    if sol.variant == "type2":
+        sol._require_normal()
+        if sol.base > 0.0 and sol.beta < 0.0:
+            pole_j = math.log(-1.0 / sol.beta) / sol._log_base
+            if abs(j - pole_j) <= POLE_TOL:
+                return POLE
+        den = _reference_type2_den(sol, j)
+        if math.isnan(den):
+            raise DomainError(f"closed form is undefined at j = {j!r}: q = theta/theta' is 1, "
+                              f"so j * log q is {j!r} * 0")
+        if den == 0.0:
+            return POLE
+        if math.isinf(den):
+            return sol.theta
+        return sol.theta + (sol.theta_prime - sol.theta) / den
+    if sol.variant == "type3":
+        arg = j * sol.phi_angle + sol.omega
+        u = (arg - math.pi / 2.0) / math.pi
+        if not math.isfinite(u):
+            raise DomainError(f"closed form is not finite at j = {j!r}: a float overflowed")
+        if abs(j) * math.ulp(sol.phi_angle) + math.ulp(arg) > POLE_TOL * sol.phi_angle:
+            raise DomainError(f"phase j*phi + omega at j = {j!r} is below float resolution")
+        dist_j = abs(u - round(u)) * math.pi / sol.phi_angle
+        if dist_j <= POLE_TOL:
+            return POLE
+        return sol.rho * (math.cos(sol.phi_angle) - math.sin(sol.phi_angle) * math.tan(arg))
+    if abs(j) == math.inf or abs(j - round(j)) > POLE_TOL:
+        raise NoContinuousExtensionError("alternating solution is defined only at integer j")
+    return sol.x1 if round(j) % 2 == 1 else sol.gamma / sol.x1
+
+
+def _grid(start, step, count):
+    return [start + i * step for i in range(count)]
+
+
+@st.composite
+def _sample_cases(draw):
+    """A closed form from solve, of each family, and js: a grid, arbitrary floats, or
+    the family's zeros and poles and their neighbours."""
+    variant = draw(st.sampled_from(("constant", "type1", "type2", "type3", "alternating")))
+    alpha = 0.0 if variant == "alternating" else draw(st.floats(-8, 8).filter(lambda a: abs(a) > 1e-3))
+    d = draw(st.floats(1e-3, 30))
+    gamma = -(alpha / 2) ** 2 + {"type1": 0.0, "type3": -d, "alternating": -d}.get(variant, d)
+    assume(abs(gamma) > ZERO_TOL)
+    p = RecurrenceParams(alpha, gamma)
+    x1 = draw(st.floats(-30, 30).filter(lambda x: abs(x) > 1e-6))
+    if variant == "constant":
+        x1 = draw(st.sampled_from(fixed_points(p)))
+    sol = solve(p, x1)
+    assume(variant in ("constant", "alternating") or sol.variant == variant)
+    lo = draw(st.integers(-40, 40)) / 4
+    js = draw(st.one_of(
+        st.builds(_grid, st.just(lo), st.sampled_from((1.0, 0.5, 0.25, 0.01, 0.3)), st.integers(0, 60)),
+        st.lists(st.floats(), max_size=12),
+    ))
+    if draw(st.booleans()):
+        try:
+            marks = sum(zeros_and_poles(sol, lo - 20.0, lo + 20.0), [])
+        except (NoContinuousExtensionError, DomainError):
+            marks = []
+        js += [m + k * 1e-9 for m in marks[:4] for k in (-2, -1, 0, 1, 2)]
+        js += [math.nextafter(m, math.inf) for m in marks[:4]]
+    return sol, js
+
+
+#: families built by hand from any floats, which solve never makes (theta = 0, an infinite
+#: phi, a nan beta): sample must fail where and as the reference fails
+_HAND_BUILT = st.tuples(st.one_of(
+    st.builds(ConstantSolution, st.floats()),
+    st.builds(Type1Solution, st.floats(), st.floats()),
+    st.builds(Type2Solution, st.floats(), st.floats(), st.floats()),
+    st.builds(Type3Solution, st.floats(), st.floats(), st.floats()),
+    st.builds(AlternatingSolution, st.floats(), st.floats()),
+), st.lists(st.floats(), max_size=8))
+
+
+_TYPE3 = solve(RecurrenceParams(1.0, -1.0), 0.3)
+
+
+def _bits(value):
+    return value if value is POLE else float(value).hex()
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(_sample_cases(), _HAND_BUILT))
+# type 2 with q = 2 > 0 through its pole at j = 3 (the orbit from 2/3 hits zero at x_2)
+@example((solve(RecurrenceParams(3.0, -2.0), 2 / 3), _grid(0.0, 0.25, 21)))
+# q = -2 < 0: an integer grid evaluates, a half-integer one stops at j = 0.5
+@example((solve(RecurrenceParams(1.0, 2.0), 0.7), _grid(-3.0, 1.0, 10)))
+@example((solve(RecurrenceParams(1.0, 2.0), 0.7), _grid(0.0, 0.5, 10)))
+# type 3 where the phase test starts to refuse (j ~ 2619006.5 for phi = pi/3)
+@example((_TYPE3, _grid(2619000.0, 0.5, 30)))
+# type 1 through its pole at j = 0.5, type 3 at its poles, and a nan j after a pole
+@example((solve(RecurrenceParams(2.0, -1.0), 3.0), _grid(0.0, 0.25, 5)))
+@example((_TYPE3, zeros_and_poles(_TYPE3, 0.0, 10.0)[1]))
+@example((solve(RecurrenceParams(2.0, -1.0), 3.0), [0.5, math.nan, 2.0]))
+# hand-built: an infinite phi, theta = 0 (log|q| raises, after the check of a nan j) and
+# q = -2 with beta*q^0 + 1 = 0 exactly
+@example((Type3Solution(1.0, math.inf, 0.0), [2.0]))
+@example((Type2Solution(0.0, -1.0, 0.5), [math.nan]))
+@example((Type2Solution(2.0, -1.0, -1.0), [0.0, 1.0]))
+def test_sample_equals_the_reference_eval(case):
+    sol, js = case
+    want, error = [], None
+    for j in js:
+        try:
+            want.append(reference_eval(sol, j))
+        except Exception as exc:  # sample must raise the same type and message at this j
+            error = exc
+            break
+    assert [_bits(v) for v in sol.sample(js[:len(want)])] == [_bits(v) for v in want]
+    assert [_bits(sol.eval(j)) for j in js[:len(want)][:3]] == [_bits(v) for v in want[:3]]
+    if error is not None:
+        with pytest.raises(type(error)) as info:
+            sol.sample(js)
+        assert type(info.value) is type(error) and str(info.value) == str(error)
+        with pytest.raises(type(error)):
+            sol.eval(js[len(want)])
 
 
 # ---------------------------------------------------------------------------
