@@ -468,11 +468,10 @@ ClosedFormSolution = Union[ConstantSolution, Type1Solution, Type2Solution, Type3
 
 
 def _normalize_half_pi(omega: float) -> float:
-    """Reduce mod pi into (-pi/2, pi/2]."""
+    """Reduce an omega <= fl(pi/2) mod pi into (-pi/2, pi/2]: ``solve``'s omega =
+    -phi + atan(.), phi in (0, pi], never exceeds fl(pi/2), and fmod keeps its sign."""
     omega = math.fmod(omega, math.pi)
-    if omega > math.pi / 2.0:
-        omega -= math.pi
-    elif omega <= -math.pi / 2.0:
+    if omega <= -math.pi / 2.0:
         omega += math.pi
     return omega
 

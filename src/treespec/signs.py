@@ -39,7 +39,7 @@ import math
 from enum import Enum
 from fractions import Fraction
 from itertools import islice
-from typing import TYPE_CHECKING, Callable, Iterator, NamedTuple, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Callable, Iterator, NamedTuple, Optional, Tuple, Union
 
 from .errors import DomainError, OutOfDomainError, PatternNotFoundError, PreconditionViolatedError
 
@@ -427,44 +427,40 @@ def double_broom_sigma(b: DoubleBroom) -> BroomSigma:
     When the side-counting hypotheses hold, the root value equals
     2/n - 1/b_{2q}(r) - 1/b_{2p}(R) and sigma is r+R+q+p plus one when that
     value is positive; the congruence sweep cross-checks the count (and is
-    the fallback when the hypotheses fail).  The sweep is the certified float
-    sweep of ``locate(exact=True)``, and b_{2q}, b_{2p} come from ``_scan``.
-    Where a sign is in doubt, the exact sweep and ``b_at`` rerun the rule with
-    intervals of radius 0, which decide it.
+    the fallback when the hypotheses fail).  One call of treediag's
+    ``_exact_counts``, the sweep of ``locate(exact=True)``, gives the
+    inertia and the root value with its bound, and b_{2q}, b_{2p} come from
+    ``_scan``.  Where the formula's sign is in doubt, ``b_at`` reruns only
+    the terms, with intervals of radius 0: no broom root value is 0, so the
+    root's interval, certified or exact, decides the rule with them.
     """
-    from .treediag import MatrixKind, _certified_sweep, _sweep, build_matrix
+    from .treediag import MatrixKind, _exact_counts, build_matrix
 
     layout = double_broom_layout(b)
-    lap = build_matrix(layout.tree, MatrixKind.LAPLACIAN)
-    d = 2 - Fraction(2, b.n)
-    hypotheses = _broom_hypotheses(b)
-    certified = _certified_sweep(lap, d)
-    if certified is not None:
-        result = _broom_split(b, layout.root, certified[0], certified[1][layout.root - 1], hypotheses,
+    values, bounds, inertia = _exact_counts(build_matrix(layout.tree, MatrixKind.LAPLACIAN), 2 - Fraction(2, b.n))
+    x_root, hypotheses = values[layout.root - 1], _broom_hypotheses(b)
+    e_root = 0 if bounds is None else bounds[layout.root - 1]
+    if bounds is not None:  # a certified root value: the terms from the certified scan first
+        result = _broom_split(b, x_root, e_root, inertia, hypotheses,
                               lambda cfg, j: next(islice(_scan(cfg), j - 1, None), None))
         if result is not None:
             return result
-    values = _sweep(lap, d, True)[0][1:]
-    return _broom_split(b, layout.root, values, 0, hypotheses, lambda cfg, j: (b_at(cfg, j), 0))
+    return _broom_split(b, x_root, e_root, inertia, hypotheses, lambda cfg, j: (b_at(cfg, j), 0))
 
 
-def _broom_split(b: DoubleBroom, root: int, values: Sequence, e_root: float, hypotheses: bool,
-                 term: Callable[[PendantConfig, int], Optional[tuple]]) -> Optional[BroomSigma]:
-    """The split from sweep values of vertices 1..n, the root's bound e_root and b_j as ``term``.
+def _broom_split(b: DoubleBroom, x_root: Union[float, Fraction], e_root: float, inertia: InertiaTriple,
+                 hypotheses: bool, term: Callable[[PendantConfig, int], Optional[tuple]]) -> Optional[BroomSigma]:
+    """The split from the sweep's root value x_root, its bound e_root, its inertia and b_j as ``term``.
 
     ``term`` gives b_j as (x, e) with |b_j - x| <= e < |x|, or None; then
     |1/b_j - 1/x| <= e / (|x| (|x| - e)), summed in exact arithmetic.  The
     formula's interval must meet the root's; it is in doubt (None) when it holds
     0 or a term is None.  For odd n no sweep value at 2 - 2/n is 0
-    (2 - 2/n is no algebraic integer), so the root has a sign, and the exact
-    sweep with exact terms (e = 0; no b_j is 0) is never in doubt.
+    (2 - 2/n is no algebraic integer), so the root has a sign, and exact
+    terms (e = 0; no b_j is 0) are never in doubt.
     """
-    from .treediag import InertiaTriple
-
     n = b.n
-    below = sum(x < 0 for x in values)
-    inertia = InertiaTriple(below, 0, n - below)
-    x_root, e_root = Fraction(values[root - 1]), Fraction(e_root)
+    x_root, e_root = Fraction(x_root), Fraction(e_root)
     if hypotheses:
         centre, radius = Fraction(2, n), Fraction(0)
         for side, j in ((b.r, 2 * b.q), (b.R, 2 * b.p)):

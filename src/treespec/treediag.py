@@ -12,14 +12,14 @@ One sweep function, ``_sweep``, runs over plain Python lists for both
 arithmetics: float sweeps count values within a relative threshold as zero
 (bisection's within ``pivmin``), and matrices with integer/rational entries
 also support an exact-rational sweep (``exact=True``) with an exact zero
-test.  ``locate(exact=True)`` first runs a float sweep with a certified
-error bound per vertex and falls back to the exact sweep only when that
-bound leaves a sign in doubt.  Each bisection builds one program of its
-matrix once: the tree without its leaves, which fold into their parents
-when they share a diagonal entry, and the chains of what is left (runs of
-one-child vertices with equal entries).  Its float sweeps step only that
-inner tree and take each chain in one step with the closed form of
-``chain_orbit``.
+test.  ``_exact_counts`` (exact ``locate``, the double broom's split) runs a
+float sweep with a certified error bound per vertex, and the exact sweep
+only when that bound leaves a sign in doubt.  Each bisection builds one
+program of its matrix once: the tree without its leaves, which fold into
+their parents when they share a diagonal entry, and the chains of what is
+left (runs of one-child vertices with equal entries).  Its float sweeps
+step only that inner tree and take each chain in one step with the closed
+form of ``chain_orbit``.
 """
 
 from __future__ import annotations
@@ -596,8 +596,9 @@ def _require_exact(m: SymmetricTreeMatrix, alpha: Real) -> Fraction:
     return Fraction(alpha)
 
 
-def _certified_sweep(m: SymmetricTreeMatrix, alpha: Fraction) -> Optional[Tuple[List[float], List[float]]]:
-    """Float sweep values x_v of M - alpha*I and bounds e_v, or None if a sign is in doubt.
+def _certified_sweep(m: SymmetricTreeMatrix,
+                     alpha: Fraction) -> Optional[Tuple[List[float], List[float], InertiaTriple]]:
+    """Float sweep values x_v of M - alpha*I, bounds e_v and the inertia, or None if a sign is in doubt.
 
     a_v is the exact value, hats mark inputs rounded to float, s = w^2,
     u = 2^-53 and |fl(y) - y| <= u|fl(y)| per operation (Higham, 2nd ed.,
@@ -608,10 +609,11 @@ def _certified_sweep(m: SymmetricTreeMatrix, alpha: Fraction) -> Optional[Tuple[
     nonnegative, so rounding them loses at most a factor (1 - u)^k >= 1/F for
     k <= n + 9 operations; e_v is multiplied by F = 1 + 4(n + 10)u.  If every
     |x_v| > e_v, each a_v is nonzero with the sign of x_v, the exact sweep
-    takes no zero-child branch, and the signs are its inertia.  Sizes capped
-    at 2^200 keep every operation finite; 2^-200 added to each e_v covers
-    underflow, which loses at most 2^-1075 per operation, times 2^453 where
-    it is divided by |x_c| (|x_c| - e_c) >= 2^-200 * 2^-253.
+    takes no zero-child branch, and the signs, counted as each is checked,
+    are its inertia.  Sizes capped at 2^200 keep every operation finite;
+    2^-200 added to each e_v covers underflow, which loses at most 2^-1075
+    per operation, times 2^453 where it is divided by |x_c| (|x_c| - e_c)
+    >= 2^-200 * 2^-253.
     """
     if max(-m._dmin, m._dmax, abs(alpha), max(m._w2)) > 2.0**200:
         return None
@@ -623,6 +625,7 @@ def _certified_sweep(m: SymmetricTreeMatrix, alpha: Fraction) -> Optional[Tuple[
     ds = [0.0] * len(s) if s == m._w2 else [float(abs(Fraction(f) - x)) for f, x in zip(s, m._w2)]
     u, grow = 2.0**-53, 1.0 + (m.n + 10) * 2.0**-51
     acc, x = [0.0] * len(m.diag), [0.0, *(f - fa for f in d)]
+    below = 0
     for v, p in zip(m.tree.postorder, m.tree._postorder_parent):
         y = x[v]
         xv = x[v] = y - acc[v]
@@ -630,10 +633,23 @@ def _certified_sweep(m: SymmetricTreeMatrix, alpha: Fraction) -> Optional[Tuple[
         e = ebound[v] = (ebound[v] + u * (abs(y) + ax)) * grow
         if not ax > e:
             return None
+        if xv < 0:
+            below += 1
         q = s[v] / xv
         acc[p] += q
         ebound[p] += (s[v] * e + ds[v] * ax) / (ax * (ax - e)) + u * (abs(q) + abs(acc[p]))
-    return x[1:], ebound[1:]
+    return x[1:], ebound[1:], InertiaTriple(below, 0, m.n - below)
+
+
+def _exact_counts(m: SymmetricTreeMatrix, alpha: Real) -> Tuple[List[Real], Optional[List[float]], InertiaTriple]:
+    """Sweep values of vertices 1..n of a rational M - alpha*I, their bounds and its exact inertia:
+    ``_certified_sweep``'s where it decides every sign, else the ``Fraction`` sweep's values and None."""
+    alpha = _require_exact(m, alpha)
+    certified = _certified_sweep(m, alpha)
+    if certified is not None:
+        return certified
+    values, counts = _sweep(m, alpha, True)
+    return values[1:], None, counts
 
 
 def diagonalize(m: SymmetricTreeMatrix, alpha: Real, exact: bool = False) -> Tuple[Real, ...]:
@@ -651,24 +667,11 @@ def diagonalize(m: SymmetricTreeMatrix, alpha: Real, exact: bool = False) -> Tup
     return tuple(_sweep(m, alpha, exact)[0])
 
 
-def _inertia(values: List[Real], tol: Real) -> InertiaTriple:
-    """Counts of final sweep values below -tol, within [-tol, tol] and above tol."""
-    lo = -tol
-    below = equal = 0
-    for x in values:
-        if x < lo:
-            below += 1
-        elif x <= tol:
-            equal += 1
-    return InertiaTriple(below, equal, len(values) - below - equal)
-
-
 def locate(m: SymmetricTreeMatrix, alpha: Real, exact: bool = False) -> InertiaTriple:
-    """Counts of eigenvalues of M below / equal to / above alpha."""
-    certified = exact and _certified_sweep(m, _require_exact(m, alpha))
-    if certified:
-        return _inertia(certified[0], 0)
-    return _sweep(m, alpha, exact)[1]
+    """Counts of eigenvalues of M below / equal to / above alpha, exact with ``exact`` (``_exact_counts``)."""
+    if exact:
+        return _exact_counts(m, alpha)[2]
+    return _sweep(m, alpha, False)[1]
 
 
 def _bisect(m: SymmetricTreeMatrix, tol: float, predicate) -> float:
@@ -758,29 +761,26 @@ def _read_lines(text: str) -> Tuple[List[int], List[int], Optional[int]]:
         parts = raw.split("#", 1)[0].split()
         if not parts:
             continue
-        try:
-            u, v = map(int, parts)
-        except ValueError:  # not two integers: a root line or an error
-            u = v = 0
-        if u < 1 or v < 1:
-            if parts[0].lower() == "root":
-                if len(parts) != 2:
-                    raise NotATreeError(f"line {ln}: expected 'root k'")
-                if file_root is not None:
-                    raise NotATreeError(f"line {ln}: a second 'root' line")
-                file_root = _parse_vertex(parts[1], ln)
-                continue
+        if parts[0].lower() == "root":
             if len(parts) != 2:
-                raise NotATreeError(f"line {ln}: expected 'u v', got {raw!r}")
-            u, v = _parse_vertex(parts[0], ln), _parse_vertex(parts[1], ln)
-        us.append(u)
-        vs.append(v)
+                raise NotATreeError(f"line {ln}: expected 'root k'")
+            if file_root is not None:
+                raise NotATreeError(f"line {ln}: a second 'root' line")
+            file_root = _parse_vertex(parts[1], ln)
+            continue
+        if len(parts) != 2:
+            raise NotATreeError(f"line {ln}: expected 'u v', got {raw!r}")
+        us.append(_parse_vertex(parts[0], ln))
+        vs.append(_parse_vertex(parts[1], ln))
     return us, vs, file_root
 
 
 def _parse_vertex(token: str, ln: int) -> int:
+    """The id that ``token`` spells in ASCII digits after at most one '-'."""
     try:
-        value = int(token)
+        if not re.fullmatch(r"-?[0-9]+", token):  # int() alone reads '+3', '0_3' and other scripts' digits
+            raise ValueError
+        value = int(token)  # a ValueError too past int()'s digit limit
     except ValueError:
         raise BadVertexError(f"line {ln}: bad vertex id {token!r}") from None
     if value < 1:

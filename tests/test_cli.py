@@ -91,6 +91,15 @@ def test_plot_data_keeps_the_last_sample_of_a_large_j_grid(capsys):
     assert (code, out) == (0, "j,value,is_pole\n1.0,0.36,0\n")
 
 
+def test_plot_data_drops_a_counted_sample_past_the_end(capsys):
+    # (to - from)/step = 2.9999999995 is within the count's 1e-9 of 3, so four samples
+    # are counted; j = 3.0 lies 5e-10 past --to, beyond the rounding of the ends, and goes
+    orbit = ["--alpha", "1", "--gamma", "-0.25", "--x1", "0.36"]
+    code, out, err = invoke(capsys, "plot-data", *orbit, "--from", "0", "--to", "2.9999999995", "--step", "1")
+    assert (code, err) == (0, "")
+    assert [line.split(",")[0] for line in out.splitlines()] == ["j", "0.0", "1.0", "2.0"]
+
+
 def test_plot_data_type2_pole_and_constant_digest(capsys):
     # sha256 over (exit code, stdout) of each argv, without and with --format csv: type 2
     # (q = 2) through its pole at j = 3, type 2 without one, and the constant solutions at

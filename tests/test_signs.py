@@ -527,12 +527,18 @@ def test_double_broom_sigma_exact_path_on_a_grid(monkeypatch, broom_grid_referen
     lambda terms: islice(terms, 2),  # a sign in doubt at b_3
 ], ids=["interval-holds-zero", "scan-stops-early"])
 def test_double_broom_sigma_doubtful_formula_goes_exact(monkeypatch, broom_grid_reference, doubt):
+    # only the terms rerun, exactly: the certified root interval decides with them
     monkeypatch.setattr(signs_module, "_scan", lambda cfg: doubt(_scan(cfg)))
     calls = _count_exact_sweeps(monkeypatch)
+    terms = []
+    monkeypatch.setattr(signs_module, "b_at", lambda cfg, j: terms.append((cfg, j)) or b_at(cfg, j))
     brooms = [b for b in BROOM_GRID[::7] if b.q > 1 and b.p > 1]
     for b in brooms:
+        terms.clear()
         assert double_broom_sigma(b) == broom_grid_reference[b], b
-    assert len(calls) == sum(broom_grid_reference[b].hypotheses_met for b in brooms) > 0
+        want = [(PendantConfig(b.n, b.r), 2 * b.q), (PendantConfig(b.n, b.R), 2 * b.p)]
+        assert terms == (want if broom_grid_reference[b].hypotheses_met else []), b
+    assert calls == [] and sum(broom_grid_reference[b].hypotheses_met for b in brooms) > 0
 
 
 def test_double_broom_cross_check_catches_a_shifted_scan(monkeypatch):

@@ -11,12 +11,12 @@ from hypothesis import strategies as st
 
 from treespec.oracle import random_tree
 from treespec.treediag import (
+    InertiaTriple,
     MatrixKind,
     SymmetricTreeMatrix,
     build_matrix,
     build_tree,
     _certified_sweep,
-    _inertia,
     diagonalize,
     locate,
     spectral_radius,
@@ -178,9 +178,15 @@ def test_float_and_exact_inertia_agree_at_rational_shifts():
                 assert sum(exact) == m.n
 
 
+def sign_counts(values):
+    """How many values are below, equal to and above 0."""
+    below, equal = sum(x < 0 for x in values), sum(x == 0 for x in values)
+    return InertiaTriple(below, equal, len(values) - below - equal)
+
+
 def fraction_inertia(m, alpha):
     """Inertia of the pure Fraction sweep, the reference of the exact locate."""
-    return _inertia(diagonalize(m, alpha, exact=True)[1:], 0)
+    return sign_counts(diagonalize(m, alpha, exact=True)[1:])
 
 
 def documented_bounds(m, alpha, x, e):
@@ -219,8 +225,8 @@ def check_certified(m, alpha):
     certified = _certified_sweep(m, alpha)
     if certified is None:
         return False
-    x, e = certified
-    assert _inertia(x, 0) == want
+    x, e, counts = certified
+    assert counts == sign_counts(x) == want
     exact = diagonalize(m, alpha, exact=True)[1:]
     for xv, ev, av, bound in zip(x, e, exact, documented_bounds(m, alpha, x, e)):
         assert abs(Fraction(xv) - av) <= Fraction(ev) < abs(Fraction(xv))
@@ -322,6 +328,6 @@ def test_a_value_equal_to_its_bound_stays_uncertain():
     m = SymmetricTreeMatrix(build_tree([], root=1), (0, 1 + Fraction(1, 2**54)), (0, 0))
     x, da, last = 2.0**-53, 2.0**-54 * (1 - 1e-13), None
     while (certified := _certified_sweep(m, Fraction(1 - x) + Fraction(da))) is not None:
-        assert certified[0] == [x]
+        assert certified[0] == [x] and certified[2] == (0, 0, 1)
         last, da = certified[1][0], nextafter(da, 1.0)
     assert last is not None and last < x and nextafter(last, 1.0) == x

@@ -21,11 +21,11 @@ from treespec.limits import StarlikeSpec, t_lmn
 from treespec.oracle import dense_spectrum, random_tree
 from treespec.signs import DoubleBroom, double_broom_tree
 from treespec.treediag import (
+    InertiaTriple,
     MatrixKind,
     RootedTree,
     SymmetricTreeMatrix,
     _bisection_program,
-    _inertia,
     build_matrix,
     build_tree,
     diagonalize,
@@ -342,7 +342,16 @@ def test_diagonalize_returns_a_vertex_tuple_with_zero_in_slot_0():
                 values = diagonalize(m, alpha, exact=exact)
                 assert type(values) is tuple and len(values) == t.n + 1 and values[0] == 0, (t, kind, alpha)
                 if exact:
-                    assert _inertia(values[1:], 0) == locate(m, alpha, exact=True)
+                    assert sign_counts(values[1:]) == locate(m, alpha, exact=True)
+
+
+def test_zero_child_inside_the_zero_band():
+    # the leaf's value 0 is a zero child of the root, whose value -w^2/2 = -5e-13
+    # then lies within the float sweep's band and counts as a zero as well
+    m = SymmetricTreeMatrix(build_tree([(1, 2)], root=2), (0, 0, 5), (0, Fraction(1, 10**6), 0))
+    assert diagonalize(m, 0.0) == (0, 2.0, -5e-13)
+    assert locate(m, 0.0) == (0, 1, 1)  # the eigenvalue -2e-13 lies within the band
+    assert locate(m, 0, exact=True) == fraction_inertia(m, 0) == (1, 0, 1)
 
 
 def test_float_sweep_at_a_shift_beyond_the_float_range_is_a_domain_error():
@@ -647,8 +656,14 @@ def stepped(m, alpha):
     return treediag._sweep(m, alpha, False, None, pivmin(m))[1]
 
 
+def sign_counts(values):
+    """How many values are below, equal to and above 0."""
+    below, equal = sum(x < 0 for x in values), sum(x == 0 for x in values)
+    return InertiaTriple(below, equal, len(values) - below - equal)
+
+
 def fraction_inertia(m, alpha):
-    return _inertia(diagonalize(m, Fraction(alpha), exact=True)[1:], 0)
+    return sign_counts(diagonalize(m, Fraction(alpha), exact=True)[1:])
 
 
 def nearby(got, exact):
@@ -1112,6 +1127,13 @@ def test_parse_tree_file_line_errors():
     cases = [
         ("1 2\n0 3\n", BadVertexError, "line 2: vertex ids are 1-based, got 0"),
         ("1 2\n2 x\n", BadVertexError, "line 2: bad vertex id 'x'"),
+        # int() reads each of these as some vertex: 3, 3, 3, 3 and 2
+        ("1 2\n2 0_3", BadVertexError, "line 2: bad vertex id '0_3'"),
+        ("1 2\n2 +3", BadVertexError, "line 2: bad vertex id '+3'"),
+        ("1 2\n2 \u0663", BadVertexError, "line 2: bad vertex id '\u0663'"),
+        ("1 2\n2 \uff13", BadVertexError, "line 2: bad vertex id '\uff13'"),
+        ("root \u0662\n1 2\n2 3", BadVertexError, "line 1: bad vertex id '\u0662'"),
+        ("1 2\n2 -3\n", BadVertexError, "line 2: vertex ids are 1-based, got -3"),
         ("root 2 3\n1 2\n", NotATreeError, "line 1: expected 'root k'"),
         ("ROOT x\n1 2\n", BadVertexError, "line 1: bad vertex id 'x'"),
         ("root 0\n1 2\n", BadVertexError, "line 1: vertex ids are 1-based, got 0"),
