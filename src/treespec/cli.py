@@ -50,14 +50,12 @@ _OPTION_OF = {"eval_j": "--eval", "j_from": "--from", "j_to": "--to"}
 
 
 def _fmt(value) -> str:
-    """Shortest round-trip decimal for floats, "" for None, JSON for dicts and
-    lists, plain str otherwise; ValueError for inf or nan."""
+    """Shortest round-trip decimal for floats, JSON for dicts and lists, plain
+    str otherwise; ValueError for inf or nan."""
     if isinstance(value, float):
         if not math.isfinite(value):
             raise ValueError(f"{value!r} is not finite")
         return repr(value)
-    if value is None:
-        return ""
     if isinstance(value, (dict, list)):
         return json.dumps(value, default=str, allow_nan=False)
     return str(value)
@@ -258,20 +256,11 @@ def _cmd_eigen(args) -> int:
 
 
 def _mlas_row(n: int, r: int, direct: bool) -> dict:
-    """The report, b_{2k0+2} and b_{2k0+3}, and mlas_direct with --direct.
-
-    b_{2k0+2} = P / Q is powered to directly: no b_j is 0 (signs' module
-    docstring proves it), so neither is P, and b_{2k0+3} follows in one step.
-    P / Q of ints is correctly rounded, so the floats need no gcd; a Fraction
-    would take one of two 81,600-bit integers at n = 8014.
-    """
+    """The report, and mlas_direct with --direct."""
     from . import signs
 
     cfg = signs.PendantConfig(n, r)
     row = _fields(signs.build_report(cfg))
-    p, q = signs._b_power(cfg, 2 * row["k0"] + 2)
-    row["b_2k0_2"] = p / q
-    row["b_2k0_3"] = (2 * p - n * q) / (n * p)
     if direct:
         row["mlas_direct"] = signs.mlas_direct(cfg)
     return row

@@ -58,6 +58,13 @@ def _is_zero(value: Real) -> bool:
     return -ZERO_TOL <= value <= ZERO_TOL
 
 
+def _require_nonzero(value: Real, name: str) -> None:
+    """DomainError when value counts as 0, naming ZERO_TOL's band for a float that is not 0."""
+    if _is_zero(value):
+        band = f" {value!r} is within ZERO_TOL = {ZERO_TOL!r} of 0, which float arithmetic treats as 0"
+        raise DomainError(name + (band if value else " must be nonzero"))
+
+
 class _Params(NamedTuple):
     alpha: Real
     gamma: Real
@@ -69,8 +76,7 @@ class RecurrenceParams(_Params):
     __slots__ = ()
 
     def __new__(cls, alpha: Real, gamma: Real) -> RecurrenceParams:
-        if _is_zero(gamma):
-            raise DomainError("gamma must be nonzero")
+        _require_nonzero(gamma, "gamma")
         return super().__new__(cls, alpha, gamma)
 
     _make = classmethod(lambda cls, iterable: cls(*iterable))  # ``_replace`` calls it: both check
@@ -239,8 +245,7 @@ def iterate(params: RecurrenceParams, x1: Real, count: int) -> OrbitResult:
     """
     if count < 1:
         raise DomainError("count must be positive")
-    if _is_zero(x1):
-        raise DomainError("initial value x1 must be nonzero")
+    _require_nonzero(x1, "initial value x1")
     exact = _is_exact(params.alpha, params.gamma, x1)
     num = Fraction if exact else float
     x, alpha, gamma = num(x1), num(params.alpha), num(params.gamma)
@@ -483,8 +488,7 @@ def solve(params: RecurrenceParams, x1: Real) -> ClosedFormSolution:
     whose orbit hits zero still get a closed form; the breakdown surfaces
     later, via iterate() or a pole of eval().
     """
-    if _is_zero(x1):
-        raise DomainError("initial value x1 must be nonzero")
+    _require_nonzero(x1, "initial value x1")
     cls = classify(params)
     # an overflowed or NaN delta puts a root beyond 1e154, which loses a moderate x1 in
     # beta*q^j + 1: alpha 1, gamma 1e308, x1 1 would give x_1 = 0.0 and a pole at x_2 = 1e308

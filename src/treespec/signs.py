@@ -16,8 +16,8 @@ split of double-broom trees, cross-checked against the congruence sweep.
 
 Sign-critical quantities (b values, r_0, broom root values) are exact or
 certified: the signs of b_j come from a float scan with a certified error
-bound, falling back to exact rational arithmetic where a sign is in doubt,
-and exact b_j from integer pairs.  The trigonometric phase/period formulas
+bound, restarted from b_j's exact integer pair where a sign is in doubt,
+and exact b_j from those pairs.  The trigonometric phase/period formulas
 are float.
 
 No b_j is 0, for any n >= 3 and r >= 0, so every b_j is defined and may be
@@ -39,7 +39,7 @@ import math
 from enum import Enum
 from fractions import Fraction
 from itertools import islice
-from typing import TYPE_CHECKING, Callable, Iterator, NamedTuple, Optional, Tuple, Union
+from typing import TYPE_CHECKING, Generator, Iterator, NamedTuple, Optional, Tuple, Union
 
 from .errors import DomainError, OutOfDomainError, PatternNotFoundError, PreconditionViolatedError
 
@@ -111,59 +111,14 @@ def b_sequence(cfg: PendantConfig, count: int, exact: bool = False) -> OrbitResu
     return iterate(cfg.params(exact=False), float(cfg.b1), count)
 
 
-def _b_pairs(cfg: PendantConfig) -> Iterator[Tuple[int, int]]:
-    """b_1, b_2, ... as unreduced integer pairs (P, Q), b_j = P/Q, Q > 0.
-
-    One step, 2/n - Q/P = (2P - nQ)/(nP), takes no gcd.
-    """
-    n = cfg.n
-    p, q = cfg.b1.numerator, cfg.b1.denominator
-    while True:
-        yield p, q
-        p, q = 2 * p - n * q, n * p
-        if q < 0:
-            p, q = -p, -q
-
-
-def _scan(cfg: PendantConfig) -> Iterator[Tuple[float, float]]:
-    """b_1, b_2, ... in floats with error bounds (x_j, e_j), |x_j - b_j| <= e_j < |x_j|.
-
-    Ends before the first term whose sign is in doubt (|x_j| <= e_j), so every
-    yielded x_j has the sign of b_j.  x_{j+1} = fl(fl(2/n) - fl(1/x_j)) is the
-    one-child case of treediag._certified_sweep, whose docstring derives the
-    bound: the weight square is 1, the partial sum 0 + q is exact, and the
-    vertex value fl(2/n) is rounded once.  So
-        e_1     = (|fl(b_1) - b_1| + 2^-200) F,
-        e_{j+1} = (|fl(2/n) - 2/n| + 2^-200 + e_j / (|x_j| (|x_j| - e_j))
-                   + u |fl(1/x_j)| + u |x_{j+1}|) F,
-    with u = 2^-53 and the sweep's F at one child, 1 + 44u (k <= 10
-    operations).  |b_1| <= 2^200 keeps the sweep's size cap.
-    """
-    b1, n = cfg.b1, cfg.n
-    if abs(b1) > 2**200:
-        return
-    a, x = 2 / n, float(b1)
-    base = float(abs(Fraction(a) - Fraction(2, n))) + 2.0**-200
-    u, grow = 2.0**-53, 1.0 + 11 * 2.0**-51
-    e = (float(abs(Fraction(x) - b1)) + 2.0**-200) * grow
-    while True:
-        ax = abs(x)
-        if not ax > e:
-            return
-        yield x, e
-        q = 1.0 / x
-        y = a - q
-        e = (base + e / (ax * (ax - e)) + u * (abs(q) + abs(y))) * grow
-        x = y
-
-
 def _b_power(cfg: PendantConfig, j: int) -> Tuple[int, int]:
-    """(P_j, Q_j) of _b_pairs, found as M^(j-1) (P_1, Q_1) with M = [[2, -n], [n, 0]].
+    """b_j = P_j/Q_j as unreduced integers, Q_j > 0: M^(j-1) (P_1, Q_1), M = [[2, -n], [n, 0]].
 
-    Valid at every j, since no b_j is 0 (see the module docstring).
+    One step of the orbit, 2/n - Q/P = (2P - nQ)/(nP), is M applied to (P, Q)
+    with no gcd.  Valid at every j, since no b_j is 0 (see the module docstring).
     M^k = a M + c I, since M^2 = 2M - n^2 I, so a square is
-    (2a(a + c), (c - na)(c + na)), two big products, and a step (2a + c, -n^2 a).  _b_pairs flips signs to keep
-    Q > 0; M is linear, so one flip at the end gives the same pair.
+    (2a(a + c), (c - na)(c + na)), two big products, and a step (2a + c, -n^2 a).
+    M is linear, so one sign flip at the end makes Q_j > 0.
     """
     n = cfg.n
     a, c = 0, 1
@@ -174,6 +129,62 @@ def _b_power(cfg: PendantConfig, j: int) -> Tuple[int, int]:
     p1, q1 = cfg.b1.numerator, cfg.b1.denominator
     p, q = a * (2 * p1 - n * q1) + c * p1, a * n * p1 + c * q1
     return (p, q) if q > 0 else (-p, -q)
+
+
+def _scan(cfg: PendantConfig, j: int = 1) -> Generator[Tuple[float, float], None, int]:
+    """b_j, b_{j+1}, ... in floats with error bounds (x_i, e_i), |x_i - b_i| <= e_i < |x_i|.
+
+    Starts from b_j's exact pair (P, Q) of _b_power: x_j = fl(P/Q) and
+    |fl(b_j) - b_j| = |num*Q - P*den| / (den*Q), num/den being x_j's ratio.
+    Ends before the first term whose sign is in doubt (|x_i| <= e_i), so every
+    yielded x_i has the sign of b_i, and returns that term's index.
+    x_{i+1} = fl(fl(2/n) - fl(1/x_i)) is the one-child case of
+    treediag._certified_sweep, whose docstring derives the bound: the weight
+    square is 1, the partial sum 0 + q is exact, and the vertex value fl(2/n)
+    is rounded once.  So
+        e_j     = (|fl(b_j) - b_j| + 2^-200) F,
+        e_{i+1} = (|fl(2/n) - 2/n| + 2^-200 + e_i / (|x_i| (|x_i| - e_i))
+                   + u |fl(1/x_i)| + u |x_{i+1}|) F,
+    with u = 2^-53 and the sweep's F at one child, 1 + 44u (k <= 10
+    operations).  |b_j| <= 2^200 keeps the sweep's size cap.
+    """
+    n = cfg.n
+    p, q = _b_power(cfg, j)
+    if abs(p) > 2**200 * q:
+        return j
+    a, x = 2 / n, p / q
+    num, den = x.as_integer_ratio()
+    base = float(abs(Fraction(a) - Fraction(2, n))) + 2.0**-200
+    u, grow = 2.0**-53, 1.0 + 11 * 2.0**-51
+    e = (abs(num * q - p * den) / (den * q) + 2.0**-200) * grow
+    while True:
+        ax = abs(x)
+        if not ax > e:
+            return j
+        yield x, e
+        j += 1
+        inv = 1.0 / x
+        y = a - inv
+        e = (base + e / (ax * (ax - e)) + u * (abs(inv) + abs(y))) * grow
+        x = y
+
+
+def _terms(cfg: PendantConfig) -> Iterator[Tuple[Union[float, Fraction], float]]:
+    """b_1, b_2, ... as (x_j, e_j) with |b_j - x_j| <= e_j < |x_j| at every j.
+
+    The certified scan, restarted from the exact pair of each term whose sign
+    it leaves in doubt.  A term in doubt from its exact pair too (|b_j|
+    outside the scan's 2^+-200 range) is passed on exactly, with bound 0.
+    Needs no b_j to be 0, which the module docstring proves for every
+    PendantConfig.
+    """
+    j = 1
+    while True:
+        k = yield from _scan(cfg, j)
+        if k == j:
+            yield b_at(cfg, k), 0.0
+            k += 1
+        j = k
 
 
 def b_at(cfg: PendantConfig, j: int) -> Fraction:
@@ -256,26 +267,22 @@ def mlas(cfg: PendantConfig) -> int:
 
 
 def mlas_direct(cfg: PendantConfig, j_max: Optional[int] = None) -> int:
-    """mlas by scanning the signs of b_j; the certificate for mlas().
+    """mlas by reading the signs of b_j; the certificate for mlas().
 
-    The signs come from the certified float scan; if one is in doubt before
-    the answer, the exact walk of integer pairs rescans from b_1.  Returns
-    (first positive odd index) - 1.  Raises PatternNotFoundError when
-    b_1 > 0 (no alternating prefix exists) or when the scan exhausts ``j_max``
-    (default 4n).
+    One pass over ``_terms``: the certified float scan, with exact powering
+    only at an index whose sign it leaves in doubt.  Returns (first positive
+    odd index) - 1.  Raises PatternNotFoundError when b_1 > 0 (no
+    alternating prefix exists) or when no positive odd-index term lies
+    within ``j_max`` terms (default 4n).
     """
     limit = 4 * cfg.n if j_max is None else j_max
     if cfg.b1 > 0:
         raise PatternNotFoundError(
             f"b_1(n={cfg.n}, r={cfg.r}) = {cfg.b1} > 0: no alternating prefix"
         )
-    for terms in ((x for x, _ in _scan(cfg)), (p for p, _ in _b_pairs(cfg))):
-        j = 0
-        for j, v in enumerate(islice(terms, max(limit, 0)), 1):
-            if j % 2 == 1 and v > 0:
-                return j - 1
-        if j >= limit:
-            break
+    for j, (x, _) in enumerate(islice(_terms(cfg), max(limit, 0)), 1):
+        if j % 2 == 1 and x > 0:
+            return j - 1
     raise PatternNotFoundError(
         f"no positive odd-index term within j <= {limit} for (n={cfg.n}, r={cfg.r})"
     )
@@ -289,7 +296,7 @@ def mlas_lower_bound(cfg: PendantConfig) -> int:
 
 
 class MlasReport(NamedTuple):
-    """All alternating-sign analytics for one (n, r) pair."""
+    """All alternating-sign analytics for one (n, r) pair, with b_{2k0+2} and b_{2k0+3}."""
 
     n: int
     r: int
@@ -300,20 +307,29 @@ class MlasReport(NamedTuple):
     k0: int
     mlas: int
     lower_bound: int
+    b_2k0_2: float
+    b_2k0_3: float
 
 
 def build_report(cfg: PendantConfig) -> MlasReport:
+    """The report.  b_{2k0+2} = P/Q is powered to, b_{2k0+3} = (2P - nQ)/(nP)
+    is one step on (no b_j is 0, so neither is P), and int true division
+    rounds each correctly with no gcd of P and Q (81,600 bits at n = 8014)."""
     _check_domain(cfg)
+    n, k = cfg.n, k0(cfg)
+    p, q = _b_power(cfg, 2 * k + 2)
     return MlasReport(
-        n=cfg.n,
+        n=n,
         r=cfg.r,
-        period=period_n(cfg.n),
-        phi_angle=phi_n(cfg.n),
+        period=period_n(n),
+        phi_angle=phi_n(n),
         omega_r=omega_r(cfg),
         j_star=j_star(cfg),
-        k0=k0(cfg),
+        k0=k,
         mlas=mlas(cfg),
         lower_bound=mlas_lower_bound(cfg),
+        b_2k0_2=p / q,
+        b_2k0_3=(2 * p - n * q) / (n * p),
     )
 
 
@@ -429,52 +445,26 @@ def double_broom_sigma(b: DoubleBroom) -> BroomSigma:
     value is positive; the congruence sweep cross-checks the count (and is
     the fallback when the hypotheses fail).  One call of treediag's
     ``_exact_counts``, the sweep of ``locate(exact=True)``, gives the
-    inertia and the root value with its bound, and b_{2q}, b_{2p} come from
-    ``_scan``.  Where the formula's sign is in doubt, ``b_at`` reruns only
-    the terms, with intervals of radius 0: no broom root value is 0, so the
-    root's interval, certified or exact, decides the rule with them.
+    inertia and the root value with its bound (0 when exact).  The terms
+    come from ``_terms``, and from ``b_at`` only where the formula's
+    interval holds 0.  That interval must meet the root's, and its sign
+    give the sweep's count.  For odd n no sweep value at 2 - 2/n is 0
+    (2 - 2/n is no algebraic integer), so the root has a sign, and so has
+    the formula from exact terms, which equals the root value.
     """
     from .treediag import MatrixKind, _exact_counts, build_matrix
 
-    layout = double_broom_layout(b)
-    values, bounds, inertia = _exact_counts(build_matrix(layout.tree, MatrixKind.LAPLACIAN), 2 - Fraction(2, b.n))
-    x_root, hypotheses = values[layout.root - 1], _broom_hypotheses(b)
-    e_root = 0 if bounds is None else bounds[layout.root - 1]
-    if bounds is not None:  # a certified root value: the terms from the certified scan first
-        result = _broom_split(b, x_root, e_root, inertia, hypotheses,
-                              lambda cfg, j: next(islice(_scan(cfg), j - 1, None), None))
-        if result is not None:
-            return result
-    return _broom_split(b, x_root, e_root, inertia, hypotheses, lambda cfg, j: (b_at(cfg, j), 0))
-
-
-def _broom_split(b: DoubleBroom, x_root: Union[float, Fraction], e_root: float, inertia: InertiaTriple,
-                 hypotheses: bool, term: Callable[[PendantConfig, int], Optional[tuple]]) -> Optional[BroomSigma]:
-    """The split from the sweep's root value x_root, its bound e_root, its inertia and b_j as ``term``.
-
-    ``term`` gives b_j as (x, e) with |b_j - x| <= e < |x|, or None; then
-    |1/b_j - 1/x| <= e / (|x| (|x| - e)), summed in exact arithmetic.  The
-    formula's interval must meet the root's; it is in doubt (None) when it holds
-    0 or a term is None.  For odd n no sweep value at 2 - 2/n is 0
-    (2 - 2/n is no algebraic integer), so the root has a sign, and exact
-    terms (e = 0; no b_j is 0) are never in doubt.
-    """
-    n = b.n
-    x_root, e_root = Fraction(x_root), Fraction(e_root)
+    n, layout = b.n, double_broom_layout(b)
+    values, bounds, inertia = _exact_counts(build_matrix(layout.tree, MatrixKind.LAPLACIAN), 2 - Fraction(2, n))
+    x_root, hypotheses = Fraction(values[layout.root - 1]), _broom_hypotheses(b)
     if hypotheses:
-        centre, radius = Fraction(2, n), Fraction(0)
-        for side, j in ((b.r, 2 * b.q), (b.R, 2 * b.p)):
-            t = term(PendantConfig(n, side), j)
-            if t is None:
-                return None
-            x, e = map(Fraction, t)
-            centre -= 1 / x
-            radius += e / (abs(x) * (abs(x) - e))
-        meets = abs(centre - x_root) <= radius + e_root
-        if meets and abs(centre) <= radius:
-            return None
+        sides = ((PendantConfig(n, b.r), 2 * b.q), (PendantConfig(n, b.R), 2 * b.p))
+        centre, radius = _formula(n, [next(islice(_terms(cfg), j - 1, None)) for cfg, j in sides])
+        if abs(centre) <= radius:
+            centre, radius = _formula(n, [(b_at(cfg, j), 0) for cfg, j in sides])
+        e_root = Fraction(0 if bounds is None else bounds[layout.root - 1])
         predicted = b.r + b.R + b.q + b.p + (centre > 0)
-        if not meets or predicted != inertia.above:
+        if abs(centre - x_root) > radius + e_root or predicted != inertia.above:
             raise RuntimeError(
                 f"side counting disagrees with the sweep for {b}: "
                 f"formula {float(centre)} +- {float(radius):.3g} vs root {float(x_root)} +- "
@@ -482,6 +472,17 @@ def _broom_split(b: DoubleBroom, x_root: Union[float, Fraction], e_root: float, 
             )
     sign = RootSign.POSITIVE if x_root > 0 else RootSign.NEGATIVE
     return BroomSigma(sigma=inertia.above, root_sign=sign, hypotheses_met=hypotheses, inertia=inertia)
+
+
+def _formula(n: int, terms: list) -> Tuple[Fraction, Fraction]:
+    """2/n - 1/b_{2q} - 1/b_{2p} as (centre, radius), exactly, from terms (x, e)
+    with |b_j - x| <= e < |x|: |1/b_j - 1/x| <= e / (|x| (|x| - e))."""
+    centre, radius = Fraction(2, n), Fraction(0)
+    for x, e in terms:
+        x, e = Fraction(x), Fraction(e)
+        centre -= 1 / x
+        radius += e / (abs(x) * (abs(x) - e))
+    return centre, radius
 
 
 def star_up(tree: RootedTree, star: int) -> RootedTree:

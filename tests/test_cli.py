@@ -409,6 +409,22 @@ def test_solve_overflow_is_domain_error(capsys):
             assert err == f"error: computed delta is not finite ({delta}): a float overflowed\n"
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["solve", "--alpha", "1", "--gamma", "1e-13", "--x1", "1"], "gamma 1e-13"),
+    (["plot-data", "--alpha", "1", "--gamma", "1e-13", "--x1", "1", "--from", "0", "--to", "2",
+      "--step", "1"], "gamma 1e-13"),
+    (["solve", "--alpha", "1", "--gamma", "2", "--x1", "1e-13"], "initial value x1 1e-13"),
+])
+def test_a_nonzero_value_refused_as_zero_names_the_band(capsys, argv, message):
+    # |value| <= ZERO_TOL counts as 0 in float arithmetic: still refused, but not called 0
+    code, out, err = invoke(capsys, *argv)
+    assert (code, out) == (3, "")
+    assert err == f"error: {message} is within ZERO_TOL = 1e-12 of 0, which float arithmetic treats as 0\n"
+    code, out, err = invoke(capsys, *[("0" if token == "1e-13" else token) for token in argv])
+    assert (code, out) == (3, "")
+    assert err == f"error: {message.split(' 1e-13')[0]} must be nonzero\n"
+
+
 def test_plot_data_overflow_is_domain_error(capsys):
     # the closed form overflows (beta inf): not a pole at every j
     argv = ["plot-data", "--alpha", "-2.178179017452761e+101", "--gamma", "3.32e-11",
@@ -534,6 +550,14 @@ def test_each_subcommand_imports_only_its_modules(tmp_path, command):
     assert not dataclasses_loaded
     if command == "random-tree":
         assert not fractions_loaded
+
+
+def test_package_names_only_its_submodules():
+    import treespec
+
+    assert treespec.signs is sys.modules["treespec.signs"]
+    with pytest.raises(AttributeError, match="module 'treespec' has no attribute 'no_such_name'"):
+        treespec.no_such_name
 
 
 def test_matrix_choices_are_the_matrix_kinds():

@@ -314,6 +314,8 @@ def test_eval_at_a_non_finite_j():
     for sol in sols:
         with pytest.raises(DomainError, match="needs a number j, got nan"):
             sol.eval(math.nan)
+        with pytest.raises(DomainError, match="needs a number j, got nan"):
+            sol.sample([1.0, 2.0, math.nan])  # a later j, checked in sample's loop
     for sol in (sols[3], sols[5]):
         for j in (math.inf, -math.inf):
             with pytest.raises(NoContinuousExtensionError, match="only at integer j"):

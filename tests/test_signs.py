@@ -7,7 +7,7 @@ from itertools import islice
 from types import SimpleNamespace
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import treespec.signs as signs_module
@@ -19,10 +19,10 @@ from treespec.signs import (
     DoubleBroom,
     PendantConfig,
     RootSign,
-    _b_pairs,
     _b_power,
     _broom_hypotheses,
     _scan,
+    _terms,
     b_at,
     b_sequence,
     build_report,
@@ -129,6 +129,20 @@ def test_b1_is_no_forbidden_initial(nr):
     assert b1 not in forbidden_initials(RecurrenceParams(Fraction(2, n), Fraction(-1)), 40)
 
 
+def _b_pairs(cfg):
+    """The reference walk: b_1, b_2, ... as unreduced integer pairs (P, Q), b_j = P/Q, Q > 0.
+
+    One step, 2/n - Q/P = (2P - nQ)/(nP), takes no gcd.
+    """
+    n = cfg.n
+    p, q = cfg.b1.numerator, cfg.b1.denominator
+    while True:
+        yield p, q
+        p, q = 2 * p - n * q, n * p
+        if q < 0:
+            p, q = -p, -q
+
+
 def test_no_exact_b_j_is_zero():
     # the exact walk over mlas_direct's 4n-term window, r one past the k_0 domain's n // 4
     for n in range(3, 121):
@@ -162,11 +176,14 @@ def within(x, e, p, q):
     return gap <= fe.numerator * q * dx and fe < abs(fx)
 
 
-def documented_bound(cfg, x, e):
-    """The bound of ``_scan``'s docstring, summed exactly from the pass's own floats."""
+def documented_bound(cfg, x, e, start):
+    """The bound of ``_scan``'s docstring for a run from the exact value ``start``,
+    summed exactly from the pass's own floats."""
+    if not x:
+        return []
     u, tiny = Fraction(1, 2**53), Fraction(2.0**-200)
     da = abs(Fraction(2 / cfg.n) - Fraction(2, cfg.n))
-    want = [abs(Fraction(x[0]) - cfg.b1) + tiny]
+    want = [abs(Fraction(x[0]) - start) + tiny]
     for xj, ej, xk in zip(x, e, x[1:]):
         assert xk == 2 / cfg.n - 1.0 / xj
         ax, fe = abs(Fraction(xj)), Fraction(ej)
@@ -175,43 +192,69 @@ def documented_bound(cfg, x, e):
     return want
 
 
-def check_scan(cfg, count):
-    """Every certified term of the first ``count`` has b_j's sign, lies within its
-    bound, and that bound covers the documented one; returns the certified count."""
-    scanned = list(islice(_scan(cfg), count))
+def check_scan(cfg, count, j=1):
+    """Every certified term of the first ``count`` of the run from b_j has b_j's sign,
+    lies within its bound, and that bound covers the documented one; returns the
+    certified count, 0 for an empty run."""
+    scanned = list(islice(_scan(cfg, j), count))
     x = [v for v, _ in scanned]
     e = [b for _, b in scanned]
-    for (xj, ej), (p, q) in zip(scanned, _b_pairs(cfg)):
+    walk = islice(_b_pairs(cfg), j - 1, None)
+    for (xj, ej), (p, q) in zip(scanned, walk):
         assert (xj > 0) == (p > 0) and p != 0
         assert within(xj, ej, p, q)
-    for ej, want in zip(e, documented_bound(cfg, x, e)):
+    for ej, want in zip(e, documented_bound(cfg, x, e, b_at(cfg, j) if scanned else None)):
         assert Fraction(ej) >= want
     return len(scanned)
+
+
+def check_terms(cfg, count):
+    """|b_j - x_j| <= e_j < |x_j| for the first ``count`` terms of ``_terms``."""
+    for (x, e), (p, q) in zip(islice(_terms(cfg), count), _b_pairs(cfg)):
+        assert within(x, e, p, q)
 
 
 @settings(max_examples=60, deadline=None)
 @given(st.integers(3, 300), st.integers(0, 90))
 def test_certified_signs_are_exact_signs(n, r):
-    assert check_scan(PendantConfig(n, r), min(3 * n, 500)) > 0
+    cfg = PendantConfig(n, r)
+    assert check_scan(cfg, min(3 * n, 500)) > 0
+    assert check_scan(cfg, 50, 1 + (n * r) % (3 * n)) > 0  # a run from a later exact pair
+    check_terms(cfg, min(3 * n, 500))
+
+
+def _first_zero(walk):
+    """The 1-based index of the first exact zero of a walk, or None."""
+    return next((j for j, (p, _) in enumerate(walk, 1) if p == 0), None)
 
 
 @settings(max_examples=80, deadline=None)
 @given(st.integers(3, 200), st.integers(-10**6, 10**6).filter(bool), st.integers(3, 40),
        st.booleans())
+@example(200, -10**6, 4, False)  # b_1 = 0: the run is empty
+@example(200, -10**6, 4, True)  # b_2 = 0
 def test_starts_that_graze_zero(n, k, digits, early):
     # b_1 = n/2 + k/10^digits makes b_2 graze 0; one step earlier, b_1 next to
-    # 2n/(4 - n^2) makes b_3 graze 0 with b_1 < 0, where mlas_direct scans
+    # 2n/(4 - n^2) makes b_3 graze 0 with b_1 < 0, where mlas_direct scans.
+    # Some of these starts hit 0 exactly, which no PendantConfig orbit does:
+    # the scan must end at or before that zero, and the orbit is compared
+    # only before it.
     half = Fraction(n, 2) + Fraction(k, 10**digits)
+    assume(not early or half != Fraction(2, n))  # b_1 = 1/0 is no start
     b1 = 1 / (Fraction(2, n) - half) if early else half
     cfg = SimpleNamespace(n=n, r=0, b1=b1)
+    walk = list(islice(_b_pairs(cfg), max(4 * n, 40)))
+    zero = _first_zero(walk) or len(walk) + 1
     certified = check_scan(cfg, 40)
-    walk = list(islice(_b_pairs(cfg), 40))
+    assert certified < zero
     for j in (1, 2, 3, 4, 5, 17, 40):
-        assert b_at(cfg, j) == Fraction(*walk[j - 1])
-    if early and b1 < 0:
+        if j < zero:
+            assert b_at(cfg, j) == Fraction(*walk[j - 1])
+    check_terms(cfg, min(zero - 1, 40))
+    if early and b1 < 0 and walk_mlas(cfg) < zero:
         assert mlas_direct(cfg) == walk_mlas(cfg)
     if digits > 30:
-        assert certified == (2 if early else 1)  # the fallback decided
+        assert certified == (2 if early else 1)  # the restart decides
 
 
 def walk_mlas(cfg):
@@ -242,12 +285,36 @@ def test_orbits_at_the_bottom_of_the_float_range():
 
 
 def test_starts_beyond_the_float_range():
-    # r = 10^320: b_1 ~ 4r/n overflows a float; the exact walk takes over
+    # r = 10^320: b_1 ~ 4r/n overflows a float; the stream passes it on exactly
+    # and scans on from b_2's exact pair
     cfg = PendantConfig(40, 10**320)
     assert list(islice(_scan(cfg), 5)) == []
+    assert next(_terms(cfg)) == (cfg.b1, 0.0)
+    check_terms(cfg, 50)
     assert b_at(cfg, 3) == b_sequence(cfg, 3, exact=True).values[2]
     with pytest.raises(PatternNotFoundError, match="> 0: no alternating prefix"):
         mlas_direct(cfg)
+
+
+@pytest.mark.parametrize("eps, powered", [
+    (Fraction(1, 10**30), [1, 101]),  # certified from b_101's exact pair
+    # b_101 and b_102 ~ -2^300 lie outside 2^+-200: b_at passes each on exactly
+    (Fraction(1, 2**300), [1, 101, 101, 102, 102, 103]),
+], ids=["restart", "passed-on-exactly"])
+def test_a_doubt_deep_in_the_orbit_is_powered_to(monkeypatch, eps, powered):
+    # psi(t) = n/(2 - nt) inverts the step, so b_1 = psi^100(-eps) puts
+    # b_101 = -eps: the scan from b_1 doubts there, and mlas_direct powers to
+    # b_101's exact pair once, where no walk from b_1 runs
+    n, b1 = 1000, -eps
+    for _ in range(100):
+        b1 = n / (2 - n * b1)
+    cfg = SimpleNamespace(n=n, r=0, b1=b1)
+    assert b1 < 0 and check_scan(cfg, 200) == 100
+    calls = []
+    monkeypatch.setattr(signs_module, "_b_power", lambda cfg, j: calls.append(j) or _b_power(cfg, j))
+    assert mlas_direct(cfg) == walk_mlas(cfg) == 102
+    assert calls == powered
+    check_terms(cfg, 300)
 
 
 def test_r0_exact_and_bounds():
@@ -522,22 +589,44 @@ def test_double_broom_sigma_exact_path_on_a_grid(monkeypatch, broom_grid_referen
     assert len(calls) == len(BROOM_GRID)
 
 
-@pytest.mark.parametrize("doubt", [
-    lambda terms: ((x, abs(x) * 0.999) for x, _ in terms),  # the formula's interval holds 0
-    lambda terms: islice(terms, 2),  # a sign in doubt at b_3
-], ids=["interval-holds-zero", "scan-stops-early"])
+def _widened(scan):
+    """Runs whose every term is certified with a bound of 0.999 |x|: a formula from them holds 0."""
+    return lambda cfg, j=1: ((x, abs(x) * 0.999) for x, _ in scan(cfg, j))
+
+
+def _stopping_before_b3(scan):
+    """Runs from b_1 that end in doubt at b_3; runs from a later exact pair are whole."""
+    def run(cfg, j=1):
+        if j > 1:
+            return (yield from scan(cfg, j))
+        yield from islice(scan(cfg, j), 2)
+        return 3
+    return run
+
+
+@pytest.mark.parametrize("doubt", [_widened, _stopping_before_b3],
+                         ids=["interval-holds-zero", "scan-stops-early"])
 def test_double_broom_sigma_doubtful_formula_goes_exact(monkeypatch, broom_grid_reference, doubt):
-    # only the terms rerun, exactly: the certified root interval decides with them
-    monkeypatch.setattr(signs_module, "_scan", lambda cfg: doubt(_scan(cfg)))
+    # a doubt goes exact where it arises, against the same certified root interval and
+    # with no second sweep: a formula interval holding 0 takes both terms from b_at, and
+    # a sign in doubt at b_3 restarts the scan from b_3's exact pair, with no b_at call
+    monkeypatch.setattr(signs_module, "_scan", doubt(_scan))
     calls = _count_exact_sweeps(monkeypatch)
-    terms = []
+    terms, powered = [], []
     monkeypatch.setattr(signs_module, "b_at", lambda cfg, j: terms.append((cfg, j)) or b_at(cfg, j))
+    monkeypatch.setattr(signs_module, "_b_power", lambda cfg, j: powered.append(j) or _b_power(cfg, j))
     brooms = [b for b in BROOM_GRID[::7] if b.q > 1 and b.p > 1]
     for b in brooms:
         terms.clear()
+        powered.clear()
         assert double_broom_sigma(b) == broom_grid_reference[b], b
-        want = [(PendantConfig(b.n, b.r), 2 * b.q), (PendantConfig(b.n, b.R), 2 * b.p)]
-        assert terms == (want if broom_grid_reference[b].hypotheses_met else []), b
+        sides = [(PendantConfig(b.n, b.r), 2 * b.q), (PendantConfig(b.n, b.R), 2 * b.p)]
+        if not broom_grid_reference[b].hypotheses_met:
+            assert terms == powered == [], b
+        elif doubt is _widened:
+            assert terms == sides and powered == [1, 1, 2 * b.q, 2 * b.p], b
+        else:
+            assert terms == [] and powered == [1, 3, 1, 3], b
     assert calls == [] and sum(broom_grid_reference[b].hypotheses_met for b in brooms) > 0
 
 
@@ -545,13 +634,16 @@ def test_double_broom_cross_check_catches_a_shifted_scan(monkeypatch):
     b = DoubleBroom(r=3, q=2, p=2, R=2)
     # b_4 moves from 4.45 and 2.62 to 5.45 and 3.62: the formula keeps its
     # sign, and so the predicted count, but leaves the root's interval
-    monkeypatch.setattr(signs_module, "_scan", lambda cfg: ((x + 1.0, e) for x, e in _scan(cfg)))
+    monkeypatch.setattr(signs_module, "_scan", lambda cfg, j=1: ((x + 1.0, e) for x, e in _scan(cfg, j)))
     with pytest.raises(RuntimeError, match="side counting disagrees"):
         double_broom_sigma(b)
 
 
 def test_double_broom_exact_check_catches_a_shifted_b_at(monkeypatch):
+    # the widened runs send the rule to b_at's exact terms, which the shift moves
+    # off the exact root value
     monkeypatch.setattr(treediag, "_certified_sweep", lambda m, alpha: None)
+    monkeypatch.setattr(signs_module, "_scan", _widened(_scan))
     monkeypatch.setattr(signs_module, "b_at", lambda cfg, j: b_at(cfg, j) + 1)
     with pytest.raises(RuntimeError, match="side counting disagrees"):
         double_broom_sigma(DoubleBroom(r=3, q=2, p=2, R=2))
