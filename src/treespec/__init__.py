@@ -3,7 +3,7 @@
 Submodules:
   recurrence  the map x_{j+1} = alpha + gamma/x_j and its closed forms
   treediag    tree matrices, congruence diagonalization, inertia bisection
-  oracle      dense reference spectra (eigvalsh) and seeded random trees
+  oracle      seeded random trees
   signs       alternating-sign analytics of the pendant-path orbit
   limits      starlike-tree spectral radius limit points
   cli         command-line interface (``treespec`` entry point)

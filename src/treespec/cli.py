@@ -305,9 +305,14 @@ def _cmd_limit(args) -> int:
         target, gap = limits.guo_constant(), limits.laplacian_limit_gap
     tol = {} if args.tol is None else {"tol": args.tol}
     rows = []
-    for n_arm in range(1, args.n_max + 1):
-        g = gap(n_arm, **tol)
-        rows.append({"n_arm": n_arm, "radius": target - g, "gap": g})
+    try:
+        for n_arm in range(1, args.n_max + 1):
+            g = gap(n_arm, **tol)
+            rows.append({"n_arm": n_arm, "radius": target - g, "gap": g})
+    except DomainError:  # the rows answered so far print, then the refusal exits 3
+        if rows:
+            _print(args, rows)
+        raise
     _print(args, rows)
     return 0
 
@@ -388,8 +393,8 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Spectral radius of T(1, n, n) and its gap to the limit, n = 1..N. A row "
                     "takes the gap from the centre equation wherever its bound is at most 1e-12 "
                     "relative (adjacency n >= 17, Laplacian n >= 7, whatever tol); the rest bisect "
-                    "within tol. A gap below the normal float range (adjacency n >= 1468, "
-                    "Laplacian n >= 581) exits 3.")
+                    "within tol. The first gap below the normal float range (adjacency n = 1468, "
+                    "Laplacian n = 581) ends the table: the rows before it print, then it exits 3.")
     p.add_argument("--family", choices=("adjacency", "laplacian"), required=True)
     p.add_argument("--n-max", dest="n_max", type=int, required=True)
     p.add_argument("--tol", type=float, default=None,

@@ -29,10 +29,6 @@ class BadIndexError(TreespecError, ValueError):
     """Eigenvalue index out of range."""
 
 
-class SizeLimitError(TreespecError, ValueError):
-    """Instance too large for the dense oracle."""
-
-
 class OutOfDomainError(TreespecError, ValueError):
     """(n, r) outside the domain where the alternating-sign formulas hold."""
 

@@ -1,58 +1,16 @@
-"""Dense spectral reference and seeded random trees for property tests.
-
-The dense spectra come from LAPACK's symmetric eigensolver
-(``numpy.linalg.eigvalsh``), which shares nothing with the congruence
-sweep it is used to check.  NumPy is imported when a spectrum is asked
-for, so importing this module does not import it.  Random labeled trees
-are drawn uniformly by decoding a random Pruefer sequence.
-"""
+"""Seeded random trees: uniform labeled trees drawn by decoding a random
+Pruefer sequence."""
 
 from __future__ import annotations
 
 import random
 from itertools import islice, repeat
-from math import inf
-from typing import TYPE_CHECKING, List, NamedTuple, Tuple
+from typing import TYPE_CHECKING, List
 
-from .errors import DomainError, SizeLimitError
+from .errors import DomainError
 
 if TYPE_CHECKING:  # imported where it runs, so random-tree loads no tree code
-    from .treediag import RootedTree, SymmetricTreeMatrix
-
-#: dense_spectrum refuses larger instances (misuse guard)
-SIZE_LIMIT = 512
-
-#: default eigenvalue tolerance of the oracle
-DEFAULT_TOL = 1e-10
-
-
-class DenseSpectrum(NamedTuple):
-    """All eigenvalues of a small symmetric matrix, ascending."""
-
-    eigenvalues: Tuple[float, ...]
-    tolerance: float
-
-
-def dense_spectrum(m: SymmetricTreeMatrix, tol: float = DEFAULT_TOL) -> DenseSpectrum:
-    """Every eigenvalue of the dense matrix within tol, ascending.
-
-    ``numpy.linalg.eigvalsh`` computes each eigenvalue to within
-    n*u*||M||_2 with u = 2**-53 (LAPACK Users' Guide, section 4.7, taking
-    p(n) = n).  The bound uses g = max(|lo|, |hi|) of ``m.gershgorin()``,
-    which is at least ||M||_2, and a tol below n*u*g is refused.
-    """
-    if m.n > SIZE_LIMIT:
-        raise SizeLimitError(f"dense oracle limited to n <= {SIZE_LIMIT}, got {m.n}")
-    if not tol > 0 or tol == inf:
-        raise DomainError(f"tol must be positive and finite, got {tol!r}")
-    lo, hi = m.gershgorin()
-    bound = m.n * 2.0**-53 * max(abs(lo), abs(hi))
-    if tol < bound:
-        raise DomainError(f"tol {tol!r} is below the LAPACK error bound n*u*||M|| = {bound!r}")
-    import numpy as np
-
-    values = np.linalg.eigvalsh(m.dense())
-    return DenseSpectrum(eigenvalues=tuple(float(v) for v in values), tolerance=tol)
+    from .treediag import RootedTree
 
 
 def random_tree(n: int, seed: int) -> RootedTree:

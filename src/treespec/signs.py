@@ -43,8 +43,7 @@ from typing import TYPE_CHECKING, Generator, Iterator, NamedTuple, Optional, Tup
 
 from .errors import DomainError, OutOfDomainError, PatternNotFoundError, PreconditionViolatedError
 
-if TYPE_CHECKING:  # imported where they run: mlas loads neither, broom no recurrence
-    from .recurrence import OrbitResult, RecurrenceParams
+if TYPE_CHECKING:  # imported where it runs: mlas loads no tree code
     from .treediag import InertiaTriple, RootedTree
 
 
@@ -81,13 +80,6 @@ class PendantConfig(_Pendant):
         n, c = self.n, self.n * self.n + 2 * self.n - 4
         return Fraction((2 - n) * c + 4 * self.r * n * (n - 1), n * c)
 
-    def params(self, exact: bool = True) -> RecurrenceParams:
-        from .recurrence import RecurrenceParams
-
-        if exact:
-            return RecurrenceParams(Fraction(2, self.n), Fraction(-1))
-        return RecurrenceParams(2.0 / self.n, -1.0)
-
 
 def in_domain(n: int, r: int) -> bool:
     """True for n >= 8 and 1 <= r <= floor(n/4), where the k_0 formula holds."""
@@ -100,15 +92,6 @@ def _check_domain(cfg: PendantConfig, allow_r0: bool = False) -> None:
         raise OutOfDomainError(
             f"(n={cfg.n}, r={cfg.r}) outside n >= 8, {lo} <= r <= floor(n/4)"
         )
-
-
-def b_sequence(cfg: PendantConfig, count: int, exact: bool = False) -> OrbitResult:
-    """First ``count`` values of b_j: b_1 as above, b_{j+1} = 2/n - 1/b_j."""
-    from .recurrence import iterate
-
-    if exact:
-        return iterate(cfg.params(exact=True), cfg.b1, count)
-    return iterate(cfg.params(exact=False), float(cfg.b1), count)
 
 
 def _b_power(cfg: PendantConfig, j: int) -> Tuple[int, int]:
@@ -131,13 +114,13 @@ def _b_power(cfg: PendantConfig, j: int) -> Tuple[int, int]:
     return (p, q) if q > 0 else (-p, -q)
 
 
-def _scan(cfg: PendantConfig, j: int = 1) -> Generator[Tuple[float, float], None, int]:
+def _scan(cfg: PendantConfig, j: int = 1) -> Generator[Tuple[float, float], None, Tuple[int, int, int]]:
     """b_j, b_{j+1}, ... in floats with error bounds (x_i, e_i), |x_i - b_i| <= e_i < |x_i|.
 
     Starts from b_j's exact pair (P, Q) of _b_power: x_j = fl(P/Q) and
     |fl(b_j) - b_j| = |num*Q - P*den| / (den*Q), num/den being x_j's ratio.
     Ends before the first term whose sign is in doubt (|x_i| <= e_i), so every
-    yielded x_i has the sign of b_i, and returns that term's index.
+    yielded x_i has the sign of b_i, and returns that term's index and b_j's (P, Q).
     x_{i+1} = fl(fl(2/n) - fl(1/x_i)) is the one-child case of
     treediag._certified_sweep, whose docstring derives the bound: the weight
     square is 1, the partial sum 0 + q is exact, and the vertex value fl(2/n)
@@ -151,7 +134,7 @@ def _scan(cfg: PendantConfig, j: int = 1) -> Generator[Tuple[float, float], None
     n = cfg.n
     p, q = _b_power(cfg, j)
     if abs(p) > 2**200 * q:
-        return j
+        return j, p, q
     a, x = 2 / n, p / q
     num, den = x.as_integer_ratio()
     base = float(abs(Fraction(a) - Fraction(2, n))) + 2.0**-200
@@ -160,7 +143,7 @@ def _scan(cfg: PendantConfig, j: int = 1) -> Generator[Tuple[float, float], None
     while True:
         ax = abs(x)
         if not ax > e:
-            return j
+            return j, p, q
         yield x, e
         j += 1
         inv = 1.0 / x
@@ -174,15 +157,15 @@ def _terms(cfg: PendantConfig) -> Iterator[Tuple[Union[float, Fraction], float]]
 
     The certified scan, restarted from the exact pair of each term whose sign
     it leaves in doubt.  A term in doubt from its exact pair too (|b_j|
-    outside the scan's 2^+-200 range) is passed on exactly, with bound 0.
-    Needs no b_j to be 0, which the module docstring proves for every
-    PendantConfig.
+    outside the scan's 2^+-200 range) is passed on exactly, with bound 0,
+    from the pair that the empty run powered to.  Needs no b_j to be 0,
+    which the module docstring proves for every PendantConfig.
     """
     j = 1
     while True:
-        k = yield from _scan(cfg, j)
+        k, p, q = yield from _scan(cfg, j)
         if k == j:
-            yield b_at(cfg, k), 0.0
+            yield Fraction(p, q), 0.0
             k += 1
         j = k
 
@@ -401,11 +384,6 @@ def double_broom_layout(b: DoubleBroom) -> BroomLayout:
     pendants[1::2] = ids[right_star + 1:n:2]
     postorder = ids[1:root] + pendants + ids[right_star:root - 1:-1]
     return BroomLayout(RootedTree(root, parent, degree, postorder), root, left_star, right_star)
-
-
-def double_broom_tree(b: DoubleBroom) -> RootedTree:
-    """The double-broom tree, rooted at its central degree-2 vertex."""
-    return double_broom_layout(b).tree
 
 
 class RootSign(Enum):

@@ -214,17 +214,6 @@ class SymmetricTreeMatrix:
     def n(self) -> int:
         return self.tree.n
 
-    def dense(self):
-        """Dense float NumPy copy (for the dense oracle)."""
-        import numpy as np
-
-        m = np.zeros((self.n, self.n))
-        for v in range(1, self.n + 1):
-            m[v - 1, v - 1] = float(self.diag[v])
-        for v, p in self.tree.edges():
-            m[v - 1, p - 1] = m[p - 1, v - 1] = float(self.edge_weight[v])
-        return m
-
     def gershgorin(self) -> Tuple[float, float]:
         """Closed interval containing every eigenvalue."""
         radius = [0.0] * (self.n + 1)

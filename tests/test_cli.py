@@ -1,11 +1,13 @@
 """End-to-end tests of the command-line interface."""
 
+import ast
 import hashlib
 import json
 import math
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -309,6 +311,7 @@ def test_limit_rows_to_tol_1e_14(capsys):
     # the band kept every row up to n_arm = 32 bisected, and 4.6e-11 off
     import numpy as np
 
+    from references import dense
     from treespec.limits import _ADJACENCY, StarlikeSpec, _centre_gap, shearer_constant, t_lmn
     from treespec.treediag import MatrixKind, build_matrix
 
@@ -323,7 +326,7 @@ def test_limit_rows_to_tol_1e_14(capsys):
         else:  # bisected: within tol of eigvalsh, which errs by n u g at most
             m = build_matrix(t_lmn(StarlikeSpec(1, n_arm, n_arm)), MatrixKind.ADJACENCY)
             bound = 1e-14 + m.n * 2.0**-53 * max(map(abs, m.gershgorin()))
-            assert abs(shearer_constant() - gap - np.linalg.eigvalsh(m.dense())[-1]) <= bound, n_arm
+            assert abs(shearer_constant() - gap - np.linalg.eigvalsh(dense(m))[-1]) <= bound, n_arm
 
 
 def test_random_tree_output(capsys):
@@ -550,6 +553,27 @@ def test_each_subcommand_imports_only_its_modules(tmp_path, command):
     assert not dataclasses_loaded
     if command == "random-tree":
         assert not fractions_loaded
+
+
+def test_the_package_imports_only_the_standard_library():
+    # pyproject.toml declares no dependencies: every import statement of the package,
+    # in functions and TYPE_CHECKING blocks too, is relative or of the standard library
+    import treespec
+
+    sources = sorted(Path(treespec.__file__).parent.glob("*.py"))
+    assert len(sources) >= 9
+    outside = []
+    for path in sources:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                names = [node.module]
+            else:
+                continue
+            outside += [f"{path.name}:{node.lineno} {name}" for name in names
+                        if name.partition(".")[0] not in sys.stdlib_module_names]
+    assert outside == []
 
 
 def test_package_names_only_its_submodules():

@@ -20,9 +20,10 @@ from treespec.limits import (
     shearer_constant,
     t_lmn,
 )
-from treespec.oracle import dense_spectrum
 from treespec.recurrence import RecurrenceParams, iterate
 from treespec.treediag import MatrixKind, _sweep, build_matrix, spectral_radius
+
+from references import dense_spectrum
 
 
 def radius(spec, kind, tol=1e-10):
@@ -113,7 +114,7 @@ def test_radius_matches_oracle_small_arms():
     for n_arm in range(1, 11):
         spec = StarlikeSpec(1, n_arm, n_arm)
         m = build_matrix(t_lmn(spec), MatrixKind.ADJACENCY)
-        want = max(dense_spectrum(m, 1e-10).eigenvalues)
+        want = max(dense_spectrum(m, 1e-10))
         assert spectral_radius(m, 1e-10) == pytest.approx(want, abs=2e-10)
 
 
@@ -261,9 +262,15 @@ def test_gaps_below_the_float_range_are_refused(capsys, kind, first_refused):
         with pytest.raises(DomainError, match=f"n_arm = {n_arm}"):
             gap(n_arm)
     capsys.readouterr()
-    assert run(["limit", "--family", kind, "--n-max", str(first_refused)]) == 3
-    out, err = capsys.readouterr()
-    assert out == "" and f"n_arm = {first_refused}" in err
+    for fmt in ("csv", "json"):
+        # the table keeps the rows before the first refused n_arm, then exits 3 naming it
+        assert run(["--format", fmt, "limit", "--family", kind, "--n-max", str(first_refused - 1)]) == 0
+        answered = capsys.readouterr().out
+        for n_max in (first_refused, first_refused + 1):
+            assert run(["--format", fmt, "limit", "--family", kind, "--n-max", str(n_max)]) == 3
+            out, err = capsys.readouterr()
+            assert out == answered and err == f"error: n_arm = {first_refused}: " \
+                "the gap to the limit is below the normal float range\n"
 
 
 @pytest.mark.parametrize("tol", [0.0, -1e-8, math.inf, math.nan])
